@@ -165,6 +165,77 @@ impl WorkloadSpec {
     }
 }
 
+/// Buckets of [`DepTable`]: a power of two, so `u * DEP_BUCKETS` is
+/// exact and its integer part is the bucket of `u`.
+const DEP_BUCKETS: usize = 4096;
+
+/// How far a bucket's edge distances must stay from a step of the
+/// truncated output for the whole bucket to share one value: far above
+/// the formula's rounding error where it has steps (about 1e-13 for
+/// distances up to 256).
+const DEP_MARGIN: f64 = 1e-6;
+
+/// Geometric dependency distances, `1 + ln(u) / ln(1 - 1/mean)` clamped
+/// to 1..=255 and truncated, for a uniform `u` in `[0, 1)`.
+///
+/// Most draws read the answer from a 4096-entry table indexed by the
+/// bucket `[j/4096, (j+1)/4096)` that holds `u`. The formula never
+/// increases with `u`, so when it computes to the same output at both
+/// edges of a bucket, more than [`DEP_MARGIN`] from a step, every `u`
+/// inside computes to that output too. The other buckets hold 0 and
+/// evaluate the formula.
+#[derive(Debug, Clone)]
+struct DepTable {
+    /// `ln(1 - 1/mean)`, the per-spec constant of the formula.
+    ln_q: f64,
+    /// Output per bucket; 0 where the bucket must evaluate the formula.
+    table: Box<[u8; DEP_BUCKETS]>,
+}
+
+impl DepTable {
+    fn new(mean_dep_dist: f64) -> Self {
+        let ln_q = (1.0 - 1.0 / mean_dep_dist).ln();
+        let mut table = Box::new([0; DEP_BUCKETS]);
+        let edge = |j: usize| Self::distance(ln_q, j as f64 / DEP_BUCKETS as f64);
+        let mut high = edge(0);
+        for (j, slot) in table.iter_mut().enumerate() {
+            let low = edge(j + 1);
+            let out = Self::truncate(high);
+            if out == Self::truncate(low) && Self::clear_of_steps(high) && Self::clear_of_steps(low)
+            {
+                *slot = out;
+            }
+            high = low;
+        }
+        DepTable { ln_q, table }
+    }
+
+    /// The distance for the uniform `u` in `[0, 1)`.
+    #[inline]
+    fn draw(&self, u: f64) -> u8 {
+        match self.table[(u * DEP_BUCKETS as f64) as usize] {
+            0 => Self::truncate(Self::distance(self.ln_q, u)),
+            d => d,
+        }
+    }
+
+    /// The formula before clamping and truncation.
+    fn distance(ln_q: f64, u: f64) -> f64 {
+        1.0 + u.max(1e-12).ln() / ln_q
+    }
+
+    fn truncate(d: f64) -> u8 {
+        d.clamp(1.0, 255.0) as u8
+    }
+
+    /// Whether `d` is more than [`DEP_MARGIN`] from every value where
+    /// [`Self::truncate`] steps (the integers 2..=255).
+    fn clear_of_steps(d: f64) -> bool {
+        let step = d.round();
+        !(2.0..=255.0).contains(&step) || (d - step).abs() > DEP_MARGIN
+    }
+}
+
 /// A deterministic, infinite instruction stream (see [`WorkloadSpec`]).
 ///
 /// Implements `Iterator<Item = Inst>`; use `.take(n)` for a fixed-length
@@ -175,6 +246,7 @@ pub struct TraceGen {
     code: CodeSpec,
     pattern: PatternState,
     rng: SmallRng,
+    dep_table: DepTable,
     /// Dynamic instruction index.
     idx: u64,
     /// Current data line and remaining same-line references.
@@ -212,6 +284,7 @@ impl TraceGen {
         TraceGen {
             pattern: spec.pattern.state(),
             rng: SmallRng::seed_from_u64(spec.seed),
+            dep_table: DepTable::new(spec.mix.mean_dep_dist),
             mix: spec.mix,
             code: spec.code,
             idx: 0,
@@ -234,9 +307,7 @@ impl TraceGen {
 
     /// Geometric dependency distance with the configured mean, in 1..=255.
     fn dep(&mut self) -> u8 {
-        let u: f64 = self.rng.gen::<f64>().max(1e-12);
-        let d = 1.0 + u.ln() / (1.0 - 1.0 / self.mix.mean_dep_dist).ln();
-        d.clamp(1.0, 255.0) as u8
+        self.dep_table.draw(self.rng.gen())
     }
 
     /// Whether the static branch at `pc` is "hard" (data-dependent).
@@ -458,6 +529,59 @@ mod tests {
             (mean - 5.0).abs() < 1.0,
             "mean dep distance {mean} vs configured 5.0"
         );
+    }
+
+    /// The dependency formula as `TraceGen` evaluated it before the
+    /// table.
+    fn dep_formula(mean_dep_dist: f64, u: f64) -> u8 {
+        let d = 1.0 + u.max(1e-12).ln() / (1.0 - 1.0 / mean_dep_dist).ln();
+        d.clamp(1.0, 255.0) as u8
+    }
+
+    #[test]
+    fn dep_table_matches_the_formula() {
+        // `Standard` uniforms are the multiples of 2^-53 in [0, 1).
+        const UNITS: u64 = 1 << 53;
+        let step = UNITS / DEP_BUCKETS as u64;
+        let mut rng = SmallRng::seed_from_u64(5);
+        for mean in [1.0, 1.5, 2.0, 5.0, 8.0, 12.0, 300.0] {
+            let dt = DepTable::new(mean);
+            let check = |u: f64| {
+                assert_eq!(dt.draw(u), dep_formula(mean, u), "mean {mean}, u {u:e}");
+            };
+            // Each bucket edge ±64 uniforms.
+            for edge in (0..=DEP_BUCKETS as u64).map(|j| j * step) {
+                for x in edge.saturating_sub(64)..(edge + 65).min(UNITS) {
+                    check(x as f64 / UNITS as f64);
+                }
+            }
+            for _ in 0..1_000_000 {
+                check(rng.gen());
+            }
+        }
+    }
+
+    #[test]
+    fn dep_table_rarely_falls_back_on_suite_mixes() {
+        for mix in [
+            MixSpec::int_default(),
+            MixSpec::fp_default(),
+            MixSpec::media_default(),
+            MixSpec::pointer_default(),
+        ] {
+            let table = DepTable::new(mix.mean_dep_dist).table;
+            let share = table.iter().filter(|&&d| d == 0).count() as f64 / table.len() as f64;
+            println!(
+                "mean_dep_dist {}: {:.2}% of draws evaluate the formula",
+                mix.mean_dep_dist,
+                share * 100.0
+            );
+            assert!(
+                share < 0.025,
+                "mean {}: fallback share {share}",
+                mix.mean_dep_dist
+            );
+        }
     }
 
     #[test]

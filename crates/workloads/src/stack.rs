@@ -8,6 +8,7 @@
 //! on which LRU is close to optimal.
 
 use rand::Rng;
+use std::collections::VecDeque;
 
 /// Generates block addresses with a geometric stack-depth profile.
 ///
@@ -35,11 +36,16 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct StackDistanceGen {
     p_new: f64,
-    mean_depth: f64,
+    /// `ln(1 - 1/mean_depth)`, the per-generator constant of the depth
+    /// formula.
+    ln_q: f64,
     /// Maximum *live* blocks; when full, a new reference retires the
     /// coldest entry (working-set drift).
     footprint: usize,
-    stack: Vec<u64>,
+    /// Live blocks, most recent first. A ring, so pushing to the top and
+    /// retiring from the bottom cost O(1) and a re-reference at depth
+    /// `d` moves at most `d` entries.
+    stack: VecDeque<u64>,
     next_block: u64,
 }
 
@@ -56,9 +62,9 @@ impl StackDistanceGen {
         assert!(footprint > 0, "footprint must be positive");
         StackDistanceGen {
             p_new,
-            mean_depth,
+            ln_q: (1.0 - 1.0 / mean_depth).ln(),
             footprint,
-            stack: Vec::new(),
+            stack: VecDeque::new(),
             next_block: 0,
         }
     }
@@ -75,19 +81,22 @@ impl StackDistanceGen {
             let b = self.next_block;
             self.next_block += 1;
             if self.stack.len() >= self.footprint {
-                self.stack.pop(); // retire the coldest live block
+                self.stack.pop_back(); // retire the coldest live block
             }
-            self.stack.insert(0, b);
+            self.stack.push_front(b);
             return b;
         }
         // Geometric depth with the configured mean, clamped to the stack.
         let depth = {
             let u: f64 = rng.gen::<f64>().max(1e-12);
-            let d = (u.ln() / (1.0 - 1.0 / self.mean_depth).ln()).floor() as usize;
+            let d = (u.ln() / self.ln_q).floor() as usize;
             d.min(self.stack.len() - 1)
         };
-        let b = self.stack.remove(depth);
-        self.stack.insert(0, b);
+        let b = self
+            .stack
+            .remove(depth)
+            .expect("depth is clamped to the stack");
+        self.stack.push_front(b);
         b
     }
 }
@@ -97,6 +106,66 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// The generator before its stack became a ring: a `Vec` shifted on
+    /// every draw. Kept as the reference the ring must reproduce.
+    struct VecStack {
+        p_new: f64,
+        mean_depth: f64,
+        footprint: usize,
+        stack: Vec<u64>,
+        next_block: u64,
+    }
+
+    impl VecStack {
+        fn next_block(&mut self, rng: &mut SmallRng) -> u64 {
+            let want_new = self.stack.is_empty() || rng.gen_bool(self.p_new);
+            if want_new {
+                let b = self.next_block;
+                self.next_block += 1;
+                if self.stack.len() >= self.footprint {
+                    self.stack.pop();
+                }
+                self.stack.insert(0, b);
+                return b;
+            }
+            let depth = {
+                let u: f64 = rng.gen::<f64>().max(1e-12);
+                let d = (u.ln() / (1.0 - 1.0 / self.mean_depth).ln()).floor() as usize;
+                d.min(self.stack.len() - 1)
+            };
+            let b = self.stack.remove(depth);
+            self.stack.insert(0, b);
+            b
+        }
+    }
+
+    #[test]
+    fn ring_matches_the_vec_reference() {
+        for footprint in [1, 7, 4096] {
+            for (p_new, mean_depth) in [(0.05, 8.0), (0.3, 1.0), (0.002, 300.0)] {
+                let mut ring = StackDistanceGen::new(p_new, mean_depth, footprint);
+                let mut reference = VecStack {
+                    p_new,
+                    mean_depth,
+                    footprint,
+                    stack: Vec::new(),
+                    next_block: 0,
+                };
+                let seed = footprint as u64;
+                let (mut a, mut b) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+                for draw in 0..100_000 {
+                    assert_eq!(
+                        ring.next_block(&mut a),
+                        reference.next_block(&mut b),
+                        "draw {draw}, footprint {footprint}, p_new {p_new}, mean {mean_depth}"
+                    );
+                }
+                assert!(ring.stack.iter().eq(&reference.stack));
+                assert_eq!(a, b, "both consumed the same RNG words");
+            }
+        }
+    }
 
     #[test]
     fn live_set_is_bounded() {
