@@ -117,19 +117,9 @@ impl<P: ReplacementPolicy> Cache<P> {
     ) -> AccessOutcome {
         let acc = self.tags.access_at(set, stored);
         self.stats.record(acc.hit, write);
-
-        let eviction = acc.evicted.map(|old| {
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            Eviction {
-                // Real caches use full tags, so the block address is
-                // exactly recoverable from (tag, set).
-                block: self.geometry().block_from_parts(old.tag.raw(), set),
-                dirty: old.dirty,
-            }
-        });
+        let eviction = self
+            .stats
+            .record_eviction(self.tags.geometry(), set, acc.evicted);
 
         if write {
             // `acc.way` is the hit way or the fill way.

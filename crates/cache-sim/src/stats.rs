@@ -1,5 +1,8 @@
 //! Cache statistics.
 
+use crate::cache::Eviction;
+use crate::geometry::Geometry;
+use crate::tag_array::Way;
 use serde::{Deserialize, Serialize};
 
 /// Counters kept by every cache organisation ([`crate::Cache`], the
@@ -48,6 +51,29 @@ impl CacheStats {
                 self.read_misses += 1;
             }
         }
+    }
+
+    /// Counts the eviction of `old` from `set` (and its writeback when
+    /// dirty) and reports the evicted block. Full-tag directories only:
+    /// a real cache's block address is exactly recoverable from
+    /// `(tag, set)`. Every organisation reports its evictions here.
+    #[inline]
+    pub fn record_eviction(
+        &mut self,
+        geom: &Geometry,
+        set: usize,
+        old: Option<Way>,
+    ) -> Option<Eviction> {
+        old.map(|old| {
+            self.evictions += 1;
+            if old.dirty {
+                self.writebacks += 1;
+            }
+            Eviction {
+                block: geom.block_from_parts(old.tag.raw(), set),
+                dirty: old.dirty,
+            }
+        })
     }
 
     /// Accumulates `other` into `self`, so sharded or parallel sweeps can

@@ -483,7 +483,7 @@ impl TagStats {
 }
 
 /// Result of a single [`TagArray::access`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TagAccess {
     /// Whether the access hit.
     pub hit: bool,

@@ -1,15 +1,10 @@
 //! The two-policy adaptive cache (paper Sections 2–3).
 
+use crate::engine::{AdaptiveEngine, Selector};
 use crate::history::{HistoryKind, MissHistory};
-use ac_telemetry::{DecisionEvent, EvictionCase};
-use cache_sim::{
-    AccessOutcome, AuditCounts, BlockAddr, CacheModel, CacheStats, Directory, Eviction, Geometry,
-    PolicyKind, ReplacementPolicy, SwitchLagStats, TagArray, TagMode, Way,
-};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use ac_telemetry::DecisionEvent;
+use cache_sim::{Geometry, PolicyKind, ReplacementPolicy, SwitchLagStats, TagMode};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// One of the two component policies of an [`AdaptiveCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,9 +87,7 @@ impl AdaptiveConfig {
         AdaptiveConfig {
             policy_a: a,
             policy_b: b,
-            shadow_tags: TagMode::Full,
-            history: HistoryKind::paper_default(),
-            lru_victim_shortcut: false,
+            ..Self::paper_full_tags()
         }
     }
 
@@ -176,30 +169,75 @@ impl ImitationSample {
 /// [`ReplacementPolicy`] implementation (see
 /// [`AdaptiveCache::with_custom_policies`]); the default instantiation
 /// over [`PolicyKind`] covers the five standard policies.
-pub struct AdaptiveCache<A: ReplacementPolicy = PolicyKind, B: ReplacementPolicy = PolicyKind> {
-    shadow_tags: TagMode,
-    history_kind: HistoryKind,
-    /// Recency order over the real contents, maintained only when the
-    /// Section 3.3 LRU victim shortcut is enabled.
-    real_recency: Option<cache_sim::MetaTable<cache_sim::Lru>>,
-    real: Directory,
-    shadow_a: TagArray<A>,
-    shadow_b: TagArray<B>,
+pub type AdaptiveCache<A = PolicyKind, B = PolicyKind> = AdaptiveEngine<PerSetHistory, A, B>;
+
+impl AdaptiveCache {
+    /// Creates an empty adaptive cache over the standard policies.
+    pub fn new(geom: Geometry, config: AdaptiveConfig, seed: u64) -> Self {
+        let (a, b) = (config.policy_a, config.policy_b);
+        let cache = AdaptiveCache::with_custom_policies(
+            geom,
+            a,
+            b,
+            config.shadow_tags,
+            config.history,
+            seed,
+        );
+        // The Section 3.3 shortcut needs a recency order over the real
+        // contents: the LRU component's resident metadata.
+        if config.lru_victim_shortcut {
+            cache.with_resident(a, b, true)
+        } else {
+            cache
+        }
+    }
+}
+
+impl<A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveCache<A, B> {
+    /// Creates an adaptive cache over two arbitrary replacement policies —
+    /// the full generality the paper claims ("a general scheme by which we
+    /// can combine any two cache management algorithms").
+    pub fn with_custom_policies(
+        geom: Geometry,
+        policy_a: A,
+        policy_b: B,
+        shadow_tags: TagMode,
+        history: HistoryKind,
+        seed: u64,
+    ) -> Self {
+        let selector = PerSetHistory {
+            history: (0..geom.num_sets())
+                .map(|_| MissHistory::new(history))
+                .collect(),
+            ..PerSetHistory::default()
+        };
+        AdaptiveEngine::build(geom, selector, policy_a, policy_b, shadow_tags, seed)
+    }
+
+    /// The per-set history variant in use.
+    pub fn history_kind(&self) -> HistoryKind {
+        self.selector.history[0].kind()
+    }
+
+    /// The per-set winner the history currently designates.
+    pub fn set_winner(&self, set: usize) -> Component {
+        self.selector.history[set].winner()
+    }
+
+    /// Switch-lag attribution accumulated so far: how often the windowed
+    /// shadow-hit winner flipped, and how many comparison windows the
+    /// imitation majority took to follow each flip it did follow.
+    pub fn switch_lag_stats(&self) -> SwitchLagStats {
+        self.selector.switch_lag()
+    }
+}
+
+/// The paper's selector: every set probes both shadow directories and
+/// keeps its own miss history. It also attributes switch lag over fixed
+/// comparison windows of [`SWITCH_LAG_WINDOW_ACCESSES`].
+#[derive(Default)]
+pub struct PerSetHistory {
     history: Vec<MissHistory>,
-    samples: Vec<ImitationSample>,
-    rng: SmallRng,
-    stats: CacheStats,
-    aliasing_fallbacks: u64,
-    imitations_a: u64,
-    imitations_b: u64,
-    excl_a_misses: u64,
-    excl_b_misses: u64,
-    // --- adaptivity-audit accounting (regret against the components) ---
-    /// Per-set achieved hits in the real cache.
-    set_hits: Vec<u64>,
-    /// Per-set hypothetical hits in shadow A / shadow B.
-    set_shadow_a_hits: Vec<u64>,
-    set_shadow_b_hits: Vec<u64>,
     switch: SwitchLagStats,
     /// Index of the current comparison window.
     win_idx: u64,
@@ -216,148 +254,22 @@ pub struct AdaptiveCache<A: ReplacementPolicy = PolicyKind, B: ReplacementPolicy
     pending_flip: Option<(u64, Component)>,
 }
 
-impl AdaptiveCache {
-    /// Creates an empty adaptive cache over the standard policies.
-    pub fn new(geom: Geometry, config: AdaptiveConfig, seed: u64) -> Self {
-        let mut cache = AdaptiveCache::with_custom_policies(
-            geom,
-            config.policy_a,
-            config.policy_b,
-            config.shadow_tags,
-            config.history,
-            seed,
-        );
-        if config.lru_victim_shortcut {
-            cache.real_recency = Some(cache_sim::MetaTable::new(
-                cache_sim::Lru,
-                geom.num_sets(),
-                geom.associativity(),
-            ));
-        }
-        cache
-    }
-}
-
-impl<A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveCache<A, B> {
-    /// Creates an adaptive cache over two arbitrary replacement policies —
-    /// the full generality the paper claims ("a general scheme by which we
-    /// can combine any two cache management algorithms").
-    pub fn with_custom_policies(
-        geom: Geometry,
-        policy_a: A,
-        policy_b: B,
-        shadow_tags: TagMode,
-        history: HistoryKind,
-        seed: u64,
-    ) -> Self {
-        AdaptiveCache {
-            shadow_tags,
-            history_kind: history,
-            real_recency: None,
-            real: Directory::new(geom, TagMode::Full),
-            shadow_a: TagArray::new(geom, shadow_tags, policy_a, seed ^ 0xA),
-            shadow_b: TagArray::new(geom, shadow_tags, policy_b, seed ^ 0xB),
-            history: (0..geom.num_sets())
-                .map(|_| MissHistory::new(history))
-                .collect(),
-            samples: vec![ImitationSample::default(); geom.num_sets()],
-            rng: SmallRng::seed_from_u64(seed),
-            stats: CacheStats::default(),
-            aliasing_fallbacks: 0,
-            imitations_a: 0,
-            imitations_b: 0,
-            excl_a_misses: 0,
-            excl_b_misses: 0,
-            set_hits: vec![0; geom.num_sets()],
-            set_shadow_a_hits: vec![0; geom.num_sets()],
-            set_shadow_b_hits: vec![0; geom.num_sets()],
-            switch: SwitchLagStats {
-                window_accesses: SWITCH_LAG_WINDOW_ACCESSES,
-                ..SwitchLagStats::default()
-            },
-            win_idx: 0,
-            win_accesses: 0,
-            win_sa_hits: 0,
-            win_sb_hits: 0,
-            win_imit_a: 0,
-            win_imit_b: 0,
-            cur_winner: None,
-            pending_flip: None,
-        }
-    }
-
-    /// The shadow arrays' tag mode.
-    pub fn shadow_tag_mode(&self) -> TagMode {
-        self.shadow_tags
-    }
-
-    /// The per-set history variant in use.
-    pub fn history_kind(&self) -> HistoryKind {
-        self.history_kind
-    }
-
-    /// Number of misses where partial-tag aliasing prevented finding a
-    /// block outside the imitated component cache, forcing an arbitrary
-    /// eviction. Always 0 with full shadow tags.
-    pub fn aliasing_fallbacks(&self) -> u64 {
-        self.aliasing_fallbacks
-    }
-
-    /// Total replacement decisions that imitated each component, as
-    /// `(a, b)`.
-    pub fn imitation_totals(&self) -> (u64, u64) {
-        (self.imitations_a, self.imitations_b)
-    }
-
-    /// Total *exclusive* misses per component, as `(a, b)`: references
-    /// where exactly one shadow missed — the only references that train
-    /// the per-set histories (Section 3.1).
-    pub fn exclusive_miss_totals(&self) -> (u64, u64) {
-        (self.excl_a_misses, self.excl_b_misses)
-    }
-
-    /// Statistics of the shadow array for `c` — i.e. the miss behaviour the
-    /// pure component policy *would* have had on this reference stream.
-    pub fn shadow_stats(&self, c: Component) -> (u64, u64) {
-        let s = match c {
-            Component::A => self.shadow_a.stats(),
-            Component::B => self.shadow_b.stats(),
-        };
-        (s.hits, s.misses)
-    }
-
-    /// Whether the real cache currently holds `block`.
-    pub fn contains_block(&self, block: BlockAddr) -> bool {
-        self.real.contains_block(block)
-    }
-
-    /// The per-set winner the history currently designates.
-    pub fn set_winner(&self, set: usize) -> Component {
-        self.history[set].winner()
-    }
-
-    /// Switch-lag attribution accumulated so far: how often the windowed
-    /// shadow-hit winner flipped, and how many comparison windows the
-    /// imitation majority took to follow each flip it did follow.
-    pub fn switch_lag_stats(&self) -> SwitchLagStats {
-        self.switch
-    }
-
+impl PerSetHistory {
     /// Closes the current switch-lag comparison window: re-evaluates the
     /// windowed shadow-hit winner, records a flip when it changes, and —
     /// when the window's imitation majority agrees with a pending flip —
     /// attributes the lag and emits a `SwitchLag` decision event.
     fn close_switch_window(&mut self) {
         let w = self.win_idx;
+        // The component with more of `(a, b)`, if either has more.
+        let more = |a: u64, b: u64| match a.cmp(&b) {
+            std::cmp::Ordering::Greater => Some(Component::A),
+            std::cmp::Ordering::Less => Some(Component::B),
+            std::cmp::Ordering::Equal => None,
+        };
         // Windowed shadow-hit winner; a tie keeps the previous winner so
         // quiet windows do not register as flips.
-        let winner = if self.win_sa_hits > self.win_sb_hits {
-            Some(Component::A)
-        } else if self.win_sb_hits > self.win_sa_hits {
-            Some(Component::B)
-        } else {
-            self.cur_winner
-        };
+        let winner = more(self.win_sa_hits, self.win_sb_hits).or(self.cur_winner);
         if winner != self.cur_winner {
             if let Some(to) = winner {
                 self.switch.winner_flips += 1;
@@ -367,13 +279,7 @@ impl<A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveCache<A, B> {
             }
             self.cur_winner = winner;
         }
-        let majority = if self.win_imit_a > self.win_imit_b {
-            Some(Component::A)
-        } else if self.win_imit_b > self.win_imit_a {
-            Some(Component::B)
-        } else {
-            None
-        };
+        let majority = more(self.win_imit_a, self.win_imit_b);
         if let Some((flip_w, to)) = self.pending_flip {
             if majority == Some(to) {
                 let lag = w - flip_w;
@@ -395,353 +301,82 @@ impl<A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveCache<A, B> {
         self.win_imit_a = 0;
         self.win_imit_b = 0;
     }
-
-    /// Invalidates `block` in the *real* cache only (coherence-style
-    /// back-invalidation), returning whether it was present.
-    ///
-    /// Deliberately does **not** touch the shadow arrays: the paper's
-    /// hardware implements them "without support for snooping, which
-    /// reduces the area, latency and power" (Section 3.2) — "the parallel
-    /// tag may report that a given cache line is present when it has been
-    /// invalidated, but this only causes the replacement policy to
-    /// deviate slightly".
-    pub fn invalidate_block(&mut self, block: BlockAddr) -> bool {
-        let (set, stored) = self.real.locate(block);
-        match self.real.find(set, stored) {
-            Some(way) => {
-                self.real.invalidate(set, way);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Takes (and resets) the per-set imitation samples accumulated since
-    /// the last call — the paper's Figure 7 samples these every million
-    /// cycles.
-    pub fn take_imitation_samples(&mut self) -> Vec<ImitationSample> {
-        let n = self.samples.len();
-        std::mem::replace(&mut self.samples, vec![ImitationSample::default(); n])
-    }
-
-    /// The victim way for a real miss in `set`, per Algorithm 1, tagged
-    /// with which branch of the algorithm produced it (for the telemetry
-    /// decision-event stream).
-    ///
-    /// The Case-1 ("same victim") and Case-2 ("not in shadow") scans are
-    /// fused over one pass that reduces each valid real tag to the shadow
-    /// representation exactly once ([`Directory::reduced_tags`]); the
-    /// candidates are then derived from bitmasks over the reduced tags,
-    /// preserving the seed implementation's first-matching-way order.
-    fn choose_victim(
-        &mut self,
-        set: usize,
-        winner: Component,
-        shadow_miss: Option<Way>,
-    ) -> (usize, EvictionCase) {
-        let mode = self.shadow_tags;
-        let mut reduced = [cache_sim::StoredTag::default(); cache_sim::MAX_ASSOC];
-        let valid = self.real.reduced_tags(set, mode, &mut reduced);
-
-        // Case 1: the imitated policy also missed here and its victim is
-        // still in the adaptive cache — evict the very same block.
-        if let Some(evicted) = shadow_miss {
-            let mut same = 0u64;
-            let mut m = valid;
-            while m != 0 {
-                let w = m.trailing_zeros() as usize;
-                m &= m - 1;
-                same |= u64::from(reduced[w] == evicted.tag) << w;
-            }
-            if same != 0 {
-                return (same.trailing_zeros() as usize, EvictionCase::SameVictim);
-            }
-        }
-        // Section 3.3 shortcut: when imitating an LRU component, evict
-        // the least recently used real block directly instead of running
-        // the membership search.
-        if let Some(recency) = &self.real_recency {
-            let is_lru = match winner {
-                Component::A => self.shadow_a.policy().name() == "LRU",
-                Component::B => self.shadow_b.policy().name() == "LRU",
-            };
-            if is_lru {
-                return (
-                    recency.victim(set, &mut self.rng),
-                    EvictionCase::LruShortcut,
-                );
-            }
-        }
-        // Case 2: make the adaptive contents converge towards the imitated
-        // cache by evicting a block the imitated cache does not hold. The
-        // membership probe reuses the already-reduced tags, so each probe
-        // is a single mask compare in the shadow directory.
-        let shadow = match winner {
-            Component::A => self.shadow_a.directory(),
-            Component::B => self.shadow_b.directory(),
-        };
-        let mut m = valid;
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if !shadow.contains(set, reduced[w]) {
-                return (w, EvictionCase::NotInShadow);
-            }
-        }
-        // Case 3 (partial tags only): aliasing hid every candidate —
-        // "the adaptive cache simply picks an arbitrary block to evict".
-        self.aliasing_fallbacks += 1;
-        (
-            self.rng.gen_range(0..self.real.geometry().associativity()),
-            EvictionCase::AliasFallback,
-        )
-    }
 }
 
-impl<A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveCache<A, B> {
-    /// Pins the probe kernels of the real directory and both shadow
-    /// arrays to `level`, clamped to hardware support (see
-    /// [`cache_sim::Directory::force_simd_level`]). Behaviour-preserving;
-    /// exists for the SIMD-vs-scalar differential tests. Returns the
-    /// level actually pinned.
-    pub fn force_simd_level(&mut self, level: cache_sim::SimdLevel) -> cache_sim::SimdLevel {
-        let pinned = self.real.force_simd_level(level);
-        self.shadow_a.force_simd_level(level);
-        self.shadow_b.force_simd_level(level);
-        pinned
+impl Selector for PerSetHistory {
+    const LABEL: &'static str = "Adaptive";
+    const TYPE_NAME: &'static str = "AdaptiveCache";
+
+    #[inline]
+    fn slot(&self, set: usize) -> Option<usize> {
+        Some(set)
     }
 
-    /// The instruction-set tier the probe kernels run at.
-    pub fn simd_level(&self) -> cache_sim::SimdLevel {
-        self.real.simd_level()
-    }
-}
-
-impl<A: ReplacementPolicy, B: ReplacementPolicy> CacheModel for AdaptiveCache<A, B> {
-    fn access(&mut self, block: BlockAddr, write: bool) -> AccessOutcome {
-        // Lazily close the switch-lag comparison window so every update
-        // below — including imitations on the miss path — lands in the
-        // window this access belongs to.
+    #[inline]
+    fn begin_access(&mut self) {
+        // Lazily close the comparison window so every update of this
+        // access — including imitations on the miss path — lands in the
+        // window the access belongs to.
         if self.win_accesses >= SWITCH_LAG_WINDOW_ACCESSES {
             self.close_switch_window();
         }
         self.win_accesses += 1;
+    }
 
-        // Decompose the address once: the real directory keeps full tags,
-        // so `stored.raw()` *is* the geometry tag, and the shadows reduce
-        // it through their own tag mode without re-deriving the set index.
-        let (set, stored) = self.real.locate(block);
-        let full_tag = stored.raw();
-
-        // 1. One-pass fused probe: resolve all three directories' match
-        //    masks before any state changes. Both shadows share one tag
-        //    mode, so the reduction happens once and — with packed lanes —
-        //    one 16-byte compare answers "hit in shadow A? hit in B?";
-        //    the real (full-tag) compare runs 4 ways per vector op. The
-        //    masks then feed the shadow emulation and the real lookup
-        //    without re-probing.
-        let shadow_stored = self.shadow_tags.store(full_tag);
-        let (mask_a, mask_b) = cache_sim::fused_pair_masks(
-            &self.shadow_a,
-            &self.shadow_b,
-            set,
-            shadow_stored,
-            shadow_stored,
-        );
-        let real_mask = self.real.match_mask(set, stored);
-
-        // 2. Emulate both component caches for this reference and update
-        //    the set's miss history. This happens on *every* reference,
-        //    hit or miss, off the critical path in hardware.
-        let acc_a = self.shadow_a.access_with_mask(set, shadow_stored, mask_a);
-        let acc_b = self.shadow_b.access_with_mask(set, shadow_stored, mask_b);
-        if acc_a.hit {
-            self.set_shadow_a_hits[set] += 1;
+    #[inline]
+    fn train(&mut self, set: usize, _slot: usize, a_hit: bool, b_hit: bool) {
+        if a_hit {
             self.win_sa_hits += 1;
         }
-        if acc_b.hit {
-            self.set_shadow_b_hits[set] += 1;
+        if b_hit {
             self.win_sb_hits += 1;
         }
-        self.history[set].record(!acc_a.hit, !acc_b.hit);
-        if acc_a.hit != acc_b.hit {
-            // Exclusive miss: the only kind of reference that moves the
-            // history towards one component.
-            if acc_a.hit {
-                self.excl_b_misses += 1;
-            } else {
-                self.excl_a_misses += 1;
-            }
+        self.history[set].record(!a_hit, !b_hit);
+        if a_hit != b_hit {
             ac_telemetry::decision(|| DecisionEvent::HistoryUpdate {
                 set: set as u32,
-                a_missed: !acc_a.hit,
-                b_missed: !acc_b.hit,
+                a_missed: !a_hit,
+                b_missed: !b_hit,
             });
         }
-
-        // 3. Real lookup, answered by the fused probe above (the shadow
-        //    updates never touch the real directory, so the mask is still
-        //    exact).
-        if real_mask != 0 {
-            let way = real_mask.trailing_zeros() as usize;
-            self.stats.record(true, write);
-            self.set_hits[set] += 1;
-            if let Some(recency) = &mut self.real_recency {
-                recency.on_hit(set, way);
-            }
-            if write {
-                self.real.mark_dirty(set, way);
-            }
-            return AccessOutcome::hit();
-        }
-        self.stats.record(false, write);
-
-        // 4. Miss: fill an invalid way if one exists, otherwise run the
-        //    adaptive replacement algorithm.
-        let way = match self.real.invalid_way(set) {
-            Some(w) => w,
-            None => {
-                let winner = self.history[set].winner();
-                match winner {
-                    Component::A => {
-                        self.samples[set].imitated_a += 1;
-                        self.imitations_a += 1;
-                        self.win_imit_a += 1;
-                    }
-                    Component::B => {
-                        self.samples[set].imitated_b += 1;
-                        self.imitations_b += 1;
-                        self.win_imit_b += 1;
-                    }
-                }
-                let shadow_miss = match winner {
-                    Component::A => (!acc_a.hit).then_some(acc_a.evicted).flatten(),
-                    Component::B => (!acc_b.hit).then_some(acc_b.evicted).flatten(),
-                };
-                let (way, case) = self.choose_victim(set, winner, shadow_miss);
-                ac_telemetry::decision(|| DecisionEvent::Imitation {
-                    set: set as u32,
-                    component: winner.telemetry(),
-                    case,
-                });
-                way
-            }
-        };
-
-        let evicted = self.real.fill_at(set, way, stored);
-        if let Some(recency) = &mut self.real_recency {
-            recency.on_fill(set, way);
-        }
-        if write {
-            self.real.mark_dirty(set, way);
-        }
-        let eviction = evicted.map(|old| {
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            Eviction {
-                block: self.real.geometry().block_from_parts(old.tag.raw(), set),
-                dirty: old.dirty,
-            }
-        });
-
-        AccessOutcome {
-            hit: false,
-            eviction,
-        }
     }
 
-    fn prefetch_hint(&self, block: BlockAddr) {
-        // An adaptive access touches the real record, both shadow
-        // records + their replacement metadata, and the set's miss
-        // history — up to ~6 scattered cache lines. Getting them all in
-        // flight one access early is what hides the walk.
-        let set = self.real.geometry().set_index(block);
-        self.real.prefetch_record(set);
-        self.shadow_a.prefetch_set(set);
-        self.shadow_b.prefetch_set(set);
+    #[inline]
+    fn winner(&mut self, set: usize, _slot: Option<usize>) -> Component {
+        let winner = self.history[set].winner();
+        match winner {
+            Component::A => self.win_imit_a += 1,
+            Component::B => self.win_imit_b += 1,
+        }
+        winner
+    }
+
+    #[inline]
+    fn prefetch(&self, set: usize) {
         cache_sim::simd::prefetch_read(&self.history[set] as *const _);
-        if let Some(recency) = &self.real_recency {
-            recency.prefetch(set);
+    }
+
+    fn switch_lag(&self) -> SwitchLagStats {
+        SwitchLagStats {
+            window_accesses: SWITCH_LAG_WINDOW_ACCESSES,
+            ..self.switch
         }
     }
 
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn geometry(&self) -> &Geometry {
-        self.real.geometry()
-    }
-
-    fn label(&self) -> String {
-        let g = self.geometry();
-        let tags = match self.shadow_tags {
+    fn label_detail(&self, shadow_tags: TagMode) -> String {
+        match shadow_tags {
             TagMode::Full => "full tags".to_string(),
             TagMode::PartialLow { bits } | TagMode::PartialXor { bits } => {
                 format!("{bits}-bit tags")
             }
-        };
-        format!(
-            "Adaptive {}/{} ({}KB, {}-way, {})",
-            self.shadow_a.policy().name(),
-            self.shadow_b.policy().name(),
-            g.size_bytes() / 1024,
-            g.associativity(),
-            tags
-        )
-    }
-
-    fn timeline_probe(&self) -> ac_telemetry::TimelineProbe {
-        ac_telemetry::TimelineProbe {
-            accesses: self.stats.accesses,
-            hits: self.stats.hits,
-            misses: self.stats.misses,
-            shadow_a_misses: self.shadow_a.stats().misses,
-            shadow_b_misses: self.shadow_b.stats().misses,
-            shadow_a_hits: self.shadow_a.stats().hits,
-            shadow_b_hits: self.shadow_b.stats().hits,
-            excl_a_misses: self.excl_a_misses,
-            excl_b_misses: self.excl_b_misses,
-            imitations_a: self.imitations_a,
-            imitations_b: self.imitations_b,
-            aliasing_fallbacks: self.aliasing_fallbacks,
-            leader_votes: 0,
-            psel: None,
         }
-    }
-
-    fn audit_counts(&self) -> Option<AuditCounts> {
-        let a = self.shadow_a.stats();
-        let b = self.shadow_b.stats();
-        Some(AuditCounts {
-            set_hits: self.set_hits.clone(),
-            set_shadow_a_hits: self.set_shadow_a_hits.clone(),
-            set_shadow_b_hits: self.set_shadow_b_hits.clone(),
-            shadow_a: (a.hits, a.misses),
-            shadow_b: (b.hits, b.misses),
-            switch: self.switch,
-        })
-    }
-}
-
-impl<A: ReplacementPolicy, B: ReplacementPolicy> fmt::Debug for AdaptiveCache<A, B> {
-    // Show the label and headline statistics rather than megabytes of
-    // tag-array state.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AdaptiveCache")
-            .field("label", &self.label())
-            .field("stats", &self.stats)
-            .field("aliasing_fallbacks", &self.aliasing_fallbacks)
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{Address, Cache};
+    use cache_sim::{Address, BlockAddr, Cache, CacheModel};
 
     fn geom() -> Geometry {
         Geometry::new(4096, 64, 4).unwrap() // 16 sets x 4 ways
@@ -1082,7 +717,7 @@ mod tests {
 #[cfg(test)]
 mod invalidation_tests {
     use super::*;
-    use cache_sim::Address;
+    use cache_sim::{Address, CacheModel};
 
     #[test]
     fn invalidation_skips_shadow_arrays() {
@@ -1113,7 +748,7 @@ mod invalidation_tests {
 #[cfg(test)]
 mod lru_shortcut_tests {
     use super::*;
-    use cache_sim::BlockAddr;
+    use cache_sim::{BlockAddr, CacheModel};
 
     fn run(cfg: AdaptiveConfig, seed: u64) -> u64 {
         let g = Geometry::new(64 * 1024, 64, 8).unwrap();

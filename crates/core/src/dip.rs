@@ -19,9 +19,12 @@
 //! choose between insertion behaviours of one recency order, whereas the
 //! adaptive cache can combine arbitrary policies.
 
+use crate::adaptive::Component;
+use crate::engine::install;
+use crate::psel::{SharedPsel, Votes};
 use cache_sim::{
-    AccessOutcome, AuditCounts, BlockAddr, CacheModel, CacheStats, Directory, Eviction, Geometry,
-    MetaTable, PolicyKind, SwitchLagStats, TagMode,
+    AccessOutcome, AuditCounts, BlockAddr, CacheModel, CacheStats, Directory, Geometry, MetaTable,
+    PolicyKind, TagMode,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -80,16 +83,14 @@ pub struct DipCache {
     /// Recency order (victims are always the LRU block).
     recency: MetaTable<PolicyKind>,
     roles: Vec<SetRole>,
-    /// Above midpoint: BIP is winning.
-    psel: u32,
-    psel_max: u32,
+    /// The dueling counter: it favours component B, BIP, above its
+    /// midpoint.
+    psel: SharedPsel,
+    /// Leader-set misses that trained the dueling counter, and the times
+    /// the selected insertion policy flipped across the midpoint.
+    votes: Votes,
     /// Fill counter driving BIP's deterministic 1-in-epsilon promotion.
     fills: u64,
-    /// Leader-set misses that trained the dueling counter.
-    duel_votes: u64,
-    /// Times the selected insertion policy flipped across the midpoint.
-    switches: u64,
-    last_bip: bool,
     /// Per-set achieved hits (DIP keeps no shadow structures, so this is
     /// the only per-set audit signal it can report).
     set_hits: Vec<u64>,
@@ -104,8 +105,8 @@ impl DipCache {
     ///
     /// # Panics
     ///
-    /// Panics if the leader sets do not fit the geometry or
-    /// `bip_epsilon` is zero.
+    /// Panics if the leader sets do not fit the geometry, `bip_epsilon`
+    /// is zero, or `psel_bits` is outside `1..=31`.
     pub fn new(geom: Geometry, config: DipConfig, seed: u64) -> Self {
         let sets = geom.num_sets();
         assert!(config.bip_epsilon >= 1, "bip_epsilon must be >= 1");
@@ -123,17 +124,14 @@ impl DipCache {
             roles[(2 * i) * stride] = SetRole::LeaderLru;
             roles[(2 * i + 1) * stride] = SetRole::LeaderBip;
         }
-        let psel_max = (1u32 << config.psel_bits) - 1;
+        let psel = SharedPsel::new(config.psel_bits);
         DipCache {
             real: Directory::new(geom, TagMode::Full),
             recency: MetaTable::new(PolicyKind::Lru, sets, geom.associativity()),
             roles,
-            psel: psel_max / 2,
-            psel_max,
+            votes: Votes::new(&psel),
+            psel,
             fills: 0,
-            duel_votes: 0,
-            switches: 0,
-            last_bip: false,
             set_hits: vec![0; sets],
             rng: SmallRng::seed_from_u64(seed),
             stats: CacheStats::default(),
@@ -148,22 +146,22 @@ impl DipCache {
 
     /// Whether the follower sets currently use BIP insertion.
     pub fn bip_selected(&self) -> bool {
-        self.psel > self.psel_max / 2
+        self.psel.winner() == Component::B
     }
 
     /// The current value of the dueling counter.
     pub fn psel(&self) -> u32 {
-        self.psel
+        self.psel.load()
     }
 
     /// Total leader-set misses that trained the dueling counter.
     pub fn duel_votes(&self) -> u64 {
-        self.duel_votes
+        self.votes.count
     }
 
     /// Number of times the selected insertion policy flipped.
     pub fn policy_switches(&self) -> u64 {
-        self.switches
+        self.votes.switches
     }
 
     /// Whether this set's insertion policy is BIP right now.
@@ -212,23 +210,15 @@ impl CacheModel for DipCache {
         }
         self.stats.record(false, write);
 
-        // Train the dueling counter on leader-set misses.
-        match self.roles[set] {
-            SetRole::LeaderLru => self.psel = (self.psel + 1).min(self.psel_max),
-            SetRole::LeaderBip => self.psel = self.psel.saturating_sub(1),
-            SetRole::Follower => {}
-        }
+        // Train the dueling counter on leader-set misses: an LRU-insertion
+        // leader's miss counts towards BIP, a BIP leader's against it.
         if self.roles[set] != SetRole::Follower {
-            self.duel_votes += 1;
-            let now = self.bip_selected();
-            if now != self.last_bip {
-                self.switches += 1;
-                self.last_bip = now;
-            }
+            let bip_leader = self.roles[set] == SetRole::LeaderBip;
+            let (psel, _) = self.votes.cast(&self.psel, !bip_leader);
             ac_telemetry::decision(|| ac_telemetry::DecisionEvent::DuelVote {
                 set: set as u32,
-                bip_leader: self.roles[set] == SetRole::LeaderBip,
-                psel: self.psel,
+                bip_leader,
+                psel,
             });
         }
 
@@ -239,7 +229,7 @@ impl CacheModel for DipCache {
                 self.recency.victim(set, &mut self.rng)
             }
         };
-        let evicted = self.real.fill_at(set, way, stored);
+        let eviction = install(&mut self.real, &mut self.stats, set, way, stored, write);
         self.fills += 1;
         // Insertion policy: MRU (normal LRU), or LRU-position (BIP)
         // with a deterministic 1-in-epsilon MRU promotion.
@@ -251,23 +241,7 @@ impl CacheModel for DipCache {
         {
             self.demote_to_lru(set, way);
         }
-        if write {
-            self.real.mark_dirty(set, way);
-        }
-        let eviction = evicted.map(|old| {
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            Eviction {
-                block: self.real.geometry().block_from_parts(old.tag.raw(), set),
-                dirty: old.dirty,
-            }
-        });
-        AccessOutcome {
-            hit: false,
-            eviction,
-        }
+        AccessOutcome::miss(eviction)
     }
 
     fn prefetch_hint(&self, block: BlockAddr) {
@@ -299,8 +273,8 @@ impl CacheModel for DipCache {
             accesses: self.stats.accesses,
             hits: self.stats.hits,
             misses: self.stats.misses,
-            leader_votes: self.duel_votes,
-            psel: Some(self.psel),
+            leader_votes: self.votes.count,
+            psel: Some(self.psel.load()),
             ..ac_telemetry::TimelineProbe::default()
         }
     }
@@ -315,13 +289,7 @@ impl CacheModel for DipCache {
             set_shadow_b_hits: Vec::new(),
             shadow_a: (0, 0),
             shadow_b: (0, 0),
-            switch: SwitchLagStats {
-                window_accesses: 0,
-                winner_flips: self.switches,
-                followed: self.switches,
-                total_lag_windows: 0,
-                max_lag_windows: 0,
-            },
+            switch: self.votes.switch_lag(),
         })
     }
 }

@@ -9,11 +9,16 @@
 //!
 //! Main types:
 //!
-//! * [`AdaptiveCache`] — the two-policy adaptive cache with full or
-//!   partial shadow tags,
+//! * [`AdaptiveEngine`] — the one two-policy adaptive engine: real
+//!   directory, shadow pair, Algorithm 1 and all the counters; its
+//!   [`Selector`] type parameter decides where shadow state lives,
+//! * [`AdaptiveCache`] — the engine with [`PerSetHistory`]: the paper's
+//!   cache, full or partial shadow tags and a miss history in every set,
+//! * [`SbarCache`] — the engine with [`SetSampling`]: the set-sampling
+//!   (SBAR-like) variant of Section 4.7, shadow tags on leader sets only
+//!   and a [`SharedPsel`] for the followers,
 //! * [`MultiAdaptiveCache`] — the generalised N-policy variant
 //!   (Section 4.4's five-policy experiment),
-//! * [`SbarCache`] — the set-sampling (SBAR-like) variant of Section 4.7,
 //! * [`DipCache`] — DIP set dueling (Qureshi et al., ISCA 2007), the
 //!   influential successor, for related-work comparisons,
 //! * [`MissHistory`] / [`HistoryKind`] — the per-set history buffers
@@ -53,6 +58,7 @@
 
 mod adaptive;
 mod dip;
+mod engine;
 mod history;
 mod multi;
 pub mod overhead;
@@ -61,10 +67,12 @@ mod sbar;
 pub mod theory;
 
 pub use adaptive::{
-    AdaptiveCache, AdaptiveConfig, Component, ImitationSample, SWITCH_LAG_WINDOW_ACCESSES,
+    AdaptiveCache, AdaptiveConfig, Component, ImitationSample, PerSetHistory,
+    SWITCH_LAG_WINDOW_ACCESSES,
 };
 pub use dip::{DipCache, DipConfig};
+pub use engine::{AdaptiveEngine, Selector};
 pub use history::{HistoryKind, MissHistory};
 pub use multi::{MultiAdaptiveCache, MultiConfig};
 pub use psel::SharedPsel;
-pub use sbar::{default_leader_sets, SbarCache, SbarConfig};
+pub use sbar::{default_leader_sets, SbarCache, SbarConfig, SetSampling};

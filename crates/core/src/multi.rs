@@ -8,12 +8,13 @@
 //! window of recent exclusive misses, and Algorithm 1 run against the
 //! winning component.
 
+use crate::engine::{algorithm1, install};
 use cache_sim::{
-    AccessOutcome, BlockAddr, CacheModel, CacheStats, Directory, Eviction, Geometry, PolicyKind,
-    ReplacementPolicy, TagArray, TagMode, Way,
+    AccessOutcome, BlockAddr, CacheModel, CacheStats, Directory, Geometry, PolicyKind,
+    ReplacementPolicy, TagArray, TagMode,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -34,11 +35,7 @@ impl MultiConfig {
     /// The paper's five-policy experiment: LRU, LFU, FIFO, MRU and Random
     /// with full shadow tags and a window of 4x the typical associativity.
     pub fn paper_five_policy() -> Self {
-        MultiConfig {
-            policies: PolicyKind::all().to_vec(),
-            shadow_tags: TagMode::Full,
-            window: 32,
-        }
+        Self::with_policies(PolicyKind::all().to_vec())
     }
 
     /// A custom policy set with full tags and a window of 32.
@@ -157,14 +154,7 @@ impl MultiAdaptiveCache {
             .map(|(i, &p)| TagArray::new(geom, config.shadow_tags, p, seed ^ (i as u64 + 1)))
             .collect();
         MultiAdaptiveCache {
-            scratch: vec![
-                cache_sim::TagAccess {
-                    hit: false,
-                    way: 0,
-                    evicted: None,
-                };
-                config.policies.len()
-            ],
+            scratch: vec![cache_sim::TagAccess::default(); config.policies.len()],
             imitations: vec![0; config.policies.len()],
             history: (0..geom.num_sets())
                 .map(|_| WindowHistory::new(config.window))
@@ -198,55 +188,20 @@ impl MultiAdaptiveCache {
     pub fn aliasing_fallbacks(&self) -> u64 {
         self.aliasing_fallbacks
     }
-
-    fn choose_victim(&mut self, set: usize, winner: usize, shadow_miss: Option<Way>) -> usize {
-        let shadow = &self.shadows[winner];
-        let mode = shadow.tag_mode();
-        // Fused pass: reduce each valid real tag once, then derive both
-        // Algorithm-1 cases from masks (first-way order preserved).
-        let mut reduced = [cache_sim::StoredTag::default(); cache_sim::MAX_ASSOC];
-        let valid = self.real.reduced_tags(set, mode, &mut reduced);
-        // Case 1: follow the winner's own eviction if that block is here.
-        if let Some(ev) = shadow_miss {
-            let mut same = 0u64;
-            let mut m = valid;
-            while m != 0 {
-                let w = m.trailing_zeros() as usize;
-                m &= m - 1;
-                same |= u64::from(reduced[w] == ev.tag) << w;
-            }
-            if same != 0 {
-                return same.trailing_zeros() as usize;
-            }
-        }
-        // Case 2: converge towards the winner's contents.
-        let sdir = shadow.directory();
-        let mut m = valid;
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if !sdir.contains(set, reduced[w]) {
-                return w;
-            }
-        }
-        // Case 3: aliasing fallback.
-        self.aliasing_fallbacks += 1;
-        self.rng.gen_range(0..self.real.geometry().associativity())
-    }
 }
 
 impl CacheModel for MultiAdaptiveCache {
     fn access(&mut self, block: BlockAddr, write: bool) -> AccessOutcome {
         let (set, stored) = self.real.locate(block);
-        let full_tag = stored.raw(); // real tags are full
-                                     // Probe the real directory up front (shadow updates never touch
-                                     // it) so the hit lookup below is already answered.
+        // Probe the real directory up front (shadow updates never touch
+        // it) so the hit lookup below is already answered.
         let real_mask = self.real.match_mask(set, stored);
 
         // All shadows share one tag mode: reduce once, then probe the
         // arrays pairwise so packed-lane pairs resolve with one fused
         // 16-byte compare each (odd tail falls back to a single probe).
-        let shadow_stored = self.config.shadow_tags.store(full_tag);
+        // Real tags are full, so `stored.raw()` is the geometry tag.
+        let shadow_stored = self.config.shadow_tags.store(stored.raw());
         let n = self.shadows.len();
         let mut miss_mask = 0u32;
         let mut i = 0;
@@ -293,29 +248,27 @@ impl CacheModel for MultiAdaptiveCache {
                 let winner = self.history[set].winner(self.shadows.len());
                 self.imitations[winner] += 1;
                 let acc = self.scratch[winner];
-                let shadow_miss = (!acc.hit).then_some(acc.evicted).flatten();
-                self.choose_victim(set, winner, shadow_miss)
+                let victim = (!acc.hit).then_some(acc.evicted).flatten();
+                algorithm1(
+                    &self.real,
+                    self.shadows[winner].directory(),
+                    set,
+                    victim,
+                    &mut self.rng,
+                    &mut self.aliasing_fallbacks,
+                    |_| None,
+                )
+                .0
             }
         };
-
-        let evicted = self.real.fill_at(set, way, stored);
-        if write {
-            self.real.mark_dirty(set, way);
-        }
-        let eviction = evicted.map(|old| {
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            Eviction {
-                block: self.real.geometry().block_from_parts(old.tag.raw(), set),
-                dirty: old.dirty,
-            }
-        });
-        AccessOutcome {
-            hit: false,
-            eviction,
-        }
+        AccessOutcome::miss(install(
+            &mut self.real,
+            &mut self.stats,
+            set,
+            way,
+            stored,
+            write,
+        ))
     }
 
     fn prefetch_hint(&self, block: BlockAddr) {

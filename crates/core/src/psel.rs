@@ -1,4 +1,5 @@
-//! The shared atomic policy-selection counter backing [`crate::SbarCache`].
+//! The shared atomic policy-selection counter backing [`crate::SbarCache`]
+//! and [`crate::DipCache`].
 //!
 //! SBAR's selector is a single saturating counter trained only by leader
 //! sets' exclusive misses. That makes it the one piece of adaptive state
@@ -22,6 +23,7 @@
 //! votes can never push the counter outside `0..=max`.
 
 use crate::adaptive::Component;
+use cache_sim::SwitchLagStats;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A saturating policy-selection counter shareable across threads.
@@ -69,7 +71,14 @@ impl SharedPsel {
     /// The component the counter currently favours.
     #[inline]
     pub fn winner(&self) -> Component {
-        if self.load() > self.max / 2 {
+        self.favours(self.load())
+    }
+
+    /// The component a counter reading of `value` favours: B above the
+    /// midpoint, A at or below it.
+    #[inline]
+    fn favours(&self, value: u32) -> Component {
+        if value > self.max / 2 {
             Component::B
         } else {
             Component::A
@@ -95,6 +104,51 @@ impl SharedPsel {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(step(v)))
             .unwrap_or_else(|v| v);
         step(prev)
+    }
+}
+
+/// One cache's votes into a [`SharedPsel`], and the times the component
+/// the counter favours changed after one of them.
+#[derive(Debug)]
+pub(crate) struct Votes {
+    pub(crate) count: u64,
+    pub(crate) switches: u64,
+    last: Component,
+}
+
+impl Votes {
+    pub(crate) fn new(psel: &SharedPsel) -> Self {
+        Votes {
+            count: 0,
+            switches: 0,
+            last: psel.winner(),
+        }
+    }
+
+    /// Casts one vote (see [`SharedPsel::bump`]) and returns the counter
+    /// value after it with the component that value favours.
+    #[inline]
+    pub(crate) fn cast(&mut self, psel: &SharedPsel, toward_b: bool) -> (u32, Component) {
+        let value = psel.bump(toward_b);
+        let now = psel.favours(value);
+        self.count += 1;
+        if now != self.last {
+            self.switches += 1;
+            self.last = now;
+        }
+        (value, now)
+    }
+
+    /// Followers imitate the counter the instant it crosses the midpoint,
+    /// so every switch is a flip that is followed with zero lag;
+    /// `window_accesses: 0` marks the accounting as selector-driven
+    /// rather than windowed.
+    pub(crate) fn switch_lag(&self) -> SwitchLagStats {
+        SwitchLagStats {
+            winner_flips: self.switches,
+            followed: self.switches,
+            ..SwitchLagStats::default()
+        }
     }
 }
 

@@ -16,20 +16,14 @@
 //! in the paper it recovers almost all of the benefit (12.5% vs 12.9%
 //! average CPI improvement) at 0.16% storage overhead.
 
-use crate::history::{HistoryKind, MissHistory};
-use crate::psel::SharedPsel;
-use ac_telemetry::{DecisionEvent, EvictionCase};
-use cache_sim::{
-    AccessOutcome, AuditCounts, BlockAddr, CacheModel, CacheStats, Directory, Eviction, Geometry,
-    MetaTable, PolicyKind, ReplacementPolicy, SwitchLagStats, TagArray, TagMode, Way,
-};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::sync::Arc;
-
 use crate::adaptive::Component;
+use crate::engine::{AdaptiveEngine, Selector};
+use crate::history::{HistoryKind, MissHistory};
+use crate::psel::{SharedPsel, Votes};
+use ac_telemetry::DecisionEvent;
+use cache_sim::{Geometry, PolicyKind, SwitchLagStats, TagMode};
+use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Configuration of a [`SbarCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,7 +83,8 @@ pub fn default_leader_sets(sets: usize, leader_sets: usize) -> Vec<usize> {
         .collect()
 }
 
-/// The SBAR-like set-sampling adaptive cache.
+/// The SBAR-like set-sampling adaptive cache: the adaptive engine run
+/// with shadow tags on its leader sets only.
 ///
 /// ```
 /// use adaptive_cache::{SbarCache, SbarConfig};
@@ -102,42 +97,7 @@ pub fn default_leader_sets(sets: usize, leader_sets: usize) -> Vec<usize> {
 /// }
 /// assert!(cache.stats().accesses == 50_000);
 /// ```
-pub struct SbarCache {
-    config: SbarConfig,
-    real: Directory,
-    /// Both policies' metadata maintained for all resident blocks.
-    meta_a: MetaTable<PolicyKind>,
-    meta_b: MetaTable<PolicyKind>,
-    /// `leader_index[set]` = Some(slot) if `set` is a leader.
-    leader_index: Vec<Option<u32>>,
-    /// Shadow arrays covering the whole geometry but only ever accessed
-    /// for leader sets.
-    shadow_a: TagArray<PolicyKind>,
-    shadow_b: TagArray<PolicyKind>,
-    /// Per-leader miss history (indexed by leader slot).
-    history: Vec<MissHistory>,
-    /// Global saturating policy selector; above midpoint = imitate B.
-    /// Behind an `Arc` so several shards of a concurrent front end can
-    /// train and read one selector (a lone cache owns its own).
-    psel: Arc<SharedPsel>,
-    rng: SmallRng,
-    stats: CacheStats,
-    aliasing_fallbacks: u64,
-    switches: u64,
-    last_global: Component,
-    leader_votes: u64,
-    imitations_a: u64,
-    imitations_b: u64,
-    /// Exclusive misses observed in leader sets (exactly one shadow
-    /// missed — the references that train the selector and histories).
-    excl_a_misses: u64,
-    excl_b_misses: u64,
-    /// Per-set achieved hits, and per-set hypothetical shadow hits
-    /// (nonzero only for leader sets — followers keep no shadows).
-    set_hits: Vec<u64>,
-    set_shadow_a_hits: Vec<u64>,
-    set_shadow_b_hits: Vec<u64>,
-}
+pub type SbarCache = AdaptiveEngine<SetSampling>;
 
 impl SbarCache {
     /// Creates an empty SBAR-like cache.
@@ -189,119 +149,93 @@ impl SbarCache {
             assert!(set < sets, "leader set {set} out of range (sets={sets})");
             leader_index[set] = Some(slot as u32);
         }
-        let assoc = geom.associativity();
-        let last_global = psel.winner();
-        SbarCache {
-            real: Directory::new(geom, TagMode::Full),
-            meta_a: MetaTable::new(config.policy_a, sets, assoc),
-            meta_b: MetaTable::new(config.policy_b, sets, assoc),
+        let selector = SetSampling {
             leader_index,
-            shadow_a: TagArray::new(geom, config.shadow_tags, config.policy_a, seed ^ 0xA),
-            shadow_b: TagArray::new(geom, config.shadow_tags, config.policy_b, seed ^ 0xB),
             history: (0..leaders.len())
                 .map(|_| MissHistory::new(config.history))
                 .collect(),
+            votes: Votes::new(&psel),
             psel,
-            rng: SmallRng::seed_from_u64(seed),
-            stats: CacheStats::default(),
-            aliasing_fallbacks: 0,
-            switches: 0,
-            last_global,
-            leader_votes: 0,
-            imitations_a: 0,
-            imitations_b: 0,
-            excl_a_misses: 0,
-            excl_b_misses: 0,
-            set_hits: vec![0; sets],
-            set_shadow_a_hits: vec![0; sets],
-            set_shadow_b_hits: vec![0; sets],
             config,
-        }
+        };
+        let (a, b) = (config.policy_a, config.policy_b);
+        AdaptiveEngine::build(geom, selector, a, b, config.shadow_tags, seed)
+            .with_resident(a, b, false)
     }
 
     /// The configuration this cache was built with.
     pub fn config(&self) -> &SbarConfig {
-        &self.config
+        &self.selector.config
     }
 
     /// The component the global selector currently favours.
     pub fn global_winner(&self) -> Component {
-        self.psel.winner()
+        self.selector.psel.winner()
     }
 
     /// Number of times the global selector changed its mind.
     pub fn policy_switches(&self) -> u64 {
-        self.switches
+        self.selector.votes.switches
     }
 
     /// The current value of the global policy-selector register.
     pub fn psel(&self) -> u32 {
-        self.psel.load()
+        self.selector.psel.load()
     }
 
     /// The selector register itself — clone it into every shard of a
     /// concurrent front end to share one arbitration across all of them.
     pub fn shared_psel(&self) -> &Arc<SharedPsel> {
-        &self.psel
+        &self.selector.psel
     }
 
     /// Total leader votes that actually moved the selector (ties in
     /// either direction do not train and are not counted).
     pub fn leader_votes(&self) -> u64 {
-        self.leader_votes
-    }
-
-    /// Total replacement decisions that imitated each component —
-    /// leaders via Algorithm 1, followers via the global winner — as
-    /// `(a, b)`.
-    pub fn imitation_totals(&self) -> (u64, u64) {
-        (self.imitations_a, self.imitations_b)
-    }
-
-    /// Aliasing-forced arbitrary evictions in leader sets (0 with full
-    /// leader tags).
-    pub fn aliasing_fallbacks(&self) -> u64 {
-        self.aliasing_fallbacks
-    }
-
-    /// Total *exclusive* misses across leader sets per component, as
-    /// `(a, b)`: references where exactly one shadow missed — the only
-    /// references that train the selector.
-    pub fn exclusive_miss_totals(&self) -> (u64, u64) {
-        (self.excl_a_misses, self.excl_b_misses)
-    }
-
-    /// Statistics of the leader-set shadow array for `c` — the miss
-    /// behaviour the pure component policy would have had on the leader
-    /// sets' reference stream.
-    pub fn shadow_stats(&self, c: Component) -> (u64, u64) {
-        let s = match c {
-            Component::A => self.shadow_a.stats(),
-            Component::B => self.shadow_b.stats(),
-        };
-        (s.hits, s.misses)
+        self.selector.votes.count
     }
 
     /// Whether `set` is a leader set.
     pub fn is_leader(&self, set: usize) -> bool {
-        self.leader_index[set].is_some()
+        self.selector.leader_index[set].is_some()
+    }
+}
+
+/// SBAR's sampling selector: leader sets keep shadow tags and a miss
+/// history each, and their exclusive misses vote into a global
+/// [`SharedPsel`]; follower sets imitate its winner.
+pub struct SetSampling {
+    config: SbarConfig,
+    /// `leader_index[set]` = Some(slot) if `set` is a leader.
+    leader_index: Vec<Option<u32>>,
+    /// Per-leader miss history (indexed by leader slot).
+    history: Vec<MissHistory>,
+    /// Global saturating policy selector; above midpoint = imitate B.
+    /// Behind an `Arc` so several shards of a concurrent front end can
+    /// train and read one selector (a lone cache owns its own).
+    psel: Arc<SharedPsel>,
+    votes: Votes,
+}
+
+impl Selector for SetSampling {
+    const LABEL: &'static str = "SBAR";
+    const TYPE_NAME: &'static str = "SbarCache";
+
+    #[inline]
+    fn slot(&self, set: usize) -> Option<usize> {
+        self.leader_index[set].map(|s| s as usize)
     }
 
-    fn bump_psel(&mut self, set: usize, slot: usize, a_missed: bool, b_missed: bool) {
-        if a_missed == b_missed {
-            return; // ties in either direction do not train the selector
+    #[inline]
+    fn train(&mut self, set: usize, slot: usize, a_hit: bool, b_hit: bool) {
+        // Leaders run the regular adaptive algorithm locally ...
+        self.history[slot].record(!a_hit, !b_hit);
+        // ... and their exclusive misses vote; ties in either direction
+        // do not train the selector.
+        if a_hit == b_hit {
+            return;
         }
-        let value = self.psel.bump(a_missed);
-        self.leader_votes += 1;
-        let now = if value > self.psel.max() / 2 {
-            Component::B
-        } else {
-            Component::A
-        };
-        if now != self.last_global {
-            self.switches += 1;
-            self.last_global = now;
-        }
+        let (value, now) = self.votes.cast(&self.psel, !a_hit);
         ac_telemetry::decision(|| DecisionEvent::LeaderVote {
             set: set as u32,
             slot: slot as u32,
@@ -310,276 +244,34 @@ impl SbarCache {
         });
     }
 
-    /// Leader-set replacement: the regular adaptive Algorithm 1 against the
-    /// local shadow arrays.
-    fn leader_victim(
-        &mut self,
-        set: usize,
-        slot: usize,
-        acc_a: (bool, Option<Way>),
-        acc_b: (bool, Option<Way>),
-    ) -> usize {
-        let winner = self.history[slot].winner();
-        match winner {
-            Component::A => self.imitations_a += 1,
-            Component::B => self.imitations_b += 1,
-        }
-        let (way, case) = self.leader_victim_inner(set, winner, acc_a, acc_b);
-        ac_telemetry::decision(|| DecisionEvent::Imitation {
-            set: set as u32,
-            component: winner.telemetry(),
-            case,
-        });
-        way
-    }
-
-    fn leader_victim_inner(
-        &mut self,
-        set: usize,
-        winner: Component,
-        acc_a: (bool, Option<Way>),
-        acc_b: (bool, Option<Way>),
-    ) -> (usize, EvictionCase) {
-        let (shadow, miss) = match winner {
-            Component::A => (&self.shadow_a, acc_a),
-            Component::B => (&self.shadow_b, acc_b),
-        };
-        let mode = shadow.tag_mode();
-        // Fused pass: reduce each valid real tag to the shadow
-        // representation once, then derive both Algorithm-1 cases from
-        // masks over the reduced tags (first-way order preserved).
-        let mut reduced = [cache_sim::StoredTag::default(); cache_sim::MAX_ASSOC];
-        let valid = self.real.reduced_tags(set, mode, &mut reduced);
-        if let (true, Some(ev)) = (!miss.0, miss.1) {
-            // winner missed (miss.0 = hit flag)
-            let mut same = 0u64;
-            let mut m = valid;
-            while m != 0 {
-                let w = m.trailing_zeros() as usize;
-                m &= m - 1;
-                same |= u64::from(reduced[w] == ev.tag) << w;
-            }
-            if same != 0 {
-                return (same.trailing_zeros() as usize, EvictionCase::SameVictim);
-            }
-        }
-        let sdir = shadow.directory();
-        let mut m = valid;
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if !sdir.contains(set, reduced[w]) {
-                return (w, EvictionCase::NotInShadow);
-            }
-        }
-        self.aliasing_fallbacks += 1;
-        (
-            self.rng.gen_range(0..self.real.geometry().associativity()),
-            EvictionCase::AliasFallback,
-        )
-    }
-
-    /// Pins every directory's probe kernels (real + both shadows) to
-    /// `level`, clamped to hardware support; behaviour-preserving, for
-    /// the SIMD-vs-scalar differential tests. Returns the pinned level.
-    pub fn force_simd_level(&mut self, level: cache_sim::SimdLevel) -> cache_sim::SimdLevel {
-        let pinned = self.real.force_simd_level(level);
-        self.shadow_a.force_simd_level(level);
-        self.shadow_b.force_simd_level(level);
-        pinned
-    }
-
-    /// Follower-set replacement: apply the globally selected policy to the
-    /// blocks currently resident, using its continuously maintained
-    /// metadata.
-    fn follower_victim(&mut self, set: usize) -> usize {
-        let global = self.global_winner();
-        match global {
-            Component::A => self.imitations_a += 1,
-            Component::B => self.imitations_b += 1,
-        }
-        ac_telemetry::decision(|| DecisionEvent::Imitation {
-            set: set as u32,
-            component: global.telemetry(),
-            case: EvictionCase::Follower,
-        });
-        match global {
-            Component::A => self.meta_a.victim(set, &mut self.rng),
-            Component::B => self.meta_b.victim(set, &mut self.rng),
-        }
-    }
-}
-
-impl CacheModel for SbarCache {
-    fn access(&mut self, block: BlockAddr, write: bool) -> AccessOutcome {
-        let (set, stored) = self.real.locate(block);
-        let full_tag = stored.raw(); // real tags are full
-        let leader = self.leader_index[set].map(|s| s as usize);
-        // Probe the real directory before any shadow updates (which never
-        // touch it), so the mask below answers the lookup in one pass.
-        let real_mask = self.real.match_mask(set, stored);
-
-        // Leaders sample both component policies and train the selector.
-        let mut acc_a = (true, None);
-        let mut acc_b = (true, None);
-        if let Some(slot) = leader {
-            // Fused shadow probe: with packed lanes one 16-byte compare
-            // answers for both component directories.
-            let sa = self.shadow_a.tag_mode().store(full_tag);
-            let sb = self.shadow_b.tag_mode().store(full_tag);
-            let (ma, mb) = cache_sim::fused_pair_masks(&self.shadow_a, &self.shadow_b, set, sa, sb);
-            let a = self.shadow_a.access_with_mask(set, sa, ma);
-            let b = self.shadow_b.access_with_mask(set, sb, mb);
-            acc_a = (a.hit, a.evicted);
-            acc_b = (b.hit, b.evicted);
-            if a.hit {
-                self.set_shadow_a_hits[set] += 1;
-            }
-            if b.hit {
-                self.set_shadow_b_hits[set] += 1;
-            }
-            if a.hit != b.hit {
-                if a.hit {
-                    self.excl_b_misses += 1;
-                } else {
-                    self.excl_a_misses += 1;
-                }
-            }
-            self.history[slot].record(!a.hit, !b.hit);
-            self.bump_psel(set, slot, !a.hit, !b.hit);
-        }
-
-        if real_mask != 0 {
-            let way = real_mask.trailing_zeros() as usize;
-            self.stats.record(true, write);
-            self.set_hits[set] += 1;
-            self.meta_a.on_hit(set, way);
-            self.meta_b.on_hit(set, way);
-            if write {
-                self.real.mark_dirty(set, way);
-            }
-            return AccessOutcome::hit();
-        }
-        self.stats.record(false, write);
-
-        let way = match self.real.invalid_way(set) {
-            Some(w) => w,
-            None => match leader {
-                Some(slot) => self.leader_victim(set, slot, acc_a, acc_b),
-                None => self.follower_victim(set),
-            },
-        };
-
-        let evicted = self.real.fill_at(set, way, stored);
-        self.meta_a.on_fill(set, way);
-        self.meta_b.on_fill(set, way);
-        if write {
-            self.real.mark_dirty(set, way);
-        }
-        let eviction = evicted.map(|old| {
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            Eviction {
-                block: self.real.geometry().block_from_parts(old.tag.raw(), set),
-                dirty: old.dirty,
-            }
-        });
-        AccessOutcome {
-            hit: false,
-            eviction,
+    /// Leaders follow their own history (Algorithm 1 against the local
+    /// shadow arrays); followers apply the globally selected policy to
+    /// the blocks they hold.
+    #[inline]
+    fn winner(&mut self, _set: usize, slot: Option<usize>) -> Component {
+        match slot {
+            Some(slot) => self.history[slot].winner(),
+            None => self.psel.winner(),
         }
     }
 
-    fn prefetch_hint(&self, block: BlockAddr) {
-        let set = self.real.geometry().set_index(block);
-        self.real.prefetch_record(set);
-        self.meta_a.prefetch(set);
-        self.meta_b.prefetch(set);
-        if self.leader_index[set].is_some() {
-            self.shadow_a.prefetch_set(set);
-            self.shadow_b.prefetch_set(set);
-        }
+    fn votes(&self) -> (u64, Option<u32>) {
+        (self.votes.count, Some(self.psel.load()))
     }
 
-    fn stats(&self) -> &CacheStats {
-        &self.stats
+    fn switch_lag(&self) -> SwitchLagStats {
+        self.votes.switch_lag()
     }
 
-    fn geometry(&self) -> &Geometry {
-        self.real.geometry()
-    }
-
-    fn label(&self) -> String {
-        let g = self.geometry();
-        format!(
-            "SBAR {}/{} ({}KB, {}-way, {} leaders)",
-            self.config.policy_a.name(),
-            self.config.policy_b.name(),
-            g.size_bytes() / 1024,
-            g.associativity(),
-            self.config.leader_sets
-        )
-    }
-
-    fn timeline_probe(&self) -> ac_telemetry::TimelineProbe {
-        ac_telemetry::TimelineProbe {
-            accesses: self.stats.accesses,
-            hits: self.stats.hits,
-            misses: self.stats.misses,
-            shadow_a_misses: self.shadow_a.stats().misses,
-            shadow_b_misses: self.shadow_b.stats().misses,
-            shadow_a_hits: self.shadow_a.stats().hits,
-            shadow_b_hits: self.shadow_b.stats().hits,
-            excl_a_misses: self.excl_a_misses,
-            excl_b_misses: self.excl_b_misses,
-            imitations_a: self.imitations_a,
-            imitations_b: self.imitations_b,
-            aliasing_fallbacks: self.aliasing_fallbacks,
-            leader_votes: self.leader_votes,
-            psel: Some(self.psel.load()),
-        }
-    }
-
-    fn audit_counts(&self) -> Option<AuditCounts> {
-        let a = self.shadow_a.stats();
-        let b = self.shadow_b.stats();
-        Some(AuditCounts {
-            set_hits: self.set_hits.clone(),
-            set_shadow_a_hits: self.set_shadow_a_hits.clone(),
-            set_shadow_b_hits: self.set_shadow_b_hits.clone(),
-            shadow_a: (a.hits, a.misses),
-            shadow_b: (b.hits, b.misses),
-            // SBAR's followers imitate the global selector the instant it
-            // crosses the midpoint, so every selector switch is a flip
-            // that is followed with zero lag; `window_accesses: 0` marks
-            // the accounting as selector-driven rather than windowed.
-            switch: SwitchLagStats {
-                window_accesses: 0,
-                winner_flips: self.switches,
-                followed: self.switches,
-                total_lag_windows: 0,
-                max_lag_windows: 0,
-            },
-        })
-    }
-}
-
-impl fmt::Debug for SbarCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SbarCache")
-            .field("label", &self.label())
-            .field("stats", &self.stats)
-            .field("global_winner", &self.global_winner())
-            .finish()
+    fn label_detail(&self, _shadow_tags: TagMode) -> String {
+        format!("{} leaders", self.config.leader_sets)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::Cache;
+    use cache_sim::{BlockAddr, Cache, CacheModel};
 
     #[test]
     fn leaders_are_spread_out() {

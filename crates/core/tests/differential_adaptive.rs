@@ -9,8 +9,15 @@
 //! both produce identical access outcomes, statistics, shadow statistics,
 //! aliasing fallbacks, and the paper's Figure-7 imitation counters, for
 //! full and partial shadow tags.
+//!
+//! An [`SbarCache`] whose every set is a leader keeps shadow tags and a
+//! miss history in every set, which makes it the paper's adaptive cache
+//! (Section 4.7: leader sets "behave like the regular adaptive cache");
+//! it is driven alongside as a third implementation.
 
-use adaptive_cache::{AdaptiveCache, AdaptiveConfig, Component, MissHistory};
+use adaptive_cache::{
+    AdaptiveCache, AdaptiveConfig, Component, MissHistory, SbarCache, SbarConfig,
+};
 use cache_sim::{
     AccessOutcome, BlockAddr, CacheModel, CacheStats, Eviction, Geometry, MetaTable, PolicyKind,
     StoredTag, TagAccess, TagMode, Way,
@@ -244,6 +251,20 @@ impl RefAdaptive {
     }
 }
 
+/// An SBAR cache in which every set is a leader, over `config`'s
+/// components, shadow tags and history.
+fn all_leader_sbar(geom: Geometry, config: AdaptiveConfig, seed: u64) -> SbarCache {
+    let sbar = SbarConfig {
+        policy_a: config.policy_a,
+        policy_b: config.policy_b,
+        leader_sets: geom.num_sets(),
+        shadow_tags: config.shadow_tags,
+        history: config.history,
+        psel_bits: 10,
+    };
+    SbarCache::new(geom, sbar, seed)
+}
+
 fn drive_and_compare(
     geom: Geometry,
     config: AdaptiveConfig,
@@ -251,24 +272,34 @@ fn drive_and_compare(
     blocks: impl Iterator<Item = (u64, bool)>,
 ) {
     let mut fused = AdaptiveCache::new(geom, config, seed);
+    let mut sbar = all_leader_sbar(geom, config, seed);
     let mut reference = RefAdaptive::new(geom, config, seed);
     for (i, (a, write)) in blocks.enumerate() {
         let block = BlockAddr::new(a);
         let got = fused.access(block, write);
         let want = reference.access(block, write);
         assert_eq!(got, want, "{config:?} diverged at access {i} ({a:#x})");
+        let leader = sbar.access(block, write);
+        assert_eq!(
+            leader, want,
+            "all-leader SBAR diverged at access {i} ({a:#x})"
+        );
     }
     assert_eq!(fused.stats(), &reference.stats, "cache stats");
+    assert_eq!(sbar.stats(), &reference.stats, "all-leader SBAR stats");
     assert_eq!(
         fused.imitation_totals(),
         (reference.imitations_a, reference.imitations_b),
         "Figure-7 imitation counters"
     );
+    assert_eq!(sbar.imitation_totals(), fused.imitation_totals());
+    assert_eq!(sbar.exclusive_miss_totals(), fused.exclusive_miss_totals());
     assert_eq!(
         fused.aliasing_fallbacks(),
         reference.aliasing_fallbacks,
         "partial-tag alias fallbacks"
     );
+    assert_eq!(sbar.aliasing_fallbacks(), reference.aliasing_fallbacks);
     for (c, hits, misses) in [
         (
             Component::A,
@@ -282,6 +313,11 @@ fn drive_and_compare(
         ),
     ] {
         assert_eq!(fused.shadow_stats(c), (hits, misses), "{c:?} shadow stats");
+        assert_eq!(
+            sbar.shadow_stats(c),
+            (hits, misses),
+            "{c:?} leader shadow stats"
+        );
     }
 }
 
@@ -404,6 +440,7 @@ fn paper_geometry_imitation_counters_match() {
         AdaptiveConfig::paper_default(),
     ] {
         let mut fused = AdaptiveCache::new(geom, config, 0xFEED);
+        let mut sbar = all_leader_sbar(geom, config, 0xFEED);
         let mut reference = RefAdaptive::new(geom, config, 0xFEED);
         let mut x = 0x9E37_79B9u64;
         for i in 0..150_000u64 {
@@ -417,18 +454,22 @@ fn paper_geometry_imitation_counters_match() {
                 BlockAddr::new(i % 40_000)
             };
             let write = x & 7 == 0;
+            let want = reference.access(block, write);
             assert_eq!(
                 fused.access(block, write),
-                reference.access(block, write),
+                want,
                 "{:?} diverged at access {i}",
                 config.shadow_tags
             );
+            assert_eq!(sbar.access(block, write), want, "all-leader SBAR at {i}");
         }
         assert_eq!(fused.stats(), &reference.stats);
+        assert_eq!(sbar.stats(), &reference.stats);
         assert_eq!(
             fused.imitation_totals(),
             (reference.imitations_a, reference.imitations_b)
         );
+        assert_eq!(sbar.imitation_totals(), fused.imitation_totals());
         let (ia, ib) = fused.imitation_totals();
         assert!(ia + ib > 1_000, "stream must exercise Algorithm 1");
         let samples = fused.take_imitation_samples();

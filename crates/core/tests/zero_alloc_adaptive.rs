@@ -1,4 +1,4 @@
-//! The adaptive cache's access path — three directory probes, history
+//! Every adaptive organisation's access path — directory probes, history
 //! update, and the fused Algorithm-1 victim scan — must not allocate in
 //! steady state (the Case-1/Case-2 candidate buffer is a stack array).
 //!
@@ -7,7 +7,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use adaptive_cache::{AdaptiveCache, AdaptiveConfig};
+use adaptive_cache::{
+    AdaptiveCache, AdaptiveConfig, DipCache, DipConfig, MultiAdaptiveCache, MultiConfig, SbarCache,
+    SbarConfig,
+};
 use cache_sim::{BlockAddr, CacheModel, Geometry};
 
 struct CountingAlloc;
@@ -59,11 +62,41 @@ fn stream_block(i: u64) -> BlockAddr {
 #[test]
 fn adaptive_million_access_loop_allocates_nothing() {
     let geom = Geometry::new(512 * 1024, 64, 8).unwrap();
-    for config in [
-        AdaptiveConfig::paper_full_tags(),
-        AdaptiveConfig::paper_default(),
-    ] {
-        let mut cache = AdaptiveCache::new(geom, config, 7);
+    let caches: Vec<(&str, Box<dyn CacheModel>)> = vec![
+        (
+            "adaptive full",
+            Box::new(AdaptiveCache::new(
+                geom,
+                AdaptiveConfig::paper_full_tags(),
+                7,
+            )),
+        ),
+        (
+            "adaptive 8-bit",
+            Box::new(AdaptiveCache::new(geom, AdaptiveConfig::paper_default(), 7)),
+        ),
+        (
+            "sbar",
+            Box::new(SbarCache::new(geom, SbarConfig::paper_default(), 7)),
+        ),
+        (
+            "sbar partial",
+            Box::new(SbarCache::new(geom, SbarConfig::paper_partial_tags(), 7)),
+        ),
+        (
+            "multi5",
+            Box::new(MultiAdaptiveCache::new(
+                geom,
+                MultiConfig::paper_five_policy(),
+                7,
+            )),
+        ),
+        (
+            "dip",
+            Box::new(DipCache::new(geom, DipConfig::paper_default(), 7)),
+        ),
+    ];
+    for (name, mut cache) in caches {
         for i in 0..50_000 {
             cache.access(stream_block(i), i % 9 == 0);
         }
@@ -76,8 +109,7 @@ fn adaptive_million_access_loop_allocates_nothing() {
         assert_eq!(
             allocations() - before,
             0,
-            "{:?} adaptive access loop must not allocate",
-            config.shadow_tags
+            "{name} access loop must not allocate"
         );
     }
 }

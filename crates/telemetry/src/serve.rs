@@ -80,17 +80,7 @@ impl Server {
         crate::gauge_set_labeled("build_info", concat!("v", env!("CARGO_PKG_VERSION")), 1.0);
         crate::info!("serve: live introspection on http://{addr}/");
         if let Ok(path) = std::env::var("AC_SERVE_ADDR_FILE") {
-            if !path.trim().is_empty() {
-                // Write-then-rename so a polling reader never sees a
-                // torn address.
-                let tmp = format!("{path}.tmp");
-                if std::fs::write(&tmp, format!("{addr}\n"))
-                    .and_then(|()| std::fs::rename(&tmp, &path))
-                    .is_err()
-                {
-                    crate::warn!("serve: could not write AC_SERVE_ADDR_FILE={path}");
-                }
-            }
+            publish_addr(&path, addr);
         }
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
@@ -474,6 +464,22 @@ fn html_escape(s: &str) -> String {
     out
 }
 
+/// Writes `addr` to the file at `path` (ignored when blank), so a
+/// launcher that bound port 0 can find the server.
+fn publish_addr(path: &str, addr: SocketAddr) {
+    if path.trim().is_empty() {
+        return;
+    }
+    // Write-then-rename so a polling reader never sees a torn address.
+    let tmp = format!("{path}.tmp");
+    if std::fs::write(&tmp, format!("{addr}\n"))
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .is_err()
+    {
+        crate::warn!("serve: could not write AC_SERVE_ADDR_FILE={path}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,6 +511,19 @@ mod tests {
         let html = builtin_dashboard();
         assert!(html.contains("adaptive-caches"));
         assert!(html.contains("/metrics"));
+    }
+
+    #[test]
+    fn addr_file_publishes_the_bound_address() {
+        // Its own path and never the process-wide variable: servers
+        // started by other tests read `AC_SERVE_ADDR_FILE` too.
+        let path = std::env::temp_dir().join(format!("ac_serve_addr_{}", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        let addr: SocketAddr = "127.0.0.1:4321".parse().unwrap();
+        publish_addr(path, addr);
+        let written = std::fs::read_to_string(path).expect("address file written");
+        assert_eq!(written, "127.0.0.1:4321\n");
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

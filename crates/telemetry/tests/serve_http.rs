@@ -205,20 +205,3 @@ fn shutdown_releases_the_port() {
         .unwrap_or_else(|e| panic!("port {addr} not released after shutdown: {e}"));
     drop(rebound);
 }
-
-#[test]
-fn addr_file_publishes_the_bound_address() {
-    // AC_SERVE_ADDR_FILE is read at Server::start; this test sets it
-    // before starting its own server and unsets it after. No other test
-    // in this binary touches the variable.
-    let path = std::env::temp_dir().join(format!("ac_serve_addr_{}", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    std::env::set_var("AC_SERVE_ADDR_FILE", &path);
-    let _ = hub();
-    let srv = Server::start("127.0.0.1:0").unwrap();
-    std::env::remove_var("AC_SERVE_ADDR_FILE");
-    let written = std::fs::read_to_string(&path).expect("address file written");
-    assert_eq!(written.trim(), srv.local_addr().to_string());
-    srv.shutdown();
-    let _ = std::fs::remove_file(&path);
-}
