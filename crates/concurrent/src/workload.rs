@@ -54,12 +54,21 @@ pub struct ThreadStream {
     kind: StreamKind,
     zipf: Option<Zipf>,
     rng: SmallRng,
-    /// Position in this thread's stream (drives strides and phases).
+    /// Position in this thread's stream (drives strides).
     i: u64,
     /// Phase offset so strided threads do not alias each other.
     offset: u64,
     /// Every `write_every`-th operation is a write (0 = reads only).
     write_every: u64,
+    /// Operations up to and including the next write: the countdown form
+    /// of `i % write_every` (0 = reads only).
+    until_write: u64,
+    /// Operations left in the current `Mixed` burst: the countdown form
+    /// of `i / burst`.
+    burst_left: u64,
+    /// Whether the current `Mixed` burst is the strided one (`i / burst`
+    /// is odd).
+    scan_phase: bool,
 }
 
 impl ThreadStream {
@@ -74,6 +83,10 @@ impl ThreadStream {
             }
             StreamKind::Stride { .. } => None,
         };
+        let burst_left = match kind {
+            StreamKind::Mixed { burst, .. } => burst.max(1),
+            _ => 0,
+        };
         ThreadStream {
             kind,
             zipf,
@@ -81,6 +94,9 @@ impl ThreadStream {
             i: 0,
             offset: thread.wrapping_mul(8191),
             write_every,
+            until_write: write_every,
+            burst_left,
+            scan_phase: false,
         }
     }
 
@@ -96,15 +112,31 @@ impl ThreadStream {
                 burst,
                 ..
             } => {
-                if (self.i / burst.max(1)).is_multiple_of(2) {
-                    self.zipf_block()
-                } else {
+                let scan = self.scan_phase;
+                self.burst_left -= 1;
+                if self.burst_left == 0 {
+                    self.burst_left = burst.max(1);
+                    self.scan_phase = !scan;
+                }
+                if scan {
                     self.stride_block(blocks, stride)
+                } else {
+                    self.zipf_block()
                 }
             }
         };
         self.i += 1;
-        let write = self.write_every != 0 && self.i.is_multiple_of(self.write_every);
+        let write = match self.until_write {
+            0 => false,
+            1 => {
+                self.until_write = self.write_every;
+                true
+            }
+            _ => {
+                self.until_write -= 1;
+                false
+            }
+        };
         (block, write)
     }
 

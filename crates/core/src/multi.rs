@@ -57,54 +57,61 @@ impl MultiConfig {
     }
 }
 
-/// Per-set sliding window of which policies missed on recent informative
-/// references.
+/// Per-set sliding windows of which policies missed on recent
+/// informative references, with each policy's miss count over each
+/// window kept up to date, so picking a winner never rescans a window.
 #[derive(Debug, Clone)]
 struct WindowHistory {
-    /// Ring of miss bitmasks (bit `i` set = policy `i` missed).
-    ring: Vec<u32>,
-    head: usize,
-    len: usize,
+    policies: usize,
+    window: usize,
+    /// Each set's ring of miss bitmasks (bit `i` set = policy `i`
+    /// missed), `window` entries per set; slots not yet written hold 0.
+    rings: Vec<u32>,
+    /// Each set's next ring slot to overwrite.
+    heads: Vec<usize>,
+    /// Each set's misses per policy over its window, `policies` entries
+    /// per set.
+    counts: Vec<u32>,
 }
 
 impl WindowHistory {
-    fn new(window: usize) -> Self {
+    fn new(sets: usize, window: usize, policies: usize) -> Self {
+        let window = window.max(1);
         WindowHistory {
-            ring: vec![0; window.max(1)],
-            head: 0,
-            len: 0,
+            policies,
+            window,
+            rings: vec![0; sets * window],
+            heads: vec![0; sets],
+            counts: vec![0; sets * policies],
         }
     }
 
-    /// Records a reference outcome. Only informative outcomes (not all hit,
-    /// not all missed) are stored.
-    fn record(&mut self, miss_mask: u32, all_mask: u32) {
+    /// Records a reference outcome in `set`. Only informative outcomes
+    /// (not all hit, not all missed) are stored.
+    fn record(&mut self, set: usize, miss_mask: u32, all_mask: u32) {
         if miss_mask == 0 || miss_mask == all_mask {
             return;
         }
-        self.ring[self.head] = miss_mask;
-        self.head = (self.head + 1) % self.ring.len();
-        self.len = (self.len + 1).min(self.ring.len());
+        let head = self.heads[set];
+        let old = std::mem::replace(&mut self.rings[set * self.window + head], miss_mask);
+        self.heads[set] = if head + 1 == self.window { 0 } else { head + 1 };
+        let counts = &mut self.counts[set * self.policies..][..self.policies];
+        for (p, c) in counts.iter_mut().enumerate() {
+            *c = *c + ((miss_mask >> p) & 1) - ((old >> p) & 1);
+        }
     }
 
-    /// The policy with the fewest misses in the window (ties to the lowest
-    /// index).
-    fn winner(&self, n_policies: usize) -> usize {
-        // Fixed scratch (<= 32 policies): no allocation on the miss path.
-        let mut counts = [0u32; 32];
-        let counts = &mut counts[..n_policies];
-        for i in 0..self.len {
-            let mask = self.ring[i];
-            for (p, c) in counts.iter_mut().enumerate() {
-                *c += (mask >> p) & 1;
+    /// The policy with the fewest misses in `set`'s window (ties to the
+    /// lowest index).
+    fn winner(&self, set: usize) -> usize {
+        let counts = &self.counts[set * self.policies..][..self.policies];
+        let mut best = 0;
+        for (p, &c) in counts.iter().enumerate() {
+            if c < counts[best] {
+                best = p;
             }
         }
-        counts
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, c)| c)
-            .map(|(p, _)| p)
-            .unwrap_or(0)
+        best
     }
 }
 
@@ -125,7 +132,7 @@ pub struct MultiAdaptiveCache {
     config: MultiConfig,
     real: Directory,
     shadows: Vec<TagArray<PolicyKind>>,
-    history: Vec<WindowHistory>,
+    history: WindowHistory,
     imitations: Vec<u64>,
     rng: SmallRng,
     stats: CacheStats,
@@ -156,9 +163,7 @@ impl MultiAdaptiveCache {
         MultiAdaptiveCache {
             scratch: vec![cache_sim::TagAccess::default(); config.policies.len()],
             imitations: vec![0; config.policies.len()],
-            history: (0..geom.num_sets())
-                .map(|_| WindowHistory::new(config.window))
-                .collect(),
+            history: WindowHistory::new(geom.num_sets(), config.window, config.policies.len()),
             shadows,
             real: Directory::new(geom, TagMode::Full),
             rng: SmallRng::seed_from_u64(seed),
@@ -230,7 +235,7 @@ impl CacheModel for MultiAdaptiveCache {
             self.scratch[i] = acc;
         }
         let all_mask = (1u32 << self.shadows.len()) - 1;
-        self.history[set].record(miss_mask, all_mask);
+        self.history.record(set, miss_mask, all_mask);
 
         if real_mask != 0 {
             let way = real_mask.trailing_zeros() as usize;
@@ -245,7 +250,7 @@ impl CacheModel for MultiAdaptiveCache {
         let way = match self.real.invalid_way(set) {
             Some(w) => w,
             None => {
-                let winner = self.history[set].winner(self.shadows.len());
+                let winner = self.history.winner(set);
                 self.imitations[winner] += 1;
                 let acc = self.scratch[winner];
                 let victim = (!acc.hit).then_some(acc.evicted).flatten();
@@ -357,23 +362,24 @@ mod tests {
 
     #[test]
     fn window_history_winner() {
-        let mut h = WindowHistory::new(8);
-        assert_eq!(h.winner(3), 0, "empty history ties to policy 0");
-        h.record(0b011, 0b111); // policies 0,1 missed; 2 hit
-        h.record(0b011, 0b111);
-        assert_eq!(h.winner(3), 2);
+        let mut h = WindowHistory::new(1, 8, 3);
+        assert_eq!(h.winner(0), 0, "empty history ties to policy 0");
+        h.record(0, 0b011, 0b111); // policies 0,1 missed; 2 hit
+        h.record(0, 0b011, 0b111);
+        assert_eq!(h.winner(0), 2);
         for _ in 0..8 {
-            h.record(0b100, 0b111); // now policy 2 misses a lot
+            h.record(0, 0b100, 0b111); // now policy 2 misses a lot
         }
-        assert_ne!(h.winner(3), 2);
+        assert_ne!(h.winner(0), 2);
     }
 
     #[test]
     fn window_history_ignores_unanimous() {
-        let mut h = WindowHistory::new(4);
-        h.record(0b111, 0b111);
-        h.record(0b000, 0b111);
-        assert_eq!(h.len, 0);
+        let mut h = WindowHistory::new(1, 4, 3);
+        h.record(0, 0b111, 0b111);
+        h.record(0, 0b000, 0b111);
+        assert_eq!(h.heads[0], 0);
+        assert_eq!(h.counts, [0; 3]);
     }
 
     #[test]

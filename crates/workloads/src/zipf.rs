@@ -7,7 +7,14 @@
 use rand::Rng;
 
 /// Samples ranks from a Zipf distribution with exponent `s` over `n`
-/// items, by inversion of a precomputed CDF (exact, O(log n) per sample).
+/// items, by inversion of a precomputed CDF (exact, expected O(1) per
+/// sample).
+///
+/// A guide table of `K = n.next_power_of_two()` entries holds, for each
+/// bucket `[j/K, (j+1)/K)` of the uniform, the first rank whose CDF value
+/// is at least `j/K`. A draw starts at its bucket's entry and scans
+/// forward, about 1.5 CDF probes on average, to the rank a binary search
+/// of the CDF would find (see [`Zipf::sample`]).
 ///
 /// ```
 /// use rand::{rngs::SmallRng, SeedableRng};
@@ -26,7 +33,13 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipf {
+    /// Normalised cumulative weights. The last is the total divided by
+    /// itself, exactly 1, so it is above every uniform.
     cdf: Vec<f64>,
+    /// `guide[j]`: the first rank whose CDF value is at least `j/K`.
+    guide: Vec<u32>,
+    /// `K`, the number of guide buckets (a power of two).
+    buckets: f64,
 }
 
 impl Zipf {
@@ -34,9 +47,13 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is 0 or `s` is negative/NaN.
+    /// Panics if `n` is 0 or above `u32::MAX`, or `s` is negative/NaN.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one item");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "Zipf supports at most 2^32 - 1 items"
+        );
         assert!(s >= 0.0 && s.is_finite(), "Zipf exponent must be >= 0");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -48,7 +65,22 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        let buckets = n.next_power_of_two();
+        let mut rank = 0;
+        let guide = (0..buckets)
+            .map(|j| {
+                let edge = j as f64 / buckets as f64;
+                while cdf[rank] < edge {
+                    rank += 1;
+                }
+                rank as u32
+            })
+            .collect();
+        Zipf {
+            cdf,
+            guide,
+            buckets: buckets as f64,
+        }
     }
 
     /// Number of items.
@@ -61,10 +93,25 @@ impl Zipf {
         self.cdf.is_empty()
     }
 
-    /// Draws one rank in `0..n` (0 = most popular).
+    /// Draws one rank in `0..n` (0 = most popular): the first rank whose
+    /// CDF value is at least the uniform `u`. The last CDF value is 1 and
+    /// `u < 1`, so that rank exists.
+    ///
+    /// `u` is a multiple of 2^-53 and `K` a power of two, so `u * K` is
+    /// exact and its integer part `j` is the bucket holding `u`. The CDF
+    /// never decreases and `u >= j/K`, so the bucket's guide entry never
+    /// lies past the answer: the scan only steps over ranks whose CDF
+    /// value is below `u`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        let mut rank = self.guide[(u * self.buckets) as usize] as usize;
+        // Most draws stop on their guide entry or one rank past it: take
+        // the scan's first step without a branch.
+        rank += usize::from(self.cdf[rank] < u);
+        while self.cdf[rank] < u {
+            rank += 1;
+        }
+        rank
     }
 }
 

@@ -10,7 +10,7 @@
 //! current digests when a mismatch needs diagnosing.
 
 use ac_concurrent::{StreamKind, ThreadStream};
-use workloads::{primary_suite, Inst, InstKind};
+use workloads::{extended_suite, primary_suite, Benchmark, Inst, InstKind};
 
 /// Instructions hashed per benchmark stream.
 const INSTS: usize = 100_000;
@@ -59,10 +59,26 @@ fn inst_words(i: &Inst) -> [u64; 3] {
     [i.pc, meta, payload]
 }
 
-/// `(benchmark, digest)` of the first [`INSTS`] instructions of every
-/// primary benchmark, with each generator seed xored with `perturb`.
-fn suite_digests(perturb: u64) -> Vec<(String, u64)> {
-    primary_suite()
+/// The extended-suite benchmarks whose data pattern draws Zipf ranks.
+/// No primary benchmark does.
+const ZIPF_BENCHMARKS: [&str; 11] = [
+    "crafty",
+    "perlbmk-2",
+    "mesa",
+    "g721-enc",
+    "g721-dec",
+    "pegwit",
+    "bitcount",
+    "blowfish",
+    "rijndael",
+    "hmmer",
+    "unreal",
+];
+
+/// `(benchmark, digest)` of the first [`INSTS`] instructions of each of
+/// `suite`, with each generator seed xored with `perturb`.
+fn suite_digests(suite: Vec<Benchmark>, perturb: u64) -> Vec<(String, u64)> {
+    suite
         .into_iter()
         .map(|mut b| {
             b.spec.seed ^= perturb;
@@ -100,14 +116,33 @@ fn check(label: &str, got: &[(String, u64)], want: &[(&str, u64)]) {
     assert!(wrong.is_empty(), "{label}: streams drifted: {wrong:?}");
 }
 
+fn zipf_suite() -> Vec<Benchmark> {
+    extended_suite()
+        .into_iter()
+        .filter(|b| ZIPF_BENCHMARKS.contains(&b.name.as_str()))
+        .collect()
+}
+
 #[test]
 fn primary_streams_are_pinned_at_seed_0() {
-    check("seed 0", &suite_digests(0), SEED0);
+    check("seed 0", &suite_digests(primary_suite(), 0), SEED0);
 }
 
 #[test]
 fn primary_streams_are_pinned_at_a_perturbed_seed() {
-    check("seed 1", &suite_digests(splitmix64(PERTURB_SEED)), SEED1);
+    let got = suite_digests(primary_suite(), splitmix64(PERTURB_SEED));
+    check("seed 1", &got, SEED1);
+}
+
+#[test]
+fn zipf_streams_are_pinned_at_seed_0() {
+    check("zipf seed 0", &suite_digests(zipf_suite(), 0), ZIPF_SEED0);
+}
+
+#[test]
+fn zipf_streams_are_pinned_at_a_perturbed_seed() {
+    let got = suite_digests(zipf_suite(), splitmix64(PERTURB_SEED));
+    check("zipf seed 1", &got, ZIPF_SEED1);
 }
 
 #[test]
@@ -196,4 +231,32 @@ const THREADS: &[(&str, u64)] = &[
     ("zipf/t1", 0x89ac68550fc07bf9),
     ("phase/t0", 0xd47b4badf9f68826),
     ("phase/t1", 0x50c0e1b655e4e3d4),
+];
+
+const ZIPF_SEED0: &[(&str, u64)] = &[
+    ("crafty", 0x074af269a8b30bd0),
+    ("perlbmk-2", 0xa55b28a138a70ff8),
+    ("mesa", 0x7b127a82b3fce97b),
+    ("g721-enc", 0x451decd6e3037600),
+    ("g721-dec", 0xfac93f317055656d),
+    ("pegwit", 0x6fe9debd7fc1c9a0),
+    ("bitcount", 0xfb44d75a0cac67d2),
+    ("blowfish", 0xb6f1717a576d8ac6),
+    ("rijndael", 0x202ca2b060feb0aa),
+    ("hmmer", 0x597657bb2fc43201),
+    ("unreal", 0x7637d1ae7d5a585e),
+];
+
+const ZIPF_SEED1: &[(&str, u64)] = &[
+    ("crafty", 0x77d97e71a7609814),
+    ("perlbmk-2", 0x35b3589c09d91c4d),
+    ("mesa", 0x71e2623ce4b34ac4),
+    ("g721-enc", 0x8df4d59d17ba17ab),
+    ("g721-dec", 0x6160774c1568d623),
+    ("pegwit", 0x7b83039a8c9b6057),
+    ("bitcount", 0xbbe2cf96f61c97c2),
+    ("blowfish", 0xc6faa113c8a3cfdf),
+    ("rijndael", 0xe05edcef7ba66e99),
+    ("hmmer", 0x70fe9fa36b6b49e5),
+    ("unreal", 0xe6d5a5b5d4b4f69b),
 ];
