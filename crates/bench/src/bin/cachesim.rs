@@ -4,12 +4,16 @@
 //!   cargo run --release -p bench --bin cachesim -- run.json
 //!   cargo run --release -p bench --bin cachesim -- --template > run.json
 //!   cargo run --release -p bench --bin cachesim -- --telemetry out/ run.json
+//!   cargo run --release -p bench --bin cachesim -- figure all
 //!
 //! The JSON file describes either **one run** — a workload (a suite
 //! benchmark by name, an inline `WorkloadSpec`, or a recorded trace
 //! file), an L2 organisation, the mode (functional or timed) and the
 //! instruction budget — or a **sweep**: `{"sweep": [<run>, ...]}`.
 //! Results are printed as JSON on stdout.
+//!
+//! `figure {all|<stem>...}` regenerates the paper's tables and figures
+//! into `results/` (see `bench::figure`).
 //!
 //! Sweeps execute under the resilience supervisor: a panicking or wedged
 //! cell is isolated (one bounded retry, optional per-cell deadline) and
@@ -727,6 +731,11 @@ fn dispatch(mut args: Vec<String>) -> i32 {
         bench::finish_telemetry();
         return code;
     }
+    if arg == "figure" {
+        let code = bench::figure::run_figure_subcommand(&args[1..]);
+        bench::finish_telemetry();
+        return code;
+    }
     if arg == "cache" {
         let code = run_cache_subcommand(&args[1..]);
         bench::finish_telemetry();
@@ -749,7 +758,7 @@ fn dispatch(mut args: Vec<String>) -> i32 {
     }
     if arg.is_empty() || arg.starts_with("--") {
         die_invalid(
-            "usage: cachesim [--telemetry <dir> | --metrics] [--serve <addr>] [run] <run.json> | cachesim --template | cachesim bench [--sweep | --concurrent] [--quick] [--threads <n>] [--shards <n>] [--out <path>] [--history <path>] [--trend [--threshold <pct>]] | cachesim cache {ls|verify|gc} [--dir <dir>] | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>] [--history <path>] [--no-history]",
+            "usage: cachesim [--telemetry <dir> | --metrics] [--serve <addr>] [run] <run.json> | cachesim --template | cachesim figure {all|<stem>...} | cachesim bench [--sweep | --concurrent] [--quick] [--threads <n>] [--shards <n>] [--out <path>] [--history <path>] [--trend [--threshold <pct>]] | cachesim cache {ls|verify|gc} [--dir <dir>] | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>] [--history <path>] [--no-history]",
         );
     }
 

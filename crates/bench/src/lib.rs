@@ -1,33 +1,17 @@
-//! Shared plumbing for the figure-regeneration binaries (`src/bin/`) and
-//! the criterion micro-benchmarks (`benches/`).
+//! The `cachesim` front end's subcommands and shared plumbing (figure
+//! regeneration, benches, audit, run reports, telemetry flags), plus the
+//! criterion micro-benchmarks (`benches/`).
 
-use experiments::Table;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 pub mod access_bench;
 pub mod audit;
 pub mod concurrent_bench;
+pub mod figure;
 pub mod history;
 pub mod report;
 pub mod seed_baseline;
 pub mod sweep_bench;
-
-/// Prints a table and writes `results/<stem>.{csv,json}`.
-pub fn emit(table: &Table, stem: &str) {
-    println!("{table}");
-    if let Err(e) = table.write_artifacts(Path::new("results"), stem) {
-        ac_telemetry::warn!("could not write results/{stem}: {e}");
-    }
-}
-
-/// Runs `f` with wall-clock reporting on stderr.
-pub fn timed<T>(what: &str, f: impl FnOnce() -> T) -> T {
-    ac_telemetry::info!("{what}: running ...");
-    let start = std::time::Instant::now();
-    let out = f();
-    ac_telemetry::info!("{what}: done in {:.1}s", start.elapsed().as_secs_f64());
-    out
-}
 
 /// Strips the shared telemetry flags from `args` and installs the
 /// process-global [`ac_telemetry::Telemetry`] hub they (or the

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `cachesim` binary: JSON in, JSON out, typed
 //! exit codes (0 = ok, 2 = partial sweep, 3 = invalid input), journal
-//! checkpointing and `AC_RESUME=1` resume — all through a real
-//! subprocess, the way a user drives it.
+//! checkpointing and `AC_RESUME=1` resume, for JSON sweeps and for
+//! `cachesim figure` — all through a real subprocess, the way a user
+//! drives it.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -409,5 +410,90 @@ fn no_arguments_is_usage_error() {
     let out = run_in(&dir, &[], &[]);
     assert_eq!(out.status.code(), Some(3));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed copy of `results/<stem>.csv`.
+fn committed_csv(stem: &str) -> Vec<u8> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../results/{stem}.csv"));
+    std::fs::read(path).unwrap()
+}
+
+#[test]
+fn figure_writes_the_committed_tables_then_resumes_them() {
+    let dir = tmp_dir("figure");
+    let args = ["figure", "table_storage", "sec47_overheads"];
+    let out = run_in(&dir, &args, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    // CSV only: the JSON's key order depends on the serializer.
+    for stem in ["table_storage", "sec47_overheads"] {
+        let written = std::fs::read(dir.join(format!("results/{stem}.csv"))).unwrap();
+        assert!(written == committed_csv(stem), "{stem}.csv differs");
+        assert!(dir.join(format!("results/{stem}.json")).exists());
+    }
+    assert!(stderr.contains("2 cells: 2 ok (0 resumed)"), "{stderr}");
+
+    let out = run_in(&dir, &args, &[("AC_RESUME", "1")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("2 cells: 2 ok (2 resumed)"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn figure_whose_artifacts_cannot_be_written_is_not_produced() {
+    let dir = tmp_dir("figure_unwritable");
+    let csv = dir.join("results/table_storage.csv");
+    std::fs::create_dir_all(&csv).unwrap();
+    let out = run_in(&dir, &["figure", "table_storage"], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("could not write results/table_storage"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("1 failed"), "{stderr}");
+
+    // Once the path is writable, a resumed run recomputes the figure.
+    std::fs::remove_dir(&csv).unwrap();
+    let out = run_in(&dir, &["figure", "table_storage"], &[("AC_RESUME", "1")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("1 cells: 1 ok (0 resumed)"), "{stderr}");
+    assert!(std::fs::read(&csv).unwrap() == committed_csv("table_storage"));
+
+    // A figure resumed from the journal must be re-written too.
+    std::fs::remove_file(&csv).unwrap();
+    std::fs::create_dir(&csv).unwrap();
+    let out = run_in(&dir, &["figure", "table_storage"], &[("AC_RESUME", "1")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("(1 resumed)"), "{stderr}");
+    assert!(
+        stderr.contains("could not write results/table_storage"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn figure_rejects_unknown_stems_listing_the_registry() {
+    let dir = tmp_dir("figure_unknown");
+    let out = run_in(&dir, &["figure", "table_storage", "fig99_nothing"], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("fig99_nothing"), "{stderr}");
+    for (stem, _) in experiments::figures::registry() {
+        assert!(stderr.contains(stem), "{stem} not listed: {stderr}");
+    }
+    assert!(!dir.join("results").exists(), "nothing may run");
+
+    let out = run_in(&dir, &["figure"], &[]);
+    assert_eq!(out.status.code(), Some(3));
+
+    let out = run_in(&dir, &["figure", "table1_config"], &[]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Table 1."));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,8 +5,9 @@
 //! with brief justification; these sweeps quantify how much each choice
 //! matters on the primary suite.
 
+use crate::figures::l2_mpki;
 use crate::report::Table;
-use crate::runner::{parallel_map, run_functional_l2, L2Kind, PAPER_L2};
+use crate::runner::{parallel_map, L2Kind};
 use adaptive_cache::overhead::StorageModel;
 use adaptive_cache::{AdaptiveConfig, HistoryKind, SbarConfig};
 use cache_sim::{Geometry, PolicyKind};
@@ -14,12 +15,7 @@ use workloads::primary_suite;
 
 fn average_mpki(kind: &L2Kind, insts: u64) -> f64 {
     let suite = primary_suite();
-    let v = parallel_map(&suite, |b| {
-        run_functional_l2(b, kind, PAPER_L2, insts)
-            .expect("paper geometry is valid")
-            .stats
-            .l2_mpki()
-    });
+    let v = parallel_map(&suite, |b| l2_mpki(b, kind, insts));
     v.iter().sum::<f64>() / v.len() as f64
 }
 

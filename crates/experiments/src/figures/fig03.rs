@@ -1,36 +1,17 @@
 //! Figure 3: L2 misses-per-thousand-instructions for each benchmark in the
 //! primary set, for the adaptive policy and its component policies.
 
+use super::{l2_mpki, suite_table};
 use crate::report::Table;
-use crate::runner::{parallel_map, run_functional_l2, L2Kind, PAPER_L2};
-use workloads::primary_suite;
+use crate::runner::L2Kind;
 
 /// Regenerates Figure 3 (lower is better).
 pub fn fig03_mpki(insts: u64) -> Table {
-    let suite = primary_suite();
-    let kinds = L2Kind::headline_trio();
-    let mut table = Table::new(
+    suite_table(
         "Figure 3: L2 misses per thousand instructions (512KB, 8-way)",
-        "benchmark",
-        kinds.iter().map(|k| k.label()).collect(),
-    );
-    let rows = parallel_map(&suite, |b| {
-        let values: Vec<f64> = kinds
-            .iter()
-            .map(|k| {
-                run_functional_l2(b, k, PAPER_L2, insts)
-                    .expect("paper geometry is valid")
-                    .stats
-                    .l2_mpki()
-            })
-            .collect();
-        (b.name.to_string(), values)
-    });
-    for (label, values) in rows {
-        table.push_row(label, values);
-    }
-    table.push_average();
-    table
+        &L2Kind::headline_trio().map(|k| (k.label(), k)),
+        |b, k| l2_mpki(b, k, insts),
+    )
 }
 
 #[cfg(test)]

@@ -1,37 +1,17 @@
 //! Figure 4: cycles-per-instruction for each benchmark in the primary set,
 //! for the adaptive policy and its component policies.
 
+use super::{cpi, suite_table};
 use crate::report::Table;
-use crate::runner::{parallel_map, run_timed, L2Kind};
-use cpu_model::CpuConfig;
-use workloads::primary_suite;
+use crate::runner::L2Kind;
 
 /// Regenerates Figure 4 (lower is better).
 pub fn fig04_cpi(insts: u64) -> Table {
-    let suite = primary_suite();
-    let kinds = L2Kind::headline_trio();
-    let config = CpuConfig::paper_default();
-    let mut table = Table::new(
+    suite_table(
         "Figure 4: cycles per instruction (512KB, 8-way L2)",
-        "benchmark",
-        kinds.iter().map(|k| k.label()).collect(),
-    );
-    let rows = parallel_map(&suite, |b| {
-        let values: Vec<f64> = kinds
-            .iter()
-            .map(|k| {
-                run_timed(b, k, config, insts)
-                    .expect("paper geometry is valid")
-                    .cpi()
-            })
-            .collect();
-        (b.name.to_string(), values)
-    });
-    for (label, values) in rows {
-        table.push_row(label, values);
-    }
-    table.push_average();
-    table
+        &L2Kind::headline_trio().map(|k| (k.label(), k)),
+        |b, k| cpi(b, k, insts),
+    )
 }
 
 #[cfg(test)]

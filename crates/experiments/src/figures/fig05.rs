@@ -5,11 +5,11 @@
 //! primary-set averages relative to full tags. The expected shape: under
 //! 1% degradation for 6 bits or more, visible degradation at 4 bits.
 
+use super::{cpi, l2_mpki};
 use crate::report::Table;
-use crate::runner::{parallel_map, run_functional_l2, run_timed, L2Kind, PAPER_L2};
+use crate::runner::{parallel_map, L2Kind};
 use adaptive_cache::AdaptiveConfig;
 use cache_sim::TagMode;
-use cpu_model::CpuConfig;
 use workloads::primary_suite;
 
 /// The tag configurations of Figure 5, in paper order.
@@ -42,16 +42,8 @@ pub fn fig05_partial_tags(insts: u64) -> Table {
         .iter()
         .map(|(_, mode)| {
             let kind = L2Kind::Adaptive(AdaptiveConfig::paper_full_tags().shadow_tag_mode(*mode));
-            let results = parallel_map(&suite, |b| {
-                let mpki = run_functional_l2(b, &kind, PAPER_L2, insts)
-                    .expect("paper geometry is valid")
-                    .stats
-                    .l2_mpki();
-                let cpi = run_timed(b, &kind, CpuConfig::paper_default(), insts)
-                    .expect("paper geometry is valid")
-                    .cpi();
-                (mpki, cpi)
-            });
+            let results =
+                parallel_map(&suite, |b| (l2_mpki(b, &kind, insts), cpi(b, &kind, insts)));
             let n = results.len() as f64;
             (
                 results.iter().map(|r| r.0).sum::<f64>() / n,

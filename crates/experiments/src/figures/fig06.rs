@@ -6,69 +6,51 @@
 //! adaptive cache still performs slightly better than the 10-way cache at
 //! less than a sixth of the overhead.
 
+use super::suite_table;
 use crate::report::Table;
-use crate::runner::{parallel_map, run_timed_with_geom, L2Kind};
+use crate::runner::{run_timed_with_geom, L2Kind};
 use adaptive_cache::AdaptiveConfig;
 use cache_sim::{Geometry, PolicyKind};
 use cpu_model::CpuConfig;
-use workloads::primary_suite;
 
-/// The five organisations of Figure 6: `(label, L2Kind, geometry)`.
-pub fn organisations() -> Vec<(String, L2Kind, Geometry)> {
+/// The five organisations of Figure 6: `(label, (L2Kind, geometry))`.
+pub fn organisations() -> Vec<(String, (L2Kind, Geometry))> {
     let base = Geometry::new(512 * 1024, 64, 8).unwrap();
     let nine = Geometry::with_sets(1024, 64, 9).unwrap();
     let ten = Geometry::with_sets(1024, 64, 10).unwrap();
     vec![
         (
             "Adaptive (512KB, full tags)".into(),
-            L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
-            base,
+            (L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()), base),
         ),
         (
             "Adaptive (512KB, 8-bit tags)".into(),
-            L2Kind::Adaptive(AdaptiveConfig::paper_default()),
-            base,
+            (L2Kind::Adaptive(AdaptiveConfig::paper_default()), base),
         ),
         (
             "LRU (512KB, 8-way)".into(),
-            L2Kind::Plain(PolicyKind::Lru),
-            base,
+            (L2Kind::Plain(PolicyKind::Lru), base),
         ),
         (
             "LRU (576KB, 9-way)".into(),
-            L2Kind::Plain(PolicyKind::Lru),
-            nine,
+            (L2Kind::Plain(PolicyKind::Lru), nine),
         ),
         (
             "LRU (640KB, 10-way)".into(),
-            L2Kind::Plain(PolicyKind::Lru),
-            ten,
+            (L2Kind::Plain(PolicyKind::Lru), ten),
         ),
     ]
 }
 
 /// Regenerates Figure 6 (CPI per benchmark; lower is better).
 pub fn fig06_vs_bigger(insts: u64) -> Table {
-    let suite = primary_suite();
-    let orgs = organisations();
-    let config = CpuConfig::paper_default();
-    let mut table = Table::new(
+    suite_table(
         "Figure 6: CPI of partially-tagged adaptive replacement vs bigger conventional caches",
-        "benchmark",
-        orgs.iter().map(|(l, _, _)| l.clone()).collect(),
-    );
-    let rows = parallel_map(&suite, |b| {
-        let values: Vec<f64> = orgs
-            .iter()
-            .map(|(_, kind, geom)| run_timed_with_geom(b, kind, config, *geom, insts).cpi())
-            .collect();
-        (b.name.to_string(), values)
-    });
-    for (label, values) in rows {
-        table.push_row(label, values);
-    }
-    table.push_average();
-    table
+        &organisations(),
+        |b, (kind, geom)| {
+            run_timed_with_geom(b, kind, CpuConfig::paper_default(), *geom, insts).cpi()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -77,11 +59,11 @@ mod tests {
 
     #[test]
     fn organisation_geometries() {
-        let orgs = organisations();
-        assert_eq!(orgs.len(), 5);
-        assert_eq!(orgs[3].2.size_bytes(), 576 * 1024);
-        assert_eq!(orgs[4].2.size_bytes(), 640 * 1024);
-        assert_eq!(orgs[4].2.num_sets(), 1024);
+        let geoms: Vec<Geometry> = organisations().into_iter().map(|(_, (_, g))| g).collect();
+        assert_eq!(geoms.len(), 5);
+        assert_eq!(geoms[3].size_bytes(), 576 * 1024);
+        assert_eq!(geoms[4].size_bytes(), 640 * 1024);
+        assert_eq!(geoms[4].num_sets(), 1024);
     }
 
     #[test]

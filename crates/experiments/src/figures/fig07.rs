@@ -127,6 +127,13 @@ pub fn fig07_phase_map(
     map
 }
 
+/// The registry's Figure 7 table for `benchmark`: its phase map over at
+/// least 2M instructions, sampled every 100 000 cycles into 32 set
+/// groups.
+pub(crate) fn fig07_table(benchmark: &str, insts: u64) -> Table {
+    fig07_phase_map(benchmark, insts.max(2_000_000), 100_000, 32).to_table()
+}
+
 fn sample(l2: &mut AdaptiveCache, groups: usize, per_group: usize) -> Vec<f64> {
     let samples = l2.take_imitation_samples();
     (0..groups)

@@ -5,15 +5,14 @@
 //! MRU will outperform more reasonable policies" — the adaptive policy
 //! must tightly track the better of the two.
 
+use super::{l2_mpki, suite_table};
 use crate::report::Table;
-use crate::runner::{parallel_map, run_functional_l2, L2Kind, PAPER_L2};
+use crate::runner::L2Kind;
 use adaptive_cache::AdaptiveConfig;
 use cache_sim::PolicyKind;
-use workloads::primary_suite;
 
 /// Regenerates Figure 8 (lower is better).
 pub fn fig08_fifo_mru(insts: u64) -> Table {
-    let suite = primary_suite();
     let kinds = [
         L2Kind::Adaptive(AdaptiveConfig::with_policies(
             PolicyKind::Fifo,
@@ -21,29 +20,13 @@ pub fn fig08_fifo_mru(insts: u64) -> Table {
         )),
         L2Kind::Plain(PolicyKind::Fifo),
         L2Kind::Plain(PolicyKind::Mru),
-    ];
-    let mut table = Table::new(
+    ]
+    .map(|k| (k.label(), k));
+    suite_table(
         "Figure 8: L2 MPKI adapting between FIFO and MRU (512KB, 8-way)",
-        "benchmark",
-        kinds.iter().map(|k| k.label()).collect(),
-    );
-    let rows = parallel_map(&suite, |b| {
-        let values: Vec<f64> = kinds
-            .iter()
-            .map(|k| {
-                run_functional_l2(b, k, PAPER_L2, insts)
-                    .expect("paper geometry is valid")
-                    .stats
-                    .l2_mpki()
-            })
-            .collect();
-        (b.name.to_string(), values)
-    });
-    for (label, values) in rows {
-        table.push_row(label, values);
-    }
-    table.push_average();
-    table
+        &kinds,
+        |b, k| l2_mpki(b, k, insts),
+    )
 }
 
 #[cfg(test)]

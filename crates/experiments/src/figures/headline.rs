@@ -5,11 +5,11 @@
 //! (primary) / 8.4% (all); adaptivity never increases a program's misses
 //! by more than 2.7% (tigr) or its CPI by more than 1.2% (unepic).
 
+use super::cpi;
 use crate::report::Table;
-use crate::runner::{parallel_map, run_functional_l2, run_timed, L2Kind, PAPER_L2};
+use crate::runner::{parallel_map, run_functional_l2, L2Kind, PAPER_L2};
 use adaptive_cache::AdaptiveConfig;
 use cache_sim::PolicyKind;
-use cpu_model::CpuConfig;
 use workloads::{extended_suite, primary_suite};
 
 /// Regenerates the headline scalars over the primary and extended suites.
@@ -25,7 +25,6 @@ pub fn headline(insts: u64) -> Table {
 
     let adaptive = L2Kind::Adaptive(AdaptiveConfig::paper_full_tags());
     let lru = L2Kind::Plain(PolicyKind::Lru);
-    let config = CpuConfig::paper_default();
 
     let mut miss_red = Vec::new();
     let mut cpi_imp = Vec::new();
@@ -43,8 +42,8 @@ pub fn headline(insts: u64) -> Table {
                 .expect(geom_ok)
                 .stats
                 .l2_misses as f64;
-            let ac = run_timed(b, &adaptive, config, insts).expect(geom_ok).cpi();
-            let lc = run_timed(b, &lru, config, insts).expect(geom_ok).cpi();
+            let ac = cpi(b, &adaptive, insts);
+            let lc = cpi(b, &lru, insts);
             (b.name.to_string(), am, lm, ac, lc)
         });
         let n = rows.len() as f64;

@@ -5,42 +5,29 @@
 //! combining LRU and LFU ... the cumulative CPI over our primary
 //! evaluation set was virtually identical to that of LRU/LFU adaptivity."
 
+use super::{cpi, suite_table};
 use crate::report::Table;
-use crate::runner::{parallel_map, run_timed, L2Kind};
+use crate::runner::L2Kind;
 use adaptive_cache::{AdaptiveConfig, MultiConfig};
-use cpu_model::CpuConfig;
-use workloads::primary_suite;
 
 /// Regenerates the Section 4.4 comparison: CPI of five-policy adaptivity
 /// vs LRU/LFU adaptivity per benchmark.
 pub fn sec44_five_policy(insts: u64) -> Table {
-    let suite = primary_suite();
-    let config = CpuConfig::paper_default();
     let kinds = [
-        L2Kind::Multi(MultiConfig::paper_five_policy()),
-        L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
+        (
+            "Adaptive x5",
+            L2Kind::Multi(MultiConfig::paper_five_policy()),
+        ),
+        (
+            "Adaptive LRU/LFU",
+            L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
+        ),
     ];
-    let mut table = Table::new(
+    suite_table(
         "Section 4.4: five-policy adaptivity vs LRU/LFU adaptivity (CPI)",
-        "benchmark",
-        vec!["Adaptive x5".into(), "Adaptive LRU/LFU".into()],
-    );
-    let rows = parallel_map(&suite, |b| {
-        let values: Vec<f64> = kinds
-            .iter()
-            .map(|k| {
-                run_timed(b, k, config, insts)
-                    .expect("paper geometry is valid")
-                    .cpi()
-            })
-            .collect();
-        (b.name.to_string(), values)
-    });
-    for (label, values) in rows {
-        table.push_row(label, values);
-    }
-    table.push_average();
-    table
+        &kinds,
+        |b, k| cpi(b, k, insts),
+    )
 }
 
 #[cfg(test)]

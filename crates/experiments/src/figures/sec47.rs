@@ -6,52 +6,34 @@
 //! less robust." Overheads: 0.16% (full leader tags) and 0.09% (8-bit
 //! leader tags) vs 4.0% for the partially-tagged adaptive cache.
 
+use super::{cpi, suite_table};
 use crate::report::Table;
-use crate::runner::{parallel_map, run_timed, L2Kind};
+use crate::runner::L2Kind;
 use adaptive_cache::overhead::StorageModel;
 use adaptive_cache::{AdaptiveConfig, SbarConfig};
 use cache_sim::{Geometry, PolicyKind};
-use cpu_model::CpuConfig;
-use workloads::primary_suite;
 
 /// Regenerates the Section 4.7 comparison: per-benchmark CPI for LRU, the
 /// regular adaptive cache, the SBAR-like cache and its partial-tag
 /// variant.
 pub fn sec47_sbar(insts: u64) -> Table {
-    let suite = primary_suite();
-    let config = CpuConfig::paper_default();
     let kinds = [
-        L2Kind::Plain(PolicyKind::Lru),
-        L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
-        L2Kind::Sbar(SbarConfig::paper_default()),
-        L2Kind::Sbar(SbarConfig::paper_partial_tags()),
+        ("LRU", L2Kind::Plain(PolicyKind::Lru)),
+        (
+            "Adaptive",
+            L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
+        ),
+        ("SBAR", L2Kind::Sbar(SbarConfig::paper_default())),
+        (
+            "SBAR (8-bit)",
+            L2Kind::Sbar(SbarConfig::paper_partial_tags()),
+        ),
     ];
-    let mut table = Table::new(
+    suite_table(
         "Section 4.7: SBAR-like set sampling vs full adaptivity (CPI)",
-        "benchmark",
-        vec![
-            "LRU".into(),
-            "Adaptive".into(),
-            "SBAR".into(),
-            "SBAR (8-bit)".into(),
-        ],
-    );
-    let rows = parallel_map(&suite, |b| {
-        let values: Vec<f64> = kinds
-            .iter()
-            .map(|k| {
-                run_timed(b, k, config, insts)
-                    .expect("paper geometry is valid")
-                    .cpi()
-            })
-            .collect();
-        (b.name.to_string(), values)
-    });
-    for (label, values) in rows {
-        table.push_row(label, values);
-    }
-    table.push_average();
-    table
+        &kinds,
+        |b, k| cpi(b, k, insts),
+    )
 }
 
 /// The Section 4.7 overhead comparison as a table.

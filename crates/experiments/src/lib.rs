@@ -17,8 +17,9 @@
 //! `AC_RESUME=1` skips finished work. The [`faultinject`] module provides
 //! deterministic fault wrappers for testing those degradation paths.
 //!
-//! The figure regeneration binaries live in the `bench` crate
-//! (`cargo run --release -p bench --bin fig03_mpki`, ...).
+//! [`figures::registry`] lists every table the evaluation writes; the
+//! `bench` crate's `cachesim figure {all|<stem>...}` runs it
+//! (`cargo run --release -p bench --bin cachesim -- figure fig03_mpki`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
