@@ -6,9 +6,10 @@
 //! panicking figure is isolated and retried once, and a figure counts as
 //! produced only once its `results/<stem>.{csv,json}` are written. Every
 //! settled figure is checkpointed (with its full table) to
-//! `results/all_figures.journal.jsonl`, and a rerun with `AC_RESUME=1`
-//! re-emits finished figures from the journal instead of recomputing
-//! them. `AC_INSTS` sets the per-benchmark instruction budget.
+//! `results/all_figures.journal.jsonl`, keyed by stem and instruction
+//! budget, and a rerun with `AC_RESUME=1` at the same budget re-emits
+//! finished figures from the journal instead of recomputing them.
+//! `AC_INSTS` sets the per-benchmark instruction budget.
 //! `table1_config` (also part of `all`) prints Table 1, which is text
 //! rather than a table.
 //!
@@ -65,7 +66,9 @@ pub fn run_figure_subcommand(names: &[String]) -> i32 {
     let report = match resilience::run_sweep(
         &chosen,
         &cfg,
-        |(stem, _)| (*stem).to_string(),
+        // The budget is part of the key: a table journalled at another
+        // `AC_INSTS` is recomputed, never resumed.
+        |(stem, _)| format!("{stem}@{insts}"),
         move |(stem, f): (&'static str, FigureFn)| {
             let _span = ac_telemetry::span("figure", || stem.to_string());
             ac_telemetry::info!("{stem}: running ...");
@@ -84,22 +87,20 @@ pub fn run_figure_subcommand(names: &[String]) -> i32 {
     };
 
     let mut unwritten = 0;
-    for cell in &report.cells {
+    for ((stem, _), cell) in chosen.iter().zip(&report.cells) {
         match &cell.outcome {
             CellOutcome::Done(t) => println!("{t}"),
             CellOutcome::Resumed(t) => {
                 println!("{t}");
-                if let Err(e) = write(t, &cell.key) {
-                    ac_telemetry::error!("cachesim: {} FAILED: {e}", cell.key);
+                if let Err(e) = write(t, stem) {
+                    ac_telemetry::error!("cachesim: {stem} FAILED: {e}");
                     unwritten += 1;
                 }
             }
-            CellOutcome::Failed(e) => ac_telemetry::error!("cachesim: {} FAILED: {e}", cell.key),
-            CellOutcome::TimedOut(d) => ac_telemetry::error!(
-                "cachesim: {} TIMED OUT after {:.1}s",
-                cell.key,
-                d.as_secs_f64()
-            ),
+            CellOutcome::Failed(e) => ac_telemetry::error!("cachesim: {stem} FAILED: {e}"),
+            CellOutcome::TimedOut(d) => {
+                ac_telemetry::error!("cachesim: {stem} TIMED OUT after {:.1}s", d.as_secs_f64())
+            }
         }
     }
 

@@ -442,6 +442,42 @@ fn figure_writes_the_committed_tables_then_resumes_them() {
 }
 
 #[test]
+fn figure_resume_is_keyed_by_the_instruction_budget() {
+    let dir = tmp_dir("figure_budget");
+    let fresh = tmp_dir("figure_budget_fresh");
+    let args = ["figure", "fig08_fifo_mru"];
+    let csv = |d: &Path| std::fs::read(d.join("results/fig08_fifo_mru.csv")).unwrap();
+    let run = |d: &Path, insts: &str, resume: bool| {
+        let resume = if resume { "1" } else { "0" };
+        let out = run_in(d, &args, &[("AC_INSTS", insts), ("AC_RESUME", resume)]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        stderr
+    };
+    run(&dir, "3000", false);
+    let small = csv(&dir);
+
+    // Another budget is recomputed, and matches a fresh run at it.
+    let stderr = run(&dir, "6000", true);
+    assert!(stderr.contains("1 cells: 1 ok (0 resumed)"), "{stderr}");
+    run(&fresh, "6000", false);
+    assert!(csv(&dir) == csv(&fresh), "recomputed table differs");
+    assert!(csv(&dir) != small, "the budgets must give different tables");
+
+    // Either budget journalled before still resumes, and rewrites its
+    // own table.
+    std::fs::remove_file(dir.join("results/fig08_fifo_mru.csv")).unwrap();
+    let stderr = run(&dir, "6000", true);
+    assert!(stderr.contains("1 cells: 1 ok (1 resumed)"), "{stderr}");
+    assert!(csv(&dir) == csv(&fresh), "resumed 6000 table differs");
+    let stderr = run(&dir, "3000", true);
+    assert!(stderr.contains("1 cells: 1 ok (1 resumed)"), "{stderr}");
+    assert!(csv(&dir) == small, "resumed 3000 table differs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh);
+}
+
+#[test]
 fn figure_whose_artifacts_cannot_be_written_is_not_produced() {
     let dir = tmp_dir("figure_unwritable");
     let csv = dir.join("results/table_storage.csv");

@@ -58,8 +58,10 @@ pub struct AuditCounts {
 /// The paper's point is that replacement is a *policy* choice orthogonal to
 /// the cache's architectural interface; this trait captures that interface.
 /// The plain [`crate::Cache`] implements it, and so do the adaptive, SBAR
-/// and multi-policy organisations from the `adaptive-cache` crate — the
-/// CPU model drives every L2 variant through a `Box<dyn CacheModel>`.
+/// and multi-policy organisations from the `adaptive-cache` crate. The
+/// CPU model is generic over it: the timing pipeline drives its L2
+/// through a `Box<dyn CacheModel>`, while a replayed functional cell
+/// runs on the organisation's concrete type, without dynamic dispatch.
 pub trait CacheModel: fmt::Debug + Send {
     /// Performs one demand access to `block` (write if `write`), updating
     /// replacement state and reporting any eviction.

@@ -270,14 +270,26 @@ pub struct DeltaIter<'a> {
 impl Iterator for DeltaIter<'_> {
     type Item = u64;
 
+    #[inline]
     fn next(&mut self) -> Option<u64> {
         if self.remaining == 0 {
             return None;
         }
-        // The buffer was produced by `DeltaSeq::push`, so decoding
-        // cannot fail; treat corruption as end-of-stream anyway.
-        let raw = read_uvarint(self.bytes, &mut self.pos)?;
         self.remaining -= 1;
+        // The bytes were written by `DeltaSeq::push` or accepted by
+        // `DeltaSeq::from_parts`, which decodes them with the checked
+        // `read_uvarint`: every varint is complete and at most 10 bytes
+        // long, so this loop needs neither checks nor an error path.
+        let mut byte = self.bytes[self.pos];
+        self.pos += 1;
+        let mut raw = u64::from(byte & 0x7F);
+        let mut shift = 0;
+        while byte & 0x80 != 0 {
+            byte = self.bytes[self.pos];
+            self.pos += 1;
+            shift += 7;
+            raw |= u64::from(byte & 0x7F) << shift;
+        }
         self.prev = self.prev.wrapping_add(unzigzag(raw) as u64);
         Some(self.prev)
     }
@@ -396,16 +408,53 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
+    /// Decodes `seq` through the checked [`read_uvarint`], the way
+    /// `from_parts` validates persisted bytes.
+    fn checked_decode(seq: &DeltaSeq) -> Vec<u64> {
+        let (bytes, mut pos, mut prev) = (seq.as_bytes(), 0, 0u64);
+        let vals = (0..seq.len())
+            .map(|_| {
+                let raw = read_uvarint(bytes, &mut pos).expect("pushed bytes decode");
+                prev = prev.wrapping_add(unzigzag(raw) as u64);
+                prev
+            })
+            .collect();
+        assert_eq!(pos, bytes.len(), "no bytes left over");
+        vals
+    }
+
     #[test]
     fn delta_seq_round_trips_including_wraparound() {
-        let vals = [0u64, 64, 128, 64, u64::MAX, 3, 1 << 40, 0];
-        let mut seq = DeltaSeq::new();
-        for &v in &vals {
-            seq.push(v);
+        use rand::{Rng, SeedableRng};
+        let fixed = vec![0u64, 64, 128, 64, u64::MAX, 3, 1 << 40, 0];
+        // A delta of −2^63 zigzags to `u64::MAX`, the longest (10-byte)
+        // varint; the other deltas wrap around zero.
+        let wrapping = vec![1 << 63, 0, u64::MAX, 0, 1 << 63, (1 << 63) - 1, 0];
+        let mut longest = DeltaSeq::new();
+        longest.push(wrapping[0]);
+        longest.push(wrapping[1]);
+        assert_eq!(longest.byte_len(), 20, "two 10-byte varints");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+        let random: Vec<u64> = (0..20_000).map(|_| rng.gen()).collect();
+        // Random values of random width, so the deltas' varints take
+        // many lengths.
+        let mixed: Vec<u64> = (0..20_000)
+            .map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32))
+            .collect();
+        for vals in [fixed, wrapping, random, mixed] {
+            let mut seq = DeltaSeq::new();
+            for &v in &vals {
+                seq.push(v);
+            }
+            assert_eq!(seq.len(), vals.len());
+            let back: Vec<u64> = seq.iter().collect();
+            assert_eq!(back, vals);
+            assert_eq!(checked_decode(&seq), vals);
+            let rebuilt =
+                DeltaSeq::from_parts(seq.as_bytes().to_vec(), seq.len(), seq.final_value())
+                    .expect("faithful parts reconstruct");
+            assert_eq!(rebuilt.iter().collect::<Vec<_>>(), vals);
         }
-        assert_eq!(seq.len(), vals.len());
-        let back: Vec<u64> = seq.iter().collect();
-        assert_eq!(back, vals);
     }
 
     #[test]

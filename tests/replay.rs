@@ -8,7 +8,7 @@
 //! `AC_REPLAY` environment variable is process-global too, so the whole
 //! scenario lives in ONE `#[test]` function running cells sequentially.
 
-use adaptive_cache::AdaptiveConfig;
+use adaptive_cache::{AdaptiveConfig, DipConfig, MultiConfig, SbarConfig};
 use cache_sim::PolicyKind;
 use experiments::runner::MpkiResult;
 use experiments::{replay_cache, run_functional_l2, FaultSpec, L2Kind, PAPER_L2};
@@ -16,15 +16,20 @@ use workloads::primary_suite;
 
 const INSTS: u64 = 60_000;
 
-/// The organisations under test: the headline trio, the partial-tag
-/// adaptive configuration (exercises the RNG aliasing path), and a
-/// benign deterministic fault wrapper (address-line flips, no panics).
+/// The organisations under test: every organisation the functional
+/// sweeps replay — the headline trio, the partial-tag adaptive
+/// configuration (exercises the RNG aliasing path), SBAR, DIP and the
+/// five-policy cache in their paper configurations — and a benign
+/// deterministic fault wrapper (address-line flips, no panics).
 fn kinds() -> Vec<L2Kind> {
     vec![
         L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
         L2Kind::Adaptive(AdaptiveConfig::paper_default()),
         L2Kind::Plain(PolicyKind::LFU5),
         L2Kind::Plain(PolicyKind::Lru),
+        L2Kind::Sbar(SbarConfig::paper_default()),
+        L2Kind::Dip(DipConfig::paper_default()),
+        L2Kind::Multi(MultiConfig::paper_five_policy()),
         L2Kind::Faulty {
             fault: FaultSpec {
                 flip_tag_mask: 0x1,
