@@ -28,12 +28,11 @@
 //!   [`cache_sim::SwitchLagStats`].
 //!
 //! The audit replays the *functional* L2 reference stream (via the
-//! process replay cache, so `AC_REPLAY_DIR` makes repeated audits
-//! cheap). For `"timed"` runs the joined stream is the functional
-//! equivalent of the same instruction trace. With partial shadow tags
-//! the component baselines are the paper's aliasing-optimistic shadow
-//! estimates, so `efficiency_vs_best_fixed` is a conservative lower
-//! bound.
+//! process replay cache). For `"timed"` runs the joined stream is the
+//! functional equivalent of the same instruction trace. With partial
+//! shadow tags the component baselines are the paper's
+//! aliasing-optimistic shadow estimates, so `efficiency_vs_best_fixed`
+//! is a conservative lower bound.
 
 use crate::report::EXIT_INVALID_INPUT;
 use cache_sim::Geometry;

@@ -35,8 +35,7 @@
 //! `AC_SERVE_ADDR_FILE=<path>` publishes the bound address.
 //!
 //! Exit codes: `0` all results produced, `2` sweep finished with partial
-//! results, `3` invalid input, `5` `cache verify` found corrupt store
-//! entries.
+//! results, `3` invalid input.
 
 use cache_sim::Geometry;
 use cpu_model::{run_functional, CpuConfig, Hierarchy, Pipeline};
@@ -189,10 +188,10 @@ fn run_request(req: &RunRequest) -> Result<RunReply, ExperimentError> {
     validate(req)?;
     // Benchmark-sourced functional cells go through the sweep runner so
     // they share the process-wide replay cache (`AC_REPLAY`): the
-    // front-end runs at most once per (benchmark, L1-config, budget)
+    // front-end runs at most once per (workload spec, L1-config, budget)
     // key and every cell replays the captured L2 stream against its own
-    // organisation. Spec and trace-file sources have no suite identity
-    // to key on and stay on the direct path below.
+    // organisation. Spec and trace-file sources stay on the direct path
+    // below.
     if req.mode == "functional" {
         if let Some(name) = &req.benchmark {
             let suite = extended_suite();
@@ -368,114 +367,6 @@ fn run_sweep_request(req: SweepRequest, config_path: &Path) -> i32 {
     report.exit_code()
 }
 
-/// Exit code of `cachesim cache verify` when at least one store entry
-/// fails integrity verification.
-const EXIT_CORRUPT_STORE: i32 = 5;
-
-/// One line of `cachesim cache ls`/`verify` output.
-#[derive(Debug, Serialize)]
-struct CacheEntryReply {
-    path: String,
-    bytes: u64,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    events: Option<usize>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    error: Option<String>,
-}
-
-/// `cachesim cache {ls,verify,gc} [--dir <dir>]`: inspect, integrity-
-/// check, or sweep the persistent replay store (default directory:
-/// `AC_REPLAY_DIR`). `verify` exits [`EXIT_CORRUPT_STORE`] if any entry
-/// fails its checks; a missing directory is an empty (healthy) store.
-fn run_cache_subcommand(rest: &[String]) -> i32 {
-    let Some(action) = rest.first().map(String::as_str) else {
-        die_invalid("usage: cachesim cache {ls|verify|gc} [--dir <dir>]");
-    };
-    let mut dir: Option<String> = None;
-    let mut i = 1;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--dir" => {
-                i += 1;
-                match rest.get(i) {
-                    Some(d) => dir = Some(d.clone()),
-                    None => die_invalid("flag `--dir` requires a path operand"),
-                }
-            }
-            other => {
-                if let Some(d) = other.strip_prefix("--dir=") {
-                    dir = Some(d.to_string());
-                } else {
-                    die_invalid(&format!("unknown cache flag `{other}`"));
-                }
-            }
-        }
-        i += 1;
-    }
-    let dir = dir
-        .map(std::path::PathBuf::from)
-        .or_else(experiments::replay_store::dir)
-        .unwrap_or_else(|| {
-            die_invalid("cache: no store directory (pass --dir or set AC_REPLAY_DIR)")
-        });
-    if !dir.exists() {
-        println!("[]");
-        return 0;
-    }
-    let fail = |e: std::io::Error| -> ! {
-        die_invalid(&format!("cache: cannot read store {}: {e}", dir.display()))
-    };
-    match action {
-        "ls" => {
-            let entries = experiments::replay_store::scan(&dir).unwrap_or_else(|e| fail(e));
-            let lines: Vec<CacheEntryReply> = entries
-                .iter()
-                .map(|e| CacheEntryReply {
-                    path: e.path.display().to_string(),
-                    bytes: e.bytes,
-                    events: None,
-                    error: None,
-                })
-                .collect();
-            println!("{}", to_json(&lines));
-            0
-        }
-        "verify" => {
-            let verdicts = experiments::replay_store::verify_dir(&dir).unwrap_or_else(|e| fail(e));
-            let mut corrupt = 0usize;
-            let lines: Vec<CacheEntryReply> = verdicts
-                .iter()
-                .map(|v| CacheEntryReply {
-                    path: v.info.path.display().to_string(),
-                    bytes: v.info.bytes,
-                    events: v.result.as_ref().ok().copied(),
-                    error: v.result.as_ref().err().map(|e| {
-                        corrupt += 1;
-                        e.clone()
-                    }),
-                })
-                .collect();
-            println!("{}", to_json(&lines));
-            if corrupt > 0 {
-                ac_telemetry::error!(
-                    "cachesim: {corrupt}/{} store entries failed verification",
-                    lines.len()
-                );
-                EXIT_CORRUPT_STORE
-            } else {
-                ac_telemetry::info!("cachesim: {} store entries verified", lines.len());
-                0
-            }
-        }
-        "gc" => {
-            let stats = experiments::replay_store::gc_dir(&dir).unwrap_or_else(|e| fail(e));
-            println!("{}", to_json(&stats));
-            0
-        }
-        other => die_invalid(&format!("unknown cache action `{other}` (ls|verify|gc)")),
-    }
-}
-
 /// Appends the bench's headline numbers to the history observatory; a
 /// write failure downgrades to a warning (the bench itself succeeded).
 fn append_bench_history(
@@ -640,9 +531,6 @@ fn run_bench_subcommand(rest: &[String]) -> i32 {
             report.replay_on.cells_per_sec,
         );
         metrics.insert("sweep_speedup".to_string(), report.speedup);
-        if let Some(ds) = report.disk_speedup {
-            metrics.insert("disk_speedup".to_string(), ds);
-        }
         append_bench_history(history_path, "sweep", quick, metrics);
         return 0;
     }
@@ -736,11 +624,6 @@ fn dispatch(mut args: Vec<String>) -> i32 {
         bench::finish_telemetry();
         return code;
     }
-    if arg == "cache" {
-        let code = run_cache_subcommand(&args[1..]);
-        bench::finish_telemetry();
-        return code;
-    }
     if arg == "report" {
         // Renders run artifacts; never simulates, so no telemetry flush.
         return bench::report::run_report_subcommand(&args[1..]);
@@ -758,7 +641,7 @@ fn dispatch(mut args: Vec<String>) -> i32 {
     }
     if arg.is_empty() || arg.starts_with("--") {
         die_invalid(
-            "usage: cachesim [--telemetry <dir> | --metrics] [--serve <addr>] [run] <run.json> | cachesim --template | cachesim figure {all|<stem>...} | cachesim bench [--sweep | --concurrent] [--quick] [--threads <n>] [--shards <n>] [--out <path>] [--history <path>] [--trend [--threshold <pct>]] | cachesim cache {ls|verify|gc} [--dir <dir>] | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>] [--history <path>] [--no-history]",
+            "usage: cachesim [--telemetry <dir> | --metrics] [--serve <addr>] [run] <run.json> | cachesim --template | cachesim figure {all|<stem>...} | cachesim bench [--sweep | --concurrent] [--quick] [--threads <n>] [--shards <n>] [--out <path>] [--history <path>] [--trend [--threshold <pct>]] | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>] [--history <path>] [--no-history]",
         );
     }
 

@@ -17,8 +17,9 @@ use workloads::{primary_suite, Benchmark};
 
 /// Schema version stamped on `bench_sweep.json`.
 ///
-/// v2: added the optional `disk_warm` mode and `disk_speedup` (measured
-/// when `AC_REPLAY_DIR` points at a persistent replay store).
+/// Version 2 added two optional fields that are no longer written. A
+/// reader of version 2 already treats them as absent, so the version
+/// stays.
 pub const SWEEP_BENCH_SCHEMA_VERSION: u32 = 2;
 
 /// One timed mode (replay on or off).
@@ -51,16 +52,8 @@ pub struct SweepBenchReport {
     pub replay_off: ModeResult,
     /// Capture once per benchmark, replay everywhere (`AC_REPLAY=1`).
     pub replay_on: ModeResult,
-    /// Warm persistent store: in-memory tier cleared per repetition, all
-    /// captures loaded back from `AC_REPLAY_DIR` (present only when that
-    /// variable names a directory).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub disk_warm: Option<ModeResult>,
     /// `replay_off.secs / replay_on.secs`.
     pub speedup: f64,
-    /// `replay_off.secs / disk_warm.secs` (present with `disk_warm`).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub disk_speedup: Option<f64>,
 }
 
 fn run_cells(cells: &[(Benchmark, L2Kind)], insts: u64) {
@@ -81,24 +74,12 @@ fn run_cells(cells: &[(Benchmark, L2Kind)], insts: u64) {
 }
 
 /// Times one full sweep pass in the given replay mode, best of `reps`.
-/// `dir` is the persistent-store directory for the warm-disk mode; the
-/// off/on modes pass `None` and run memory-only (a blank
-/// `AC_REPLAY_DIR` disables the disk tier) so their semantics are
-/// unchanged by whatever the caller's environment holds.
-fn time_mode(
-    cells: &[(Benchmark, L2Kind)],
-    insts: u64,
-    replay: bool,
-    reps: usize,
-    dir: Option<&str>,
-) -> f64 {
+fn time_mode(cells: &[(Benchmark, L2Kind)], insts: u64, replay: bool, reps: usize) -> f64 {
     std::env::set_var("AC_REPLAY", if replay { "1" } else { "0" });
-    std::env::set_var("AC_REPLAY_DIR", dir.unwrap_or(""));
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
-        // Each repetition starts cold in memory: the capture cost (or,
-        // warm-disk, the load-and-validate cost) is part of what the
-        // mode is amortising, so it must be in the timing.
+        // Each repetition starts cold: the capture cost is part of what
+        // the mode is amortising, so it must be in the timing.
         replay_cache::clear();
         let start = Instant::now();
         run_cells(cells, insts);
@@ -114,7 +95,6 @@ fn time_mode(
 pub fn run(quick: bool) -> SweepBenchReport {
     let _span = ac_telemetry::span("bench", || "sweep_bench".to_string());
     let prior_replay = std::env::var("AC_REPLAY").ok();
-    let prior_dir = std::env::var("AC_REPLAY_DIR").ok();
     let suite = primary_suite();
     let (n_benches, insts, reps) = if quick {
         (2, experiments::default_insts().min(120_000), 1)
@@ -128,30 +108,12 @@ pub fn run(quick: bool) -> SweepBenchReport {
         .flat_map(|b| kinds.iter().map(move |k| (b.clone(), k.clone())))
         .collect();
 
-    let off_secs = time_mode(&cells, insts, false, reps, None);
-    let on_secs = time_mode(&cells, insts, true, reps, None);
-    // Warm-disk mode, measured only when the caller points
-    // `AC_REPLAY_DIR` at a store: one untimed priming pass persists the
-    // captures, then each timed repetition clears the in-memory tier and
-    // loads every capture back from disk.
-    let warm_secs = prior_dir
-        .as_deref()
-        .filter(|d| !d.trim().is_empty())
-        .map(|dir| {
-            std::env::set_var("AC_REPLAY", "1");
-            std::env::set_var("AC_REPLAY_DIR", dir);
-            replay_cache::clear();
-            run_cells(&cells, insts);
-            time_mode(&cells, insts, true, reps, Some(dir))
-        });
+    let off_secs = time_mode(&cells, insts, false, reps);
+    let on_secs = time_mode(&cells, insts, true, reps);
     replay_cache::clear();
     match prior_replay {
         Some(v) => std::env::set_var("AC_REPLAY", v),
         None => std::env::remove_var("AC_REPLAY"),
-    }
-    match prior_dir {
-        Some(v) => std::env::set_var("AC_REPLAY_DIR", v),
-        None => std::env::remove_var("AC_REPLAY_DIR"),
     }
 
     let per_sec = |secs: f64| {
@@ -177,16 +139,11 @@ pub fn run(quick: bool) -> SweepBenchReport {
             secs: on_secs,
             cells_per_sec: per_sec(on_secs),
         },
-        disk_warm: warm_secs.map(|secs| ModeResult {
-            secs,
-            cells_per_sec: per_sec(secs),
-        }),
         speedup: if on_secs > 0.0 {
             off_secs / on_secs
         } else {
             0.0
         },
-        disk_speedup: warm_secs.filter(|&s| s > 0.0).map(|s| off_secs / s),
     }
 }
 
@@ -207,16 +164,7 @@ pub fn print_report(report: &SweepBenchReport) {
         "  replay on : {:.3}s ({:.2} cells/s)",
         report.replay_on.secs, report.replay_on.cells_per_sec
     );
-    if let Some(warm) = &report.disk_warm {
-        println!(
-            "  disk warm : {:.3}s ({:.2} cells/s)",
-            warm.secs, warm.cells_per_sec
-        );
-    }
     println!("  speedup   : {:.2}x", report.speedup);
-    if let Some(ds) = report.disk_speedup {
-        println!("  disk speedup: {ds:.2}x (vs replay off, warm AC_REPLAY_DIR)");
-    }
 }
 
 /// Writes the report as pretty JSON to `path`.

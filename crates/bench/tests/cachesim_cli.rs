@@ -229,181 +229,6 @@ fn unknown_mode_and_unknown_benchmark_exit_invalid() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The real cross-process warm-store acceptance scenario: a second
-/// `cachesim` process with a populated `AC_REPLAY_DIR` must produce
-/// byte-identical stdout while recording disk hits instead of captures;
-/// in-place corruption is flagged by `cache verify` (exit 5), the next
-/// sweep heals it (exit 0, identical output), and injected I/O faults
-/// via `AC_REPLAY_FAULT` never change results either.
-#[test]
-fn warm_replay_store_is_byte_identical_across_processes() {
-    let dir = tmp_dir("store");
-    let store = dir.join("store");
-    let store_s = store.to_str().unwrap();
-    let cfg = dir.join("grid.json");
-    std::fs::write(&cfg, sweep_config(None)).unwrap();
-    let run_sweep = |tag: &str| {
-        let tele = dir.join(tag).display().to_string();
-        // A fresh journal per pass: resume must never mask a divergence.
-        let _ = std::fs::remove_dir_all(dir.join("results"));
-        run_in(
-            &dir,
-            &[cfg.to_str().unwrap()],
-            &[("AC_REPLAY_DIR", store_s), ("AC_TELEMETRY", tele.as_str())],
-        )
-    };
-    let counter = |tag: &str, name: &str| -> u64 {
-        let p = dir.join(tag).join("telemetry-summary.json");
-        let v: Value = serde_json::from_slice(&std::fs::read(&p).unwrap()).unwrap();
-        v["counters"][name]
-            .as_object()
-            .map(|m| m.values().map(|x| x.as_u64().unwrap()).sum())
-            .unwrap_or(0)
-    };
-
-    // Cold process: captures live, persists one entry per benchmark.
-    let cold = run_sweep("t_cold");
-    assert_eq!(
-        cold.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&cold.stderr)
-    );
-    assert!(counter("t_cold", "replay_cache_captures_total") > 0);
-    assert_eq!(counter("t_cold", "replay_store_writes_total"), 3);
-    assert_eq!(counter("t_cold", "replay_store_disk_hits_total"), 0);
-
-    // Fresh process, warm store: byte-identical stdout, all disk hits,
-    // zero captures.
-    let warm = run_sweep("t_warm");
-    assert_eq!(
-        warm.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&warm.stderr)
-    );
-    assert_eq!(
-        warm.stdout, cold.stdout,
-        "warm-store process output diverged"
-    );
-    assert_eq!(counter("t_warm", "replay_cache_captures_total"), 0);
-    assert_eq!(counter("t_warm", "replay_store_disk_hits_total"), 3);
-
-    // The store verifies clean.
-    let v = run_in(&dir, &["cache", "verify", "--dir", store_s], &[]);
-    assert_eq!(
-        v.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&v.stderr)
-    );
-
-    // Corrupt one entry in place: verify flags it with exit 5...
-    let entry = std::fs::read_dir(&store)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| p.extension().and_then(|e| e.to_str()) == Some("acrs"))
-        .expect("store holds entries");
-    let mut bytes = std::fs::read(&entry).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&entry, &bytes).unwrap();
-    let v = run_in(&dir, &["cache", "verify", "--dir", store_s], &[]);
-    assert_eq!(
-        v.status.code(),
-        Some(5),
-        "verify must flag the corrupt entry"
-    );
-    let vout: Value = serde_json::from_slice(&v.stdout).unwrap();
-    assert!(
-        vout.as_array()
-            .unwrap()
-            .iter()
-            .any(|e| e["error"].is_string()),
-        "verify names the failure: {vout}"
-    );
-
-    // ...while the sweep itself still completes (exit 0), recaptures the
-    // bad entry, and produces identical output.
-    let healed = run_sweep("t_healed");
-    assert_eq!(
-        healed.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&healed.stderr)
-    );
-    assert_eq!(healed.stdout, cold.stdout, "post-corruption sweep diverged");
-    assert_eq!(counter("t_healed", "replay_store_corrupt_entries_total"), 1);
-    assert_eq!(counter("t_healed", "replay_store_recaptures_total"), 1);
-    let v = run_in(&dir, &["cache", "verify", "--dir", store_s], &[]);
-    assert_eq!(v.status.code(), Some(0), "recapture must heal the store");
-
-    // Injected I/O faults (seeded plan from the environment): run still
-    // exits 0 with identical output — graceful degradation end to end.
-    let tele = dir.join("t_fault").display().to_string();
-    let _ = std::fs::remove_dir_all(dir.join("results"));
-    let faulted = run_in(
-        &dir,
-        &[cfg.to_str().unwrap()],
-        &[
-            ("AC_REPLAY_DIR", store_s),
-            ("AC_TELEMETRY", tele.as_str()),
-            ("AC_REPLAY_FAULT", "eio=1,short_read=64"),
-        ],
-    );
-    assert_eq!(
-        faulted.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&faulted.stderr)
-    );
-    assert_eq!(
-        faulted.stdout, cold.stdout,
-        "sweep under AC_REPLAY_FAULT diverged"
-    );
-    assert_eq!(counter("t_fault", "replay_store_recaptures_total"), 2);
-
-    // `cache ls` sees the entries; `cache gc` on a healthy store with a
-    // leftover temp file removes only the temp file.
-    std::fs::write(store.join("junk.acrs.tmp.999"), b"partial").unwrap();
-    let g = run_in(&dir, &["cache", "gc", "--dir", store_s], &[]);
-    assert_eq!(g.status.code(), Some(0));
-    let gout: Value = serde_json::from_slice(&g.stdout).unwrap();
-    assert_eq!(gout["tmp_files"].as_u64(), Some(1));
-    assert_eq!(gout["corrupt_entries"].as_u64(), Some(0));
-    let l = run_in(&dir, &["cache", "ls", "--dir", store_s], &[]);
-    assert_eq!(l.status.code(), Some(0));
-    let lout: Value = serde_json::from_slice(&l.stdout).unwrap();
-    assert_eq!(lout.as_array().unwrap().len(), 3);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cache_subcommand_rejects_bad_usage() {
-    let dir = tmp_dir("cachebad");
-    // No action.
-    let out = run_in(&dir, &["cache"], &[]);
-    assert_eq!(out.status.code(), Some(3));
-    // Unknown action.
-    let out = run_in(&dir, &["cache", "defrag"], &[]);
-    assert_eq!(out.status.code(), Some(3));
-    // No directory anywhere.
-    let out = run_in(&dir, &["cache", "verify"], &[]);
-    assert_eq!(out.status.code(), Some(3));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("AC_REPLAY_DIR"));
-    // Missing directory = empty store, not an error.
-    let ghost = dir.join("nonexistent");
-    let out = run_in(
-        &dir,
-        &["cache", "verify", "--dir", ghost.to_str().unwrap()],
-        &[],
-    );
-    assert_eq!(out.status.code(), Some(0));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn no_arguments_is_usage_error() {
     let dir = tmp_dir("noargs");

@@ -59,8 +59,4 @@ pub use hierarchy::{
 };
 pub use oracle::{belady, replay_model_windows, replay_standalone, OracleWindow, PolicyReplay};
 pub use pipeline::{Pipeline, RunStats};
-pub use replay::persist::{
-    config_fingerprint, decode_trace, encode_trace, load_trace, save_trace, FaultyIo, IoFaultPlan,
-    PersistError, ReplayIo, StdIo,
-};
 pub use replay::{capture_functional, replay_into, replay_l2, L2Event, L2Trace, L2TraceBuilder};

@@ -27,8 +27,6 @@ use crate::hierarchy::{build_l1, FunctionalStats, L2Complex, L1D_SEED, L1I_SEED}
 use cache_sim::{Address, CacheModel};
 use workloads::packed::{BitSeq, DeltaIter, DeltaSeq};
 
-pub mod persist;
-
 /// One L2-visible event, decoded from an [`L2Trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Event {

@@ -10,17 +10,9 @@
 //! * [`FaultyRead`] wraps any [`Read`] and injects short reads, I/O
 //!   errors and bit flips at exact byte offsets — for exercising
 //!   `workloads::trace_io` against corrupt/truncated `.actr` input.
-//! * [`FaultyIo`] (re-exported from `cpu_model::replay::persist`) wraps
-//!   the persistent replay store's file operations and injects torn
-//!   writes, short reads, `ENOSPC`, `EIO` and bit flips from a seeded
-//!   [`IoFaultPlan`] — install it with
-//!   [`crate::replay_store::set_io`], or arm it from the environment
-//!   via `AC_REPLAY_FAULT`.
 //!
 //! Everything is a pure function of the spec and the access/byte count:
 //! rerunning a faulty configuration reproduces the identical failure.
-
-pub use cpu_model::{FaultyIo, IoFaultPlan, ReplayIo, StdIo};
 
 use cache_sim::{AccessOutcome, BlockAddr, CacheModel, CacheStats, Geometry};
 use serde::{Deserialize, Serialize};

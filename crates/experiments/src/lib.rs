@@ -29,7 +29,6 @@ pub mod faultinject;
 pub mod figures;
 pub mod multicore;
 pub mod replay_cache;
-pub mod replay_store;
 pub mod report;
 pub mod resilience;
 pub mod runner;

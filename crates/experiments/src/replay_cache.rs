@@ -1,38 +1,27 @@
 //! Process-wide memoisation of captured L2 reference streams.
 //!
-//! Sweep cells that run the same benchmark against different L2
+//! Sweep cells that run the same workload against different L2
 //! organisations share one captured [`L2Trace`] (see
-//! `cpu_model::replay`): the first cell to ask for a `(benchmark,
+//! `cpu_model::replay`): the first cell to ask for a `(workload spec,
 //! L1-configuration, instruction-budget)` key pays the front-end once,
 //! every other cell replays. Coordination is per-key — cells waiting on
 //! an in-flight capture block on that key's latch only, so unrelated
-//! cells (other benchmarks, other budgets) are never serialised.
-//!
-//! The cache is two-tier. The in-memory tier above is always on (when
-//! `AC_REPLAY` is); setting `AC_REPLAY_DIR` adds a persistent tier (see
-//! [`crate::replay_store`]): a memory miss first tries to load the
-//! capture from disk, and a live capture is persisted for the next
-//! process. Disk entries are integrity-checked end to end — anything
-//! that does not decode cleanly is deleted and recaptured, never
-//! replayed.
+//! cells (other workloads, other budgets) are never serialised.
 //!
 //! * `AC_REPLAY=0` opts out (cells run the front-end directly);
 //! * `AC_REPLAY_CACHE_MB` caps resident captured bytes (default 512MB),
-//!   evicting least-recently-used entries past the cap;
-//! * `AC_REPLAY_DIR` locates the disk tier (unset/empty: memory only).
+//!   evicting least-recently-used entries past the cap.
 //!
-//! **Convention:** every `AC_*` variable in this module (and in
-//! `replay_store`) is re-read on each call, never latched in a
-//! `OnceLock` — a single process, and in particular a single test
-//! binary, must be able to flip replay behaviour between sweeps. Cache
-//! derived *state*, not environment *configuration*.
+//! **Convention:** every `AC_*` variable in this module is re-read on
+//! each call, never latched in a `OnceLock` — a single process, and in
+//! particular a single test binary, must be able to flip replay
+//! behaviour between sweeps. Cache derived *state*, not environment
+//! *configuration*.
 //!
 //! Telemetry: `replay_cache_hits_total` / `replay_cache_captures_total`
 //! / `replay_cache_evictions_total` counters and a `replay_cache_bytes`
-//! gauge, plus the disk tier's `replay_store_*` family
-//! (`disk_hits`/`writes`/`corrupt_entries`/`recaptures`).
+//! gauge.
 
-use crate::replay_store;
 use cpu_model::{capture_functional, CpuConfig, L2Trace};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -46,8 +35,8 @@ pub fn replay_enabled() -> bool {
 }
 
 /// Resident-byte cap for captured traces (`AC_REPLAY_CACHE_MB`,
-/// default 512). Read per call, like every other knob here — see the
-/// module header.
+/// default 512). Read once per publish, like every other knob here —
+/// see the module header.
 fn cap_bytes() -> usize {
     let mb = match std::env::var("AC_REPLAY_CACHE_MB") {
         Ok(v) => v.trim().parse().unwrap_or_else(|_| {
@@ -59,9 +48,13 @@ fn cap_bytes() -> usize {
     mb.saturating_mul(1024 * 1024)
 }
 
+/// What a capture is a pure function of. The workload spec is held
+/// serialised, because its floats make it neither `Eq` nor `Hash`. The
+/// benchmark's name is not part of the key: two benchmarks that share a
+/// name but not a spec (a re-seeded suite) never share a stream.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Key {
-    benchmark: String,
+    spec: String,
     l1_sig: u64,
     insts: u64,
 }
@@ -161,12 +154,12 @@ impl Drop for CaptureGuard {
     }
 }
 
-/// Returns the captured trace for `(bench, config, insts)`, capturing it
-/// (and publishing it to every waiting cell) if absent. The boolean is
-/// `true` when *this* call ran the front-end.
+/// Returns the captured trace for `(bench.spec, config, insts)`,
+/// capturing it (and publishing it to every waiting cell) if absent. The
+/// boolean is `true` when *this* call ran the front-end.
 pub fn get_or_capture(bench: &Benchmark, config: &CpuConfig, insts: u64) -> (Arc<L2Trace>, bool) {
     let key = Key {
-        benchmark: bench.name.clone(),
+        spec: serde_json::to_string(&bench.spec).expect("a workload spec serialises"),
         l1_sig: l1_signature(config),
         insts,
     };
@@ -188,7 +181,7 @@ pub fn get_or_capture(bench: &Benchmark, config: &CpuConfig, insts: u64) -> (Arc
                     let latch = Arc::new(Latch::default());
                     s.map.insert(key.clone(), Slot::InFlight(latch.clone()));
                     drop(s);
-                    return capture_and_publish(bench, config, insts, key, latch);
+                    return (capture_and_publish(bench, config, key, latch), true);
                 }
             }
         };
@@ -210,56 +203,33 @@ pub fn get_or_capture(bench: &Benchmark, config: &CpuConfig, insts: u64) -> (Arc
     }
 }
 
-/// Fills a registered `InFlight` slot: memory miss → try the disk tier
-/// (under its per-entry lock) → capture live. Returns the trace and
-/// whether *this* call ran the front-end. Disk loads count as
-/// `replay_store_disk_hits_total`, not captures; a corrupt entry or a
-/// lock timeout counts one `replay_store_recaptures_total` on top of
-/// the capture it forces.
+/// Fills a registered `InFlight` slot by running the front-end.
 fn capture_and_publish(
     bench: &Benchmark,
     config: &CpuConfig,
-    insts: u64,
     key: Key,
     latch: Arc<Latch>,
-) -> (Arc<L2Trace>, bool) {
+) -> Arc<L2Trace> {
     let mut guard = CaptureGuard {
         key: Some(key.clone()),
         latch: latch.clone(),
     };
-    let tier = replay_store::open(&key.benchmark, key.l1_sig, key.insts);
-    if let replay_store::Tier::Ready(handle) = &tier {
-        match handle.load() {
-            replay_store::Loaded::Hit(trace) => {
-                let trace = Arc::new(*trace);
-                guard.defuse();
-                publish(key, latch, trace.clone());
-                return (trace, false);
-            }
-            replay_store::Loaded::Miss => {}
-            replay_store::Loaded::Failed => {
-                ac_telemetry::counter_add("replay_store_recaptures_total", 1);
-            }
-        }
-    }
-    if matches!(tier, replay_store::Tier::LockTimeout) {
-        ac_telemetry::counter_add("replay_store_recaptures_total", 1);
-    }
-    let trace = Arc::new(capture_functional(config, bench.spec.generator(), insts));
+    let trace = Arc::new(capture_functional(
+        config,
+        bench.spec.generator(),
+        key.insts,
+    ));
     guard.defuse();
-    if let replay_store::Tier::Ready(handle) = &tier {
-        handle.save(&trace);
-    }
-    drop(tier); // releases the per-entry lock file
     ac_telemetry::counter_add("replay_cache_captures_total", 1);
     publish(key, latch, trace.clone());
-    (trace, true)
+    trace
 }
 
-/// Publishes a ready trace into the in-memory tier, wakes the key's
-/// waiters, and runs the LRU eviction loop.
+/// Publishes a ready trace, wakes the key's waiters, and runs the LRU
+/// eviction loop.
 fn publish(key: Key, latch: Arc<Latch>, trace: Arc<L2Trace>) {
     let bytes = trace.approx_bytes();
+    let cap = cap_bytes();
     let mut s = store().lock().expect("replay cache poisoned");
     s.clock += 1;
     let stamp = s.clock;
@@ -273,7 +243,7 @@ fn publish(key: Key, latch: Arc<Latch>, trace: Arc<L2Trace>) {
     );
     s.bytes += bytes;
     let mut evictions = 0u64;
-    while s.bytes > cap_bytes() {
+    while s.bytes > cap {
         // Evict the least-recently-stamped Ready entry (the entry just
         // inserted carries the freshest stamp, so it goes last, and only
         // when it alone exceeds the cap).
@@ -281,11 +251,11 @@ fn publish(key: Key, latch: Arc<Latch>, trace: Arc<L2Trace>) {
             .map
             .iter()
             .filter_map(|(k, slot)| match slot {
-                Slot::Ready { stamp, .. } => Some((*stamp, k.clone())),
+                Slot::Ready { stamp, .. } => Some((*stamp, k)),
                 Slot::InFlight(_) => None,
             })
             .min_by_key(|(stamp, _)| *stamp)
-            .map(|(_, k)| k)
+            .map(|(_, k)| k.clone())
         else {
             break;
         };

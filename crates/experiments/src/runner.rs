@@ -206,7 +206,7 @@ pub fn run_functional_l2(
 /// parameters key the replay cache; the rest is unused functionally).
 ///
 /// Unless `AC_REPLAY=0`, the front-end runs at most once per
-/// `(benchmark, L1 config, insts)` key process-wide: the first cell
+/// `(workload spec, L1 config, insts)` key process-wide: the first cell
 /// captures the L2-visible reference stream, every cell (including the
 /// first) replays it against its own L2 — see [`crate::replay_cache`].
 /// The replay runs on the organisation's concrete type

@@ -3,10 +3,14 @@
 //! `AC_REPLAY=1` (captured once per benchmark, replayed per cell) must
 //! produce byte-identical results — same serialised `MpkiResult`s and
 //! the same telemetry timeline windows (wall-clock fields excluded).
+//! The same sweep stays identical under a zero `AC_REPLAY_CACHE_MB`
+//! cap. (What the cache keys a capture by is checked in
+//! `tests/replay_key.rs`.)
 //!
 //! The global telemetry recorder is install-once per process and the
-//! `AC_REPLAY` environment variable is process-global too, so the whole
-//! scenario lives in ONE `#[test]` function running cells sequentially.
+//! `AC_REPLAY*` environment variables are process-global too, so the
+//! whole scenario lives in ONE `#[test]` function running cells
+//! sequentially.
 
 use adaptive_cache::{AdaptiveConfig, DipConfig, MultiConfig, SbarConfig};
 use cache_sim::PolicyKind;
@@ -39,6 +43,13 @@ fn kinds() -> Vec<L2Kind> {
             inner: Box::new(L2Kind::Plain(PolicyKind::Lru)),
         },
     ]
+}
+
+fn counter(hub: &ac_telemetry::Telemetry, name: &str) -> u64 {
+    hub.counters()
+        .get(name)
+        .map(|m| m.values().sum())
+        .unwrap_or(0)
 }
 
 fn run_sweep() -> Vec<MpkiResult> {
@@ -134,4 +145,32 @@ fn sweep_is_byte_identical_with_and_without_replay() {
         })
         .count();
     assert_eq!(skipped, replayed.len() - 2, "cache hits mark their spans");
+
+    // `AC_REPLAY_CACHE_MB` is re-read on every publish. A zero cap
+    // evicts every capture as soon as it is published, so every cell
+    // captures its own stream, and the results do not change...
+    std::env::set_var("AC_REPLAY_CACHE_MB", "0");
+    let evictions_before = counter(hub, "replay_cache_evictions_total");
+    replay_cache::clear();
+    let capped = run_sweep();
+    assert_eq!(
+        serde_json::to_string(&capped).unwrap(),
+        direct_json,
+        "zero-cap sweep diverged"
+    );
+    assert_eq!(
+        counter(hub, "replay_cache_evictions_total") - evictions_before,
+        capped.len() as u64,
+        "a zero cap evicts every published capture"
+    );
+    // ...and removing the variable stops evictions in the same process.
+    std::env::remove_var("AC_REPLAY_CACHE_MB");
+    let evictions_mid = counter(hub, "replay_cache_evictions_total");
+    replay_cache::clear();
+    assert_eq!(serde_json::to_string(&run_sweep()).unwrap(), direct_json);
+    assert_eq!(
+        counter(hub, "replay_cache_evictions_total"),
+        evictions_mid,
+        "the default cap does not evict this working set"
+    );
 }
