@@ -522,39 +522,12 @@ fn print_summary(report: &AuditReport) {
     }
 }
 
-/// Appends the audit's headline scalars to the bench-history
-/// observatory, including the serde-defaulted `adaptivity_efficiency`
-/// field surfaced by `cachesim bench --trend`.
-fn append_history(history_path: &Path, report: &AuditReport) {
-    let mut metrics = std::collections::BTreeMap::new();
-    metrics.insert("efficiency_vs_opt".to_string(), report.efficiency_vs_opt);
-    if let Some(eff) = report.efficiency_vs_best_fixed {
-        metrics.insert("efficiency_vs_best_fixed".to_string(), eff);
-    }
-    if let Some(r) = report.regret_best_total() {
-        metrics.insert("regret_best_total".to_string(), r as f64);
-    }
-    let mut record = crate::history::record("audit", false, metrics);
-    record.adaptivity_efficiency = Some(
-        report
-            .efficiency_vs_best_fixed
-            .unwrap_or(report.efficiency_vs_opt),
-    );
-    match crate::history::append(history_path, &record) {
-        Ok(()) => println!("appended {}", history_path.display()),
-        Err(e) => eprintln!("audit: cannot append {}: {e}", history_path.display()),
-    }
-}
-
 /// Runs `cachesim audit <run-dir> [--config <run.json>] [--window <insts>]
-/// [--out <file>] [--history <path>] [--no-history]`; returns the process
-/// exit code.
+/// [--out <file>]`; returns the process exit code.
 pub fn run_audit_subcommand(rest: &[String]) -> i32 {
     let mut run_dir: Option<PathBuf> = None;
     let mut config_path: Option<PathBuf> = None;
     let mut out_path: Option<PathBuf> = None;
-    let mut history: Option<PathBuf> = None;
-    let mut no_history = false;
     let mut window: Option<u64> = None;
 
     let mut i = 0;
@@ -579,14 +552,6 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
                     return EXIT_INVALID_INPUT;
                 }
             },
-            "--history" => match take(&mut i) {
-                Some(v) => history = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("error: `--history` requires a path operand");
-                    return EXIT_INVALID_INPUT;
-                }
-            },
-            "--no-history" => no_history = true,
             "--window" => match take(&mut i).and_then(|v| v.parse::<u64>().ok()) {
                 Some(w) => window = Some(w),
                 None => {
@@ -611,7 +576,7 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
     let Some(run_dir) = run_dir else {
         eprintln!(
             "error: usage: cachesim audit <run-dir> [--config <run.json>] [--window <insts>] \
-             [--out <file>] [--history <path>] [--no-history]"
+             [--out <file>]"
         );
         return EXIT_INVALID_INPUT;
     };
@@ -652,12 +617,6 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
         return EXIT_INVALID_INPUT;
     }
     println!("audit: wrote {}", out_path.display());
-
-    if !no_history {
-        let history_path =
-            history.unwrap_or_else(|| PathBuf::from(crate::history::DEFAULT_HISTORY_PATH));
-        append_history(&history_path, &report);
-    }
     0
 }
 

@@ -38,7 +38,7 @@
 //! results, `3` invalid input.
 
 use cache_sim::Geometry;
-use cpu_model::{run_functional, CpuConfig, Hierarchy, Pipeline};
+use cpu_model::{run_functional, CpuConfig, FunctionalStats, Hierarchy, Pipeline, RunStats};
 use experiments::resilience::{
     self, ExperimentError, SupervisorConfig, EXIT_INVALID_INPUT, EXIT_PARTIAL,
 };
@@ -46,7 +46,7 @@ use experiments::L2Kind;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Duration;
-use workloads::{extended_suite, trace_io, Inst, WorkloadSpec};
+use workloads::{extended_suite, trace_io, Benchmark, Inst, Suite, WorkloadSpec};
 
 /// One simulation request.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -122,156 +122,177 @@ fn template() -> RunRequest {
     }
 }
 
-/// Exactly one workload source must be set; names the offending fields
-/// otherwise.
-fn validate(req: &RunRequest) -> Result<(), ExperimentError> {
-    let set: Vec<&str> = [
-        ("benchmark", req.benchmark.is_some()),
-        ("spec", req.spec.is_some()),
-        ("trace_file", req.trace_file.is_some()),
-    ]
-    .iter()
-    .filter(|(_, s)| *s)
-    .map(|(n, _)| *n)
-    .collect();
-    match set.len() {
-        0 => Err(ExperimentError::InvalidInput(
-            "one of the fields `benchmark`, `spec`, `trace_file` is required".into(),
-        )),
-        1 => Ok(()),
-        _ => Err(ExperimentError::InvalidInput(format!(
-            "fields {} are mutually exclusive — set exactly one",
-            set.iter()
-                .map(|n| format!("`{n}`"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))),
+/// A request's workload, resolved once while validating.
+#[derive(Debug, Clone)]
+enum Workload {
+    /// A suite benchmark or an inline spec, streamed from its generator.
+    Generated(Benchmark),
+    /// A recorded `.actr` trace file.
+    TraceFile(String),
+}
+
+/// Checks a request before anything runs — exactly one workload source,
+/// a known mode, a benchmark name the suite has — and resolves its
+/// workload. The error names the offending field.
+fn validate(req: &RunRequest) -> Result<Workload, ExperimentError> {
+    let workload = match (&req.benchmark, &req.spec, &req.trace_file) {
+        (Some(name), None, None) => {
+            let b = extended_suite()
+                .into_iter()
+                .find(|b| &b.name == name)
+                .ok_or_else(|| {
+                    ExperimentError::InvalidInput(format!(
+                        "field `benchmark`: unknown benchmark {name:?} (try policy_explorer -- --list)"
+                    ))
+                })?;
+            Workload::Generated(b)
+        }
+        // The runner reads only a benchmark's name and spec.
+        (None, Some(spec), None) => Workload::Generated(Benchmark {
+            name: "inline spec".to_string(),
+            suite: Suite::SpecInt,
+            spec: spec.clone(),
+        }),
+        (None, None, Some(path)) => Workload::TraceFile(path.clone()),
+        _ => {
+            let set: Vec<String> = [
+                ("benchmark", req.benchmark.is_some()),
+                ("spec", req.spec.is_some()),
+                ("trace_file", req.trace_file.is_some()),
+            ]
+            .iter()
+            .filter(|(_, s)| *s)
+            .map(|(n, _)| format!("`{n}`"))
+            .collect();
+            return Err(ExperimentError::InvalidInput(if set.is_empty() {
+                "one of the fields `benchmark`, `spec`, `trace_file` is required".into()
+            } else {
+                format!(
+                    "fields {} are mutually exclusive — set exactly one",
+                    set.join(", ")
+                )
+            }));
+        }
+    };
+    if !matches!(req.mode.as_str(), "functional" | "timed") {
+        return Err(ExperimentError::InvalidInput(format!(
+            "field `mode`: unknown mode {:?} (functional|timed)",
+            req.mode
+        )));
+    }
+    Ok(workload)
+}
+
+fn load_trace(path: &str) -> Result<Vec<Inst>, ExperimentError> {
+    let file = std::fs::File::open(path).map_err(|e| {
+        ExperimentError::InvalidInput(format!("field `trace_file`: cannot open {path}: {e}"))
+    })?;
+    trace_io::read_binary(std::io::BufReader::new(file)).map_err(|e| {
+        ExperimentError::Trace(format!("field `trace_file`: cannot parse {path}: {e}"))
+    })
+}
+
+fn bad_geometry(e: impl std::fmt::Display) -> ExperimentError {
+    ExperimentError::InvalidInput(format!("field `cpu.l2`: bad geometry: {e}"))
+}
+
+impl RunReply {
+    fn functional(workload: String, req: &RunRequest, s: &FunctionalStats) -> Self {
+        RunReply {
+            workload,
+            l2: req.l2.label(),
+            mode: req.mode.clone(),
+            instructions: s.instructions,
+            l2_misses: s.l2_misses,
+            l2_mpki: s.l2_mpki(),
+            cycles: None,
+            cpi: None,
+        }
+    }
+
+    fn timed(workload: String, req: &RunRequest, s: &RunStats) -> Self {
+        RunReply {
+            workload,
+            l2: req.l2.label(),
+            mode: req.mode.clone(),
+            instructions: s.instructions,
+            l2_misses: s.l2.misses,
+            l2_mpki: s.l2_mpki(),
+            cycles: Some(s.cycles),
+            cpi: Some(s.cpi()),
+        }
     }
 }
 
-fn load_trace(req: &RunRequest) -> Result<(String, Vec<Inst>), ExperimentError> {
-    validate(req)?;
-    if let Some(name) = &req.benchmark {
-        let suite = extended_suite();
-        let b = suite.iter().find(|b| &b.name == name).ok_or_else(|| {
-            ExperimentError::InvalidInput(format!(
-                "field `benchmark`: unknown benchmark {name:?} (try policy_explorer -- --list)"
-            ))
-        })?;
-        Ok((
-            name.clone(),
-            b.spec.generator().take(req.insts as usize).collect(),
-        ))
-    } else if let Some(spec) = &req.spec {
-        Ok((
-            "inline spec".to_string(),
-            spec.generator().take(req.insts as usize).collect(),
-        ))
-    } else if let Some(path) = &req.trace_file {
-        let file = std::fs::File::open(path).map_err(|e| {
-            ExperimentError::InvalidInput(format!("field `trace_file`: cannot open {path}: {e}"))
-        })?;
-        let trace = trace_io::read_binary(std::io::BufReader::new(file)).map_err(|e| {
-            ExperimentError::Trace(format!("field `trace_file`: cannot parse {path}: {e}"))
-        })?;
-        Ok((path.clone(), trace))
-    } else {
-        // validate() has already rejected this.
-        Err(ExperimentError::InvalidInput(
-            "one of the fields `benchmark`, `spec`, `trace_file` is required".into(),
-        ))
-    }
-}
-
-/// Executes one request end to end.
-fn run_request(req: &RunRequest) -> Result<RunReply, ExperimentError> {
-    validate(req)?;
-    // Benchmark-sourced functional cells go through the sweep runner so
-    // they share the process-wide replay cache (`AC_REPLAY`): the
-    // front-end runs at most once per (workload spec, L1-config, budget)
-    // key and every cell replays the captured L2 stream against its own
-    // organisation. Spec and trace-file sources stay on the direct path
-    // below.
-    if req.mode == "functional" {
-        if let Some(name) = &req.benchmark {
-            let suite = extended_suite();
-            let b = suite.iter().find(|b| &b.name == name).ok_or_else(|| {
-                ExperimentError::InvalidInput(format!(
-                    "field `benchmark`: unknown benchmark {name:?} (try policy_explorer -- --list)"
-                ))
-            })?;
-            let r = experiments::run_functional_l2_cfg(
-                b,
-                &req.l2,
-                (
-                    req.cpu.l2.size_bytes,
-                    req.cpu.l2.line_bytes,
-                    req.cpu.l2.associativity,
-                ),
-                req.insts,
-                &req.cpu,
-            )
-            .map_err(|e| match e {
-                ExperimentError::Geometry(g) => {
-                    ExperimentError::InvalidInput(format!("field `cpu.l2`: bad geometry: {g}"))
-                }
+/// Executes one validated request end to end. Generated workloads go
+/// through the experiment runner, which streams the generator: a
+/// functional cell shares the process-wide replay cache (`AC_REPLAY`),
+/// so the front end runs at most once per (workload spec, L1 config,
+/// budget) key. Trace files are read whole and run directly.
+fn run_request(req: &RunRequest, workload: &Workload) -> Result<RunReply, ExperimentError> {
+    let functional = req.mode == "functional";
+    match workload {
+        Workload::Generated(b) => {
+            let geometry_is_input = |e| match e {
+                ExperimentError::Geometry(g) => bad_geometry(g),
                 other => other,
-            })?;
-            return Ok(RunReply {
-                workload: name.clone(),
-                l2: req.l2.label(),
-                mode: req.mode.clone(),
-                instructions: r.stats.instructions,
-                l2_misses: r.stats.l2_misses,
-                l2_mpki: r.stats.l2_mpki(),
-                cycles: None,
-                cpi: None,
-            });
+            };
+            if functional {
+                let l2 = &req.cpu.l2;
+                let r = experiments::run_functional_l2_cfg(
+                    b,
+                    &req.l2,
+                    (l2.size_bytes, l2.line_bytes, l2.associativity),
+                    req.insts,
+                    &req.cpu,
+                )
+                .map_err(geometry_is_input)?;
+                Ok(RunReply::functional(b.name.clone(), req, &r.stats))
+            } else {
+                let s = experiments::run_timed(b, &req.l2, req.cpu, req.insts)
+                    .map_err(geometry_is_input)?;
+                Ok(RunReply::timed(b.name.clone(), req, &s))
+            }
+        }
+        Workload::TraceFile(path) => {
+            let trace = load_trace(path)?;
+            let l2 = &req.cpu.l2;
+            let geom = Geometry::new(l2.size_bytes, l2.line_bytes, l2.associativity)
+                .map_err(bad_geometry)?;
+            let l2 = req.l2.build(geom);
+            let n = trace.len() as u64;
+            if functional {
+                let mut h = Hierarchy::new(&req.cpu, l2);
+                let s = run_functional(&mut h, trace.into_iter(), n);
+                Ok(RunReply::functional(path.clone(), req, &s))
+            } else {
+                let s = Pipeline::new(req.cpu, l2).run(trace.into_iter(), n);
+                Ok(RunReply::timed(path.clone(), req, &s))
+            }
         }
     }
-    let (workload, trace) = load_trace(req)?;
-    let geom = Geometry::new(
-        req.cpu.l2.size_bytes,
-        req.cpu.l2.line_bytes,
-        req.cpu.l2.associativity,
-    )
-    .map_err(|e| ExperimentError::InvalidInput(format!("field `cpu.l2`: bad geometry: {e}")))?;
-    let l2 = req.l2.build(geom);
-    let n = trace.len() as u64;
+}
 
-    match req.mode.as_str() {
-        "functional" => {
-            let mut h = Hierarchy::new(&req.cpu, l2);
-            let s = run_functional(&mut h, trace.into_iter(), n);
-            Ok(RunReply {
-                workload,
-                l2: req.l2.label(),
-                mode: req.mode.clone(),
-                instructions: s.instructions,
-                l2_misses: s.l2_misses,
-                l2_mpki: s.l2_mpki(),
-                cycles: None,
-                cpi: None,
-            })
-        }
-        "timed" => {
-            let mut pipe = Pipeline::new(req.cpu, l2);
-            let s = pipe.run(trace.into_iter(), n);
-            Ok(RunReply {
-                workload,
-                l2: req.l2.label(),
-                mode: req.mode.clone(),
-                instructions: s.instructions,
-                l2_misses: s.l2.misses,
-                l2_mpki: s.l2_mpki(),
-                cycles: Some(s.cycles),
-                cpi: Some(s.cpi()),
-            })
-        }
-        other => Err(ExperimentError::InvalidInput(format!(
-            "field `mode`: unknown mode {other:?} (functional|timed)"
-        ))),
-    }
+/// A sweep cell's resume key: a readable prefix (position, workload, L2
+/// label, mode, budget) and a digest of the whole request, so editing
+/// any field of a cell invalidates that cell's checkpoint and no other.
+fn cell_key(i: usize, req: &RunRequest) -> String {
+    let workload = req
+        .benchmark
+        .as_deref()
+        .or(req.trace_file.as_deref())
+        .unwrap_or("spec");
+    // FNV-1a: stable across builds, unlike `DefaultHasher`, so journals
+    // written by one build resume under the next.
+    let digest = to_json(req).bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    });
+    format!(
+        "{i}:{workload}:{}:{}:{}:{digest:016x}",
+        req.l2.label(),
+        req.mode,
+        req.insts
+    )
 }
 
 /// Prints an error and exits with the invalid-input code.
@@ -299,6 +320,19 @@ struct CellReply {
 }
 
 fn run_sweep_request(req: SweepRequest, config_path: &Path) -> i32 {
+    if req.sweep.is_empty() {
+        die_invalid("field `sweep`: must contain at least one run");
+    }
+    // Every cell is validated before any runs or the journal opens.
+    let cells: Vec<(String, RunRequest, Workload)> = req
+        .sweep
+        .into_iter()
+        .enumerate()
+        .map(|(i, cell)| match validate(&cell) {
+            Ok(workload) => (cell_key(i, &cell), cell, workload),
+            Err(e) => die_invalid(&format!("sweep cell {i}: {e}")),
+        })
+        .collect();
     let stem = req.name.clone().unwrap_or_else(|| {
         config_path
             .file_stem()
@@ -313,22 +347,11 @@ fn run_sweep_request(req: SweepRequest, config_path: &Path) -> i32 {
         threads: 0,
         progress: Some(stem.clone()),
     };
-    // Cell keys are the resume identity: the position plus the workload,
-    // L2 label, mode and instruction budget, so editing one cell of the
-    // config invalidates only that cell's checkpoint.
-    let indexed: Vec<(usize, RunRequest)> = req.sweep.into_iter().enumerate().collect();
     let report = match resilience::run_sweep(
-        &indexed,
+        &cells,
         &cfg,
-        |(i, c)| {
-            let workload = c
-                .benchmark
-                .clone()
-                .or_else(|| c.trace_file.clone())
-                .unwrap_or_else(|| "spec".to_string());
-            format!("{i}:{workload}:{}:{}:{}", c.l2.label(), c.mode, c.insts)
-        },
-        |(_, c): (usize, RunRequest)| run_request(&c),
+        |(key, _, _)| key.clone(),
+        |(_, req, workload)| run_request(&req, &workload),
     ) {
         Ok(r) => r,
         Err(e) => die_invalid(&format!("sweep setup failed: {e}")),
@@ -365,212 +388,6 @@ fn run_sweep_request(req: SweepRequest, config_path: &Path) -> i32 {
         }
     }
     report.exit_code()
-}
-
-/// Appends the bench's headline numbers to the history observatory; a
-/// write failure downgrades to a warning (the bench itself succeeded).
-fn append_bench_history(
-    history_path: &Path,
-    kind: &str,
-    quick: bool,
-    metrics: std::collections::BTreeMap<String, f64>,
-) {
-    let record = bench::history::record(kind, quick, metrics);
-    match bench::history::append(history_path, &record) {
-        Ok(()) => println!("appended {}", history_path.display()),
-        Err(e) => eprintln!("cachesim: cannot append {}: {e}", history_path.display()),
-    }
-}
-
-/// `cachesim bench [--sweep | --concurrent] [--quick] [--threads <n>]
-/// [--shards <n>] [--out <path>] [--history <path>]
-/// [--trend [--threshold <pct>]]`: measure access throughput per
-/// organisation (against the seed-layout baselines where they exist) and
-/// write `results/bench_access.json` — or, with `--sweep`, time a
-/// fig03-style functional sweep replay-on vs replay-off and write
-/// `results/bench_sweep.json` — or, with `--concurrent`, drive the
-/// sharded concurrent front end across a thread ladder (up to
-/// `--threads`, default the host's logical cores) and write
-/// `results/bench_concurrent.json`. Every bench appends one line to the
-/// history observatory (`results/bench_history.jsonl`); `--trend` skips
-/// benching and instead prints the recorded trajectory, exiting 4 when
-/// the newest record of a series regressed beyond the threshold
-/// (`--threshold` / `AC_BENCH_MAX_REGRESSION_PCT`, default 10%).
-fn run_bench_subcommand(rest: &[String]) -> i32 {
-    let mut quick = false;
-    let mut sweep = false;
-    let mut concurrent = false;
-    let mut trend = false;
-    let mut threads: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut out: Option<String> = None;
-    let mut history: Option<String> = None;
-    let mut threshold: Option<f64> = None;
-    let parse_count = |flag: &str, v: Option<&String>| -> usize {
-        match v.and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => n,
-            _ => die_invalid(&format!("flag `{flag}` wants a positive integer")),
-        }
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--quick" => quick = true,
-            "--sweep" => sweep = true,
-            "--concurrent" => concurrent = true,
-            "--trend" => trend = true,
-            "--threads" => {
-                i += 1;
-                threads = Some(parse_count("--threads", rest.get(i)));
-            }
-            "--shards" => {
-                i += 1;
-                shards = Some(parse_count("--shards", rest.get(i)));
-            }
-            "--out" => {
-                i += 1;
-                match rest.get(i) {
-                    Some(p) => out = Some(p.clone()),
-                    None => die_invalid("flag `--out` requires a path operand"),
-                }
-            }
-            "--history" => {
-                i += 1;
-                match rest.get(i) {
-                    Some(p) => history = Some(p.clone()),
-                    None => die_invalid("flag `--history` requires a path operand"),
-                }
-            }
-            "--threshold" => {
-                i += 1;
-                match rest.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(pct) if pct >= 0.0 => threshold = Some(pct),
-                    _ => die_invalid("flag `--threshold` wants a non-negative percentage"),
-                }
-            }
-            other => {
-                if let Some(p) = other.strip_prefix("--out=") {
-                    out = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--history=") {
-                    history = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--threads=") {
-                    threads = Some(parse_count("--threads", Some(&p.to_string())));
-                } else if let Some(p) = other.strip_prefix("--shards=") {
-                    shards = Some(parse_count("--shards", Some(&p.to_string())));
-                } else if let Some(p) = other.strip_prefix("--threshold=") {
-                    match p.parse::<f64>() {
-                        Ok(pct) if pct >= 0.0 => threshold = Some(pct),
-                        _ => die_invalid("flag `--threshold` wants a non-negative percentage"),
-                    }
-                } else {
-                    die_invalid(&format!("unknown bench flag `{other}`"));
-                }
-            }
-        }
-        i += 1;
-    }
-    let history_path = history.unwrap_or_else(|| bench::history::DEFAULT_HISTORY_PATH.to_string());
-    let history_path = Path::new(&history_path);
-
-    if trend {
-        let threshold = threshold
-            .or_else(|| {
-                std::env::var("AC_BENCH_MAX_REGRESSION_PCT")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(bench::history::DEFAULT_TREND_PCT);
-        return bench::history::run_trend(history_path, threshold);
-    }
-
-    if concurrent {
-        let out = out.unwrap_or_else(|| "results/bench_concurrent.json".to_string());
-        let report = bench::concurrent_bench::run(quick, threads, shards);
-        bench::concurrent_bench::print_report(&report);
-        let path = Path::new(&out);
-        match bench::concurrent_bench::write_report(&report, path) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cachesim: cannot write {}: {e}", path.display());
-                return 1;
-            }
-        }
-        let metrics = bench::concurrent_bench::history_metrics(&report);
-        let mut record = bench::history::record("concurrent", quick, metrics);
-        record.threads = report.rows.iter().map(|r| r.threads as u32).max();
-        record.shards = Some(report.shards as u32);
-        match bench::history::append(history_path, &record) {
-            Ok(()) => println!("appended {}", history_path.display()),
-            Err(e) => eprintln!("cachesim: cannot append {}: {e}", history_path.display()),
-        }
-        return 0;
-    }
-
-    if sweep {
-        let out = out.unwrap_or_else(|| "results/bench_sweep.json".to_string());
-        let report = bench::sweep_bench::run(quick);
-        bench::sweep_bench::print_report(&report);
-        if ac_telemetry::enabled() {
-            ac_telemetry::gauge_set("bench.sweep_speedup", report.speedup);
-        }
-        let path = Path::new(&out);
-        match bench::sweep_bench::write_report(&report, path) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cachesim: cannot write {}: {e}", path.display());
-                return 1;
-            }
-        }
-        let mut metrics = std::collections::BTreeMap::new();
-        metrics.insert(
-            "cells_per_sec_replay_off".to_string(),
-            report.replay_off.cells_per_sec,
-        );
-        metrics.insert(
-            "cells_per_sec_replay_on".to_string(),
-            report.replay_on.cells_per_sec,
-        );
-        metrics.insert("sweep_speedup".to_string(), report.speedup);
-        append_bench_history(history_path, "sweep", quick, metrics);
-        return 0;
-    }
-
-    let out = out.unwrap_or_else(|| "results/bench_access.json".to_string());
-    let report = bench::access_bench::run(quick);
-    bench::access_bench::print_report(&report);
-    if ac_telemetry::enabled() {
-        for org in &report.organisations {
-            ac_telemetry::gauge_set_labeled(
-                "bench.accesses_per_sec",
-                &org.name,
-                org.accesses_per_sec,
-            );
-        }
-        // Which probe-kernel tier the numbers above were produced with
-        // (CI asserts the native job actually engaged the vector path).
-        let level = cache_sim::simd::active_level();
-        ac_telemetry::gauge_set_labeled("engine.simd_level", level.name(), f64::from(level as u8));
-    }
-    let path = Path::new(&out);
-    match bench::access_bench::write_report(&report, path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("cachesim: cannot write {}: {e}", path.display());
-            return 1;
-        }
-    }
-    let metrics = report
-        .organisations
-        .iter()
-        .map(|org| {
-            (
-                format!("accesses_per_sec/{}", org.name),
-                org.accesses_per_sec,
-            )
-        })
-        .collect();
-    append_bench_history(history_path, "access", quick, metrics);
-    0
 }
 
 /// Writes the single run's request as `run.json` into the telemetry
@@ -614,11 +431,6 @@ fn dispatch(mut args: Vec<String>) -> i32 {
         println!("{}", to_json(&template()));
         return 0;
     }
-    if arg == "bench" {
-        let code = run_bench_subcommand(&args[1..]);
-        bench::finish_telemetry();
-        return code;
-    }
     if arg == "figure" {
         let code = bench::figure::run_figure_subcommand(&args[1..]);
         bench::finish_telemetry();
@@ -641,7 +453,7 @@ fn dispatch(mut args: Vec<String>) -> i32 {
     }
     if arg.is_empty() || arg.starts_with("--") {
         die_invalid(
-            "usage: cachesim [--telemetry <dir> | --metrics] [--serve <addr>] [run] <run.json> | cachesim --template | cachesim figure {all|<stem>...} | cachesim bench [--sweep | --concurrent] [--quick] [--threads <n>] [--shards <n>] [--out <path>] [--history <path>] [--trend [--threshold <pct>]] | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>] [--history <path>] [--no-history]",
+            "usage: cachesim [--telemetry <dir> | --metrics] [--serve <addr>] [run] <run.json> | cachesim --template | cachesim figure {all|<stem>...} | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>]",
         );
     }
 
@@ -656,10 +468,14 @@ fn dispatch(mut args: Vec<String>) -> i32 {
 
     match input {
         Input::Single(req) => {
+            let workload = match validate(&req) {
+                Ok(w) => w,
+                Err(e) => die_invalid(&e.to_string()),
+            };
             // Persist the request next to the telemetry artifacts so
             // `cachesim audit <dir>` can rebuild this exact run later.
             write_run_config(&req);
-            match run_request(&req) {
+            match run_request(&req, &workload) {
                 Ok(reply) => {
                     println!("{}", to_json(&reply));
                     bench::finish_telemetry();
@@ -669,14 +485,6 @@ fn dispatch(mut args: Vec<String>) -> i32 {
             }
         }
         Input::Sweep(sweep) => {
-            if sweep.sweep.is_empty() {
-                die_invalid("field `sweep`: must contain at least one run");
-            }
-            for (i, cell) in sweep.sweep.iter().enumerate() {
-                if let Err(e) = validate(cell) {
-                    die_invalid(&format!("sweep cell {i}: {e}"));
-                }
-            }
             let code = run_sweep_request(sweep, Path::new(&arg));
             bench::finish_telemetry();
             code

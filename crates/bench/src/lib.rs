@@ -1,17 +1,12 @@
 //! The `cachesim` front end's subcommands and shared plumbing (figure
-//! regeneration, benches, audit, run reports, telemetry flags), plus the
+//! regeneration, audit, run reports, telemetry flags), plus the
 //! criterion micro-benchmarks (`benches/`).
 
 use std::path::PathBuf;
 
-pub mod access_bench;
 pub mod audit;
-pub mod concurrent_bench;
 pub mod figure;
-pub mod history;
 pub mod report;
-pub mod seed_baseline;
-pub mod sweep_bench;
 
 /// Strips the shared telemetry flags from `args` and installs the
 /// process-global [`ac_telemetry::Telemetry`] hub they (or the

@@ -190,22 +190,160 @@ fn conflicting_workload_sources_exit_invalid_naming_both_fields() {
 
 #[test]
 fn bad_sweep_cell_is_rejected_before_anything_runs() {
-    let dir = tmp_dir("badcell");
-    let cfg = dir.join("bad.json");
-    // Second cell has no workload source: the whole sweep must be
-    // rejected up front (exit 3) and no journal written.
-    std::fs::write(
-        &cfg,
-        format!(
-            r#"{{"name":"bad","sweep":[{},{{"l2":{{"Plain":"Lru"}},"mode":"functional","insts":1000}}]}}"#,
-            cell("mcf", r#"{"Plain":"Lru"}"#)
+    // Each bad second cell must reject the whole sweep up front (exit 3,
+    // naming the cell and the field) before any cell runs or the journal
+    // opens.
+    let bad_cells = [
+        (
+            r#"{"l2":{"Plain":"Lru"},"mode":"functional","insts":1000}"#.to_string(),
+            "`benchmark`",
         ),
-    )
-    .unwrap();
-    let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
-    assert_eq!(out.status.code(), Some(3));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("sweep cell 1"));
-    assert!(!dir.join("results/bad.journal.jsonl").exists());
+        (
+            cell("mcf", r#"{"Plain":"Lru"}"#).replace("functional", "timd"),
+            "`mode`",
+        ),
+        (cell("no-such-bench", r#"{"Plain":"Lru"}"#), "no-such-bench"),
+    ];
+    for (bad, field) in bad_cells {
+        let dir = tmp_dir("badcell");
+        let cfg = dir.join("bad.json");
+        std::fs::write(
+            &cfg,
+            format!(
+                r#"{{"name":"bad","sweep":[{},{bad}]}}"#,
+                cell("mcf", r#"{"Plain":"Lru"}"#)
+            ),
+        )
+        .unwrap();
+        let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{bad}: {stderr}");
+        assert!(stderr.contains("sweep cell 1"), "{bad}: {stderr}");
+        assert!(stderr.contains(field), "{bad}: {stderr}");
+        assert!(
+            !dir.join("results/bad.journal.jsonl").exists(),
+            "{bad}: nothing may run"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `--template`'s single run as a functional `mcf` cell, with each
+/// `(from, to)` edit then applied to its text.
+fn template_cell(dir: &Path, edits: &[(&str, &str)]) -> String {
+    let out = run_in(dir, &["--template"], &[]);
+    let mut text = String::from_utf8(out.stdout).unwrap();
+    let retarget = [
+        (r#""art-1""#, r#""mcf""#),
+        (r#""timed""#, r#""functional""#),
+        ("2000000", "50000"),
+    ];
+    for (from, to) in retarget.iter().chain(edits) {
+        assert!(text.contains(from), "{from} not in the template: {text}");
+        text = text.replace(from, to);
+    }
+    text
+}
+
+/// Runs `cells` as the sweep `name` in `dir`, after `flags`; returns
+/// each cell's (status, l2_misses).
+fn sweep_cells(
+    dir: &Path,
+    name: &str,
+    cells: &[String],
+    flags: &[&str],
+    env: &[(&str, &str)],
+) -> Vec<(String, u64)> {
+    let cfg = dir.join(format!("{name}.json"));
+    let sweep = format!(r#"{{"name":"{name}","sweep":[{}]}}"#, cells.join(","));
+    std::fs::write(&cfg, sweep).unwrap();
+    let args: Vec<&str> = flags
+        .iter()
+        .copied()
+        .chain([cfg.to_str().unwrap()])
+        .collect();
+    let out = run_in(dir, &args, env);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let v: Value = serde_json::from_slice(&out.stdout).unwrap();
+    v.as_array()
+        .unwrap()
+        .iter()
+        .map(|c| {
+            let misses = c["result"]["l2_misses"].as_u64().unwrap();
+            (c["status"].as_str().unwrap().to_string(), misses)
+        })
+        .collect()
+}
+
+#[test]
+fn editing_any_field_of_a_sweep_cell_invalidates_its_checkpoint() {
+    let dir = tmp_dir("cellkey");
+    let fresh = tmp_dir("cellkey_fresh");
+    let resume = [("AC_RESUME", "1")];
+    let base = [template_cell(&dir, &[])];
+    assert_eq!(sweep_cells(&dir, "one", &base, &[], &[])[0].0, "ok");
+
+    // A smaller L2 leaves the label unchanged; the cell must recompute,
+    // and match a fresh run of the edited cell.
+    let small_l2 = ("524288", "65536");
+    let small = [template_cell(&dir, &[small_l2])];
+    let resumed = sweep_cells(&dir, "one", &small, &[], &resume);
+    assert_eq!(resumed[0].0, "ok", "an edited L2 size must not resume");
+    assert_eq!(resumed, sweep_cells(&fresh, "one", &small, &[], &[]));
+
+    // So must a history length, which the label does not show either.
+    let short = [template_cell(&dir, &[small_l2, (r#""m": 8"#, r#""m": 1"#)])];
+    let resumed = sweep_cells(&dir, "one", &short, &[], &resume);
+    assert_eq!(resumed[0].0, "ok", "an edited history must not resume");
+
+    // An unedited cell still resumes.
+    let resumed = sweep_cells(&dir, "one", &short, &[], &resume);
+    assert_eq!(resumed[0].0, "resumed");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh);
+}
+
+#[test]
+fn inline_spec_cells_share_the_replay_cache() {
+    let dir = tmp_dir("inline_spec");
+    let mcf = workloads::extended_suite()
+        .into_iter()
+        .find(|b| b.name == "mcf")
+        .unwrap();
+    let spec = serde_json::to_string(&mcf.spec).unwrap();
+    let cells = |source: &str| -> Vec<String> {
+        [
+            r#"{"Plain":"Lru"}"#,
+            r#"{"Plain":"Fifo"}"#,
+            r#"{"Plain":"Mru"}"#,
+        ]
+        .iter()
+        .map(|l2| format!(r#"{{{source},"l2":{l2},"mode":"functional","insts":20000}}"#))
+        .collect()
+    };
+    let tele = dir.join("tele");
+    let inline = sweep_cells(
+        &dir,
+        "inline",
+        &cells(&format!(r#""spec":{spec}"#)),
+        &["--telemetry", tele.to_str().unwrap()],
+        &[("AC_REPLAY", "1")],
+    );
+    let prom = std::fs::read_to_string(tele.join("metrics.prom")).unwrap();
+    let lines: Vec<&str> = prom.lines().collect();
+    assert!(
+        lines.contains(&"ac_replay_cache_captures_total 1"),
+        "{prom}"
+    );
+    assert!(lines.contains(&"ac_replay_cache_hits_total 2"), "{prom}");
+
+    let by_name = sweep_cells(&dir, "by_name", &cells(r#""benchmark":"mcf""#), &[], &[]);
+    assert_eq!(inline, by_name);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

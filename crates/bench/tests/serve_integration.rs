@@ -214,81 +214,3 @@ fn serve_flag_requires_an_operand() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn bench_history_appends_and_trend_flags_regressions() {
-    let dir = tmp_dir("trend");
-    let hist = dir.join("results/bench_history.jsonl");
-    let run = |args: &[&str]| {
-        Command::new(bin())
-            .args(args)
-            .current_dir(&dir)
-            .output()
-            .expect("cachesim did not start")
-    };
-
-    // An empty observatory trends cleanly.
-    let out = run(&["bench", "--trend"]);
-    assert_eq!(out.status.code(), Some(0));
-
-    // Two synthetic records: trend must compare them and pass when flat.
-    for speedup in ["4.0", "4.1"] {
-        let line = format!(
-            r#"{{"schema_version":1,"t_unix":1,"git_sha":"deadbee","kind":"sweep","quick":true,"metrics":{{"sweep_speedup":{speedup}}}}}"#
-        );
-        std::fs::create_dir_all(hist.parent().unwrap()).unwrap();
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&hist)
-            .unwrap();
-        writeln!(f, "{line}").unwrap();
-    }
-    let out = run(&["bench", "--trend"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("sweep_speedup"));
-
-    // A collapsed third record regresses beyond any sane threshold.
-    {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&hist)
-            .unwrap();
-        writeln!(
-            f,
-            r#"{{"schema_version":1,"t_unix":2,"git_sha":"deadbef","kind":"sweep","quick":true,"metrics":{{"sweep_speedup":0.5}}}}"#
-        )
-        .unwrap();
-    }
-    let out = run(&["bench", "--trend", "--threshold", "10"]);
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "stdout: {} stderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED"));
-
-    // A real quick bench appends a parseable record to the observatory.
-    let before = std::fs::read_to_string(&hist).unwrap().lines().count();
-    let out = run(&["bench", "--sweep", "--quick"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&hist).unwrap();
-    assert_eq!(text.lines().count(), before + 1);
-    let last: Value = serde_json::from_str(text.lines().last().unwrap()).unwrap();
-    assert_eq!(last["kind"].as_str(), Some("sweep"));
-    assert_eq!(last["quick"].as_bool(), Some(true));
-    assert!(last["metrics"]["sweep_speedup"].as_f64().is_some());
-    let _ = std::fs::remove_dir_all(&dir);
-}

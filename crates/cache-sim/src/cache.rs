@@ -90,26 +90,11 @@ impl<P: ReplacementPolicy> Cache<P> {
         self.tags.invalidate_block(block)
     }
 
-    /// Batched probe for software-pipelined drivers: decomposes `K`
-    /// in-flight block addresses with vector shifts/masks and prefetches
-    /// every set's directory and metadata records (see
-    /// [`TagArray::probe_batch`]). Resolve each element in order with
-    /// [`Cache::access_located`]; by then its record lines are in flight
-    /// or resident.
-    #[inline]
-    pub fn probe_batch<const K: usize>(
-        &self,
-        blocks: &[BlockAddr; K],
-    ) -> [(usize, crate::StoredTag); K] {
-        self.tags.probe_batch(blocks)
-    }
-
     /// [`CacheModel::access`] with the address decomposition precomputed
-    /// (by [`Cache::probe_batch`] or `directory().locate`): `set`/`stored`
-    /// must locate the accessed block. Identical outcome and state
-    /// transition to `access` on the same block.
+    /// by `directory().locate`: `set`/`stored` must locate the accessed
+    /// block.
     #[inline(always)]
-    pub fn access_located(
+    fn access_located(
         &mut self,
         set: usize,
         stored: crate::StoredTag,

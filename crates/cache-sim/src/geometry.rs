@@ -256,53 +256,6 @@ impl Geometry {
         }
     }
 
-    /// Decomposes `K` block addresses into set indices and full tags in
-    /// one pass — element-for-element identical to [`Geometry::set_index`]
-    /// and [`Geometry::tag`], but with power-of-two set counts the
-    /// mask/shift pairs run four lanes per vector op on AVX2 hardware
-    /// (see [`crate::simd::decompose4`]). Modulo-indexed geometries take
-    /// the scalar loop.
-    #[inline]
-    pub fn decompose_batch<const K: usize>(
-        &self,
-        level: crate::simd::SimdLevel,
-        blocks: &[BlockAddr; K],
-        sets: &mut [usize; K],
-        tags: &mut [u64; K],
-    ) {
-        match self.index_bits {
-            Some(bits) => {
-                let mask = (1u64 << bits) - 1;
-                let mut i = 0;
-                while i + 4 <= K {
-                    let vals = [
-                        blocks[i].raw(),
-                        blocks[i + 1].raw(),
-                        blocks[i + 2].raw(),
-                        blocks[i + 3].raw(),
-                    ];
-                    let (s, t) = crate::simd::decompose4(level, &vals, mask, bits);
-                    for j in 0..4 {
-                        sets[i + j] = s[j] as usize;
-                        tags[i + j] = t[j];
-                    }
-                    i += 4;
-                }
-                while i < K {
-                    sets[i] = (blocks[i].raw() & mask) as usize;
-                    tags[i] = blocks[i].raw() >> bits;
-                    i += 1;
-                }
-            }
-            None => {
-                for i in 0..K {
-                    sets[i] = (blocks[i].raw() % self.num_sets as u64) as usize;
-                    tags[i] = blocks[i].raw();
-                }
-            }
-        }
-    }
-
     /// Number of tag bits assuming `pa_bits` of physical address
     /// (the paper's storage arithmetic uses 40-bit physical addresses).
     pub fn tag_bits(&self, pa_bits: u32) -> u32 {

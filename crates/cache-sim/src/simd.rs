@@ -220,40 +220,6 @@ pub fn lane_pair_eq(level: SimdLevel, lane_a: u64, lane_b: u64, byte: u64) -> (u
     (swar_lane_eq(lane_a, byte), swar_lane_eq(lane_b, byte))
 }
 
-/// Batched address decomposition for power-of-two set counts:
-/// `sets[i] = vals[i] & set_mask`, `tags[i] = vals[i] >> tag_shift`,
-/// with AVX2 doing four lanes per vector op. Exact on every tier.
-#[inline(always)]
-pub fn decompose4(
-    level: SimdLevel,
-    vals: &[u64; 4],
-    set_mask: u64,
-    tag_shift: u32,
-) -> ([u64; 4], [u64; 4]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level >= SimdLevel::Avx2 {
-            // SAFETY: `level >= Avx2` implies AVX2 was runtime-detected.
-            return unsafe { decompose4_avx2(vals, set_mask, tag_shift) };
-        }
-    }
-    let _ = level;
-    (
-        [
-            vals[0] & set_mask,
-            vals[1] & set_mask,
-            vals[2] & set_mask,
-            vals[3] & set_mask,
-        ],
-        [
-            vals[0] >> tag_shift,
-            vals[1] >> tag_shift,
-            vals[2] >> tag_shift,
-            vals[3] >> tag_shift,
-        ],
-    )
-}
-
 /// Issues a read prefetch (`prefetcht0` / no-op off x86-64) for the
 /// cache line holding `p`.
 ///
@@ -337,33 +303,10 @@ mod x86 {
         let eq = _mm_cmpeq_epi8(lanes, probe);
         _mm_movemask_epi8(eq) as u16
     }
-
-    /// # Safety
-    /// Caller must have runtime-detected AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decompose4_avx2(
-        vals: &[u64; 4],
-        set_mask: u64,
-        tag_shift: u32,
-    ) -> ([u64; 4], [u64; 4]) {
-        // SAFETY: `vals` is exactly 32 bytes.
-        let v = _mm256_loadu_si256(vals.as_ptr() as *const __m256i);
-        let sets = _mm256_and_si256(v, _mm256_set1_epi64x(set_mask as i64));
-        let tags = if tag_shift == 0 {
-            v
-        } else {
-            _mm256_srl_epi64(v, _mm_cvtsi64_si128(i64::from(tag_shift)))
-        };
-        let mut s = [0u64; 4];
-        let mut t = [0u64; 4];
-        _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, sets);
-        _mm256_storeu_si256(t.as_mut_ptr() as *mut __m256i, tags);
-        (s, t)
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{decompose4_avx2, lane_pair_eq_sse2};
+use x86::lane_pair_eq_sse2;
 #[cfg(all(target_arch = "x86_64", not(target_feature = "avx2")))]
 use x86::{eq_mask_u64_avx2, eq_mask_u64_sse2};
 
@@ -420,31 +363,6 @@ mod tests {
             let want = (swar_lane_eq(a, byte), swar_lane_eq(b, byte));
             for &l in &levels() {
                 assert_eq!(lane_pair_eq(l, a, b, byte), want, "{l:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn decompose4_matches_scalar() {
-        let mut x = 7u64;
-        for shift in [0u32, 1, 6, 10, 32, 63] {
-            for _ in 0..200 {
-                let mut vals = [0u64; 4];
-                for v in vals.iter_mut() {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    *v = x;
-                }
-                let mask = (1u64 << (shift.min(62) + 1)) - 1;
-                let want = decompose4(SimdLevel::Scalar, &vals, mask, shift);
-                for &l in &levels() {
-                    assert_eq!(
-                        decompose4(l, &vals, mask, shift),
-                        want,
-                        "{l:?} shift {shift}"
-                    );
-                }
             }
         }
     }

@@ -301,28 +301,6 @@ impl Directory {
         }
     }
 
-    /// Batched address decomposition: reduces `K` in-flight block
-    /// addresses to `(set index, stored tag)` pairs in one pass —
-    /// vector mask/shift decomposition via
-    /// [`Geometry::decompose_batch`] — and issues
-    /// [`Directory::prefetch_record`] for every set so that by the time
-    /// the caller resolves access `i`, the record lines of accesses
-    /// `i+1..K` are already in flight. Element-for-element identical to
-    /// [`Directory::locate`].
-    #[inline]
-    pub fn probe_batch<const K: usize>(&self, blocks: &[BlockAddr; K]) -> [(usize, StoredTag); K] {
-        let mut sets = [0usize; K];
-        let mut tags = [0u64; K];
-        self.geom
-            .decompose_batch(self.simd, blocks, &mut sets, &mut tags);
-        let mut out = [(0usize, StoredTag::default()); K];
-        for i in 0..K {
-            self.prefetch_record(sets[i]);
-            out[i] = (sets[i], self.tag_mode.store(tags[i]));
-        }
-        out
-    }
-
     /// Finds the way of `set` holding `stored`, if any.
     #[inline]
     pub fn find(&self, set: usize, stored: StoredTag) -> Option<usize> {
@@ -652,19 +630,6 @@ impl<P: ReplacementPolicy> TagArray<P> {
     pub fn prefetch_set(&self, set: usize) {
         self.dir.prefetch_record(set);
         self.meta.prefetch(set);
-    }
-
-    /// Batched probe: decomposes `K` in-flight block addresses with
-    /// vector shifts/masks and prefetches each set's directory *and*
-    /// metadata records (see [`Directory::probe_batch`]). Feed the
-    /// returned pairs to [`TagArray::access_at`] in order.
-    #[inline]
-    pub fn probe_batch<const K: usize>(&self, blocks: &[BlockAddr; K]) -> [(usize, StoredTag); K] {
-        let located = self.dir.probe_batch(blocks);
-        for &(set, _) in &located {
-            self.meta.prefetch(set);
-        }
-        located
     }
 
     /// The instruction-set tier this array's probes run at.
@@ -1050,36 +1015,6 @@ mod tests {
         assert_eq!(ma, a.match_mask(set, sa));
         assert_eq!(mb, b.match_mask(set, sb));
         assert_eq!((ma, mb), (1 << 2, 1 << 5));
-    }
-
-    #[test]
-    fn probe_batch_matches_locate() {
-        let g = Geometry::new(512 * 1024, 64, 8).unwrap();
-        for mode in [TagMode::Full, TagMode::PartialLow { bits: 8 }] {
-            let d = Directory::new(g, mode);
-            let mut x = 21u64;
-            let mut blocks = [BlockAddr::new(0); 13];
-            for _ in 0..200 {
-                for b in blocks.iter_mut() {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    *b = BlockAddr::new(x >> 4);
-                }
-                let located = d.probe_batch(&blocks);
-                for (i, &blk) in blocks.iter().enumerate() {
-                    assert_eq!(located[i], d.locate(blk), "element {i}");
-                }
-            }
-        }
-        // Modulo-indexed geometries take the scalar decompose loop.
-        let g = Geometry::with_sets(1024, 64, 9).unwrap();
-        let d = Directory::new(g, TagMode::Full);
-        let blocks = [BlockAddr::new(12345), BlockAddr::new(99), BlockAddr::new(7)];
-        let located = d.probe_batch(&blocks);
-        for (i, &blk) in blocks.iter().enumerate() {
-            assert_eq!(located[i], d.locate(blk));
-        }
     }
 
     #[test]

@@ -106,39 +106,4 @@ fn million_access_loop_allocates_nothing() {
             "{mode:?} tag-array loop must not allocate"
         );
     }
-
-    // The software-pipelined batch path (`probe_batch` + `access_located`,
-    // the bench driver's shape) is stack-arrays only — a million accesses
-    // through it must not move the counter either.
-    const K: usize = 8;
-    let mut cache = Cache::new(geom, PolicyKind::Lru, 7);
-    let mut blocks = [BlockAddr::new(0); K];
-    for i in 0..50_000u64 {
-        cache.access(stream_block(i), false);
-    }
-    let before = allocations();
-    let mut hits = 0u64;
-    let mut inflight: Option<[(usize, cache_sim::StoredTag); K]> = None;
-    for chunk in 0..(1_000_000u64 / K as u64) {
-        for (j, b) in blocks.iter_mut().enumerate() {
-            *b = stream_block(chunk * K as u64 + j as u64);
-        }
-        let located = cache.probe_batch(&blocks);
-        if let Some(prev) = inflight.replace(located) {
-            for (set, stored) in prev {
-                hits += u64::from(cache.access_located(set, stored, false).hit);
-            }
-        }
-    }
-    if let Some(prev) = inflight {
-        for (set, stored) in prev {
-            hits += u64::from(cache.access_located(set, stored, false).hit);
-        }
-    }
-    assert!(hits > 0);
-    assert_eq!(
-        allocations() - before,
-        0,
-        "probe_batch/access_located loop must not allocate"
-    );
 }
