@@ -43,7 +43,7 @@ use cpu_model::{
 use experiments::{L2Kind, CACHE_SEED};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use workloads::{extended_suite, trace_io};
+use workloads::{extended_suite, trace_io, WorkloadSpec};
 
 /// Schema version stamped on `audit.json`.
 pub const AUDIT_SCHEMA_VERSION: u32 = 1;
@@ -58,6 +58,8 @@ pub const DEFAULT_WINDOWS: u64 = 64;
 struct RunConfig {
     #[serde(default)]
     benchmark: Option<String>,
+    #[serde(default)]
+    spec: Option<WorkloadSpec>,
     #[serde(default)]
     trace_file: Option<String>,
     l2: L2Kind,
@@ -291,14 +293,13 @@ struct ComponentPlan {
 /// Captures (or fetches from the replay cache) the L2 reference stream
 /// the run config describes.
 fn capture_stream(cfg: &RunConfig) -> Result<(String, std::sync::Arc<L2Trace>), String> {
-    if let Some(name) = &cfg.benchmark {
-        let suite = extended_suite();
-        let b = suite
-            .iter()
+    let bench = if let Some(name) = &cfg.benchmark {
+        extended_suite()
+            .into_iter()
             .find(|b| &b.name == name)
-            .ok_or_else(|| format!("unknown benchmark {name:?} in run config"))?;
-        let (trace, _captured) = experiments::replay_cache::get_or_capture(b, &cfg.cpu, cfg.insts);
-        Ok((name.clone(), trace))
+            .ok_or_else(|| format!("unknown benchmark {name:?} in run config"))?
+    } else if let Some(spec) = &cfg.spec {
+        crate::inline_benchmark(spec)?
     } else if let Some(path) = &cfg.trace_file {
         let file =
             std::fs::File::open(path).map_err(|e| format!("cannot open trace {path}: {e}"))?;
@@ -306,15 +307,12 @@ fn capture_stream(cfg: &RunConfig) -> Result<(String, std::sync::Arc<L2Trace>), 
             .map_err(|e| format!("cannot parse trace {path}: {e}"))?;
         let n = insts.len() as u64;
         let trace = capture_functional(&cfg.cpu, insts.into_iter(), n);
-        Ok((path.clone(), std::sync::Arc::new(trace)))
+        return Ok((path.clone(), std::sync::Arc::new(trace)));
     } else {
-        // Inline `spec` runs carry their generator only in the original
-        // process; the audit cannot rebuild the stream from run.json.
-        Err(
-            "run config has no `benchmark` or `trace_file` — inline-spec runs are not auditable"
-                .to_string(),
-        )
-    }
+        return Err("run config has no `benchmark`, `spec` or `trace_file`".to_string());
+    };
+    let (trace, _captured) = experiments::replay_cache::get_or_capture(&bench, &cfg.cpu, cfg.insts);
+    Ok((bench.name, trace))
 }
 
 /// Computes the full audit of one run config.
@@ -628,6 +626,7 @@ mod tests {
     fn small_cfg(l2: L2Kind) -> RunConfig {
         RunConfig {
             benchmark: Some("ammp".to_string()),
+            spec: None,
             trace_file: None,
             l2,
             mode: "functional".to_string(),

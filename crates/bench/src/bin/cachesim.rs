@@ -46,7 +46,7 @@ use experiments::L2Kind;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Duration;
-use workloads::{extended_suite, trace_io, Benchmark, Inst, Suite, WorkloadSpec};
+use workloads::{extended_suite, trace_io, Benchmark, Inst, WorkloadSpec};
 
 /// One simulation request.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -132,8 +132,9 @@ enum Workload {
 }
 
 /// Checks a request before anything runs — exactly one workload source,
-/// a known mode, a benchmark name the suite has — and resolves its
-/// workload. The error names the offending field.
+/// a known mode, a benchmark name the suite has, an inline spec the
+/// generator accepts — and resolves its workload. The error names the
+/// offending field.
 fn validate(req: &RunRequest) -> Result<Workload, ExperimentError> {
     let workload = match (&req.benchmark, &req.spec, &req.trace_file) {
         (Some(name), None, None) => {
@@ -147,12 +148,9 @@ fn validate(req: &RunRequest) -> Result<Workload, ExperimentError> {
                 })?;
             Workload::Generated(b)
         }
-        // The runner reads only a benchmark's name and spec.
-        (None, Some(spec), None) => Workload::Generated(Benchmark {
-            name: "inline spec".to_string(),
-            suite: Suite::SpecInt,
-            spec: spec.clone(),
-        }),
+        (None, Some(spec), None) => Workload::Generated(
+            bench::inline_benchmark(spec).map_err(ExperimentError::InvalidInput)?,
+        ),
         (None, None, Some(path)) => Workload::TraceFile(path.clone()),
         _ => {
             let set: Vec<String> = [

@@ -3,10 +3,25 @@
 //! criterion micro-benchmarks (`benches/`).
 
 use std::path::PathBuf;
+use workloads::{Benchmark, Suite, WorkloadSpec};
 
 pub mod audit;
 pub mod figure;
 pub mod report;
+
+/// The benchmark a run's inline `spec` stands for, once the spec is
+/// checked (`WorkloadSpec::check`); the experiment runner reads only a
+/// benchmark's name and spec. The error names the spec's offending
+/// field.
+pub fn inline_benchmark(spec: &WorkloadSpec) -> Result<Benchmark, String> {
+    spec.check()
+        .map_err(|e| format!("field `spec.{}`: {}", e.field, e.message))?;
+    Ok(Benchmark {
+        name: "inline spec".to_string(),
+        suite: Suite::SpecInt,
+        spec: spec.clone(),
+    })
+}
 
 /// Strips the shared telemetry flags from `args` and installs the
 /// process-global [`ac_telemetry::Telemetry`] hub they (or the

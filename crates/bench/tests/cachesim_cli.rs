@@ -188,6 +188,21 @@ fn conflicting_workload_sources_exit_invalid_naming_both_fields() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `mcf`'s suite spec as JSON, after `edit` of its instruction mix.
+fn mcf_spec_with(edit: fn(&mut workloads::MixSpec)) -> String {
+    let mut mcf = workloads::extended_suite()
+        .into_iter()
+        .find(|b| b.name == "mcf")
+        .unwrap();
+    edit(&mut mcf.spec.mix);
+    serde_json::to_string(&mcf.spec).unwrap()
+}
+
+/// A functional 20 000-instruction cell running `spec` inline.
+fn spec_cell(spec: &str) -> String {
+    format!(r#"{{"spec":{spec},"l2":{{"Plain":"Lru"}},"mode":"functional","insts":20000}}"#)
+}
+
 #[test]
 fn bad_sweep_cell_is_rejected_before_anything_runs() {
     // Each bad second cell must reject the whole sweep up front (exit 3,
@@ -203,6 +218,14 @@ fn bad_sweep_cell_is_rejected_before_anything_runs() {
             "`mode`",
         ),
         (cell("no-such-bench", r#"{"Plain":"Lru"}"#), "no-such-bench"),
+        (
+            spec_cell(&mcf_spec_with(|m| m.mean_dep_dist = 0.5)),
+            "`spec.mix.mean_dep_dist`",
+        ),
+        (
+            spec_cell(&mcf_spec_with(|m| m.line_burst = 0)),
+            "`spec.mix.line_burst`",
+        ),
     ];
     for (bad, field) in bad_cells {
         let dir = tmp_dir("badcell");
@@ -344,6 +367,63 @@ fn inline_spec_cells_share_the_replay_cache() {
 
     let by_name = sweep_cells(&dir, "by_name", &cells(r#""benchmark":"mcf""#), &[], &[]);
     assert_eq!(inline, by_name);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_single_run_with_an_invalid_inline_spec_exits_invalid() {
+    let dir = tmp_dir("badspec");
+    let cfg = dir.join("bad.json");
+    std::fs::write(&cfg, spec_cell(&mcf_spec_with(|m| m.mean_dep_dist = 0.5))).unwrap();
+    let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("`spec.mix.mean_dep_dist`"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+    assert!(!dir.join("results").exists(), "nothing may be written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `cell` as a single run under `--telemetry <dir>/<name>`, audits
+/// that directory, and returns its `audit.json`.
+fn audit_of(dir: &Path, name: &str, cell: &str) -> Value {
+    let cfg = dir.join(format!("{name}.json"));
+    std::fs::write(&cfg, cell).unwrap();
+    let run_dir = dir.join(name);
+    let run_dir = run_dir.to_str().unwrap();
+    for args in [
+        &["--telemetry", run_dir, cfg.to_str().unwrap()][..],
+        &["audit", run_dir],
+    ] {
+        let out = run_in(dir, args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
+    let text = std::fs::read_to_string(dir.join(name).join("audit.json")).unwrap();
+    serde_json::from_str(&text).unwrap()
+}
+
+#[test]
+fn an_inline_spec_run_audits_like_the_same_benchmark_by_name() {
+    let dir = tmp_dir("audit_inline");
+    let inline = template_cell(
+        &dir,
+        &[(
+            r#""benchmark": "mcf""#,
+            &format!(r#""spec": {}"#, mcf_spec_with(|_| {})),
+        )],
+    );
+    let by_name = template_cell(&dir, &[]);
+    let inline = audit_of(&dir, "inline", &inline);
+    let by_name = audit_of(&dir, "by_name", &by_name);
+    for field in ["accesses", "achieved_hits", "achieved_misses", "opt_hits"] {
+        assert_eq!(inline[field], by_name[field], "{field}");
+    }
+    for comp in ["comp_a", "comp_b"] {
+        assert!(by_name[comp]["hits"].as_u64().is_some(), "{comp}");
+        assert_eq!(inline[comp]["hits"], by_name[comp]["hits"], "{comp}");
+    }
+    assert_eq!(inline["per_set"], by_name["per_set"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

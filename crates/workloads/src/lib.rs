@@ -43,11 +43,12 @@ pub mod packed;
 mod pattern;
 mod stack;
 mod suite;
+mod threshold;
 pub mod trace_io;
 mod zipf;
 
 pub use inst::{Inst, InstKind};
-pub use mix::{CodeSpec, MixSpec, TraceGen, WorkloadSpec, LINE_BYTES};
+pub use mix::{CodeSpec, MixSpec, SpecError, TraceGen, WorkloadSpec, LINE_BYTES};
 pub use pattern::{AccessPattern, BasePattern, PatternState};
 pub use stack::StackDistanceGen;
 pub use suite::{extended_suite, primary_suite, Benchmark, Suite};

@@ -4,9 +4,11 @@
 
 use crate::inst::{Inst, InstKind};
 use crate::pattern::{AccessPattern, PatternState};
+use crate::threshold::{unit_threshold, Coin};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Cache line size assumed when converting pattern block numbers to byte
 /// addresses (matches the paper's 64 B lines).
@@ -160,14 +162,82 @@ pub struct WorkloadSpec {
 
 impl WorkloadSpec {
     /// Creates the infinite instruction stream for this spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`WorkloadSpec::check`] rejects the spec.
     pub fn generator(&self) -> TraceGen {
         TraceGen::new(self.clone())
     }
+
+    /// Checks every precondition generating this spec asserts: those of
+    /// the instruction mix and code shape, and those its pattern's
+    /// [`AccessPattern::state`], [`crate::StackDistanceGen::new`] and
+    /// [`crate::Zipf::new`] assert. A spec that passes trips none of
+    /// those assertions.
+    pub fn check(&self) -> Result<(), SpecError> {
+        let mix = &self.mix;
+        if mix.mean_dep_dist.is_nan() || mix.mean_dep_dist < 1.0 {
+            return Err(SpecError::new(
+                "mix.mean_dep_dist",
+                format!("mean_dep_dist must be >= 1, got {}", mix.mean_dep_dist),
+            ));
+        }
+        let mem_or_branch = mix.mem_ratio + mix.branch_ratio;
+        if mem_or_branch.is_nan() || mem_or_branch > 1.0 {
+            return Err(SpecError::new(
+                "mix.mem_ratio + mix.branch_ratio",
+                "mem_ratio + branch_ratio must not exceed 1",
+            ));
+        }
+        if self.code.loop_body < 2 {
+            return Err(SpecError::new(
+                "code.loop_body",
+                "loop body needs >= 2 instructions",
+            ));
+        }
+        if mix.line_burst < 1 {
+            return Err(SpecError::new("mix.line_burst", "line_burst must be >= 1"));
+        }
+        self.pattern.check()
+    }
 }
+
+/// Why a [`WorkloadSpec`] cannot be generated (see
+/// [`WorkloadSpec::check`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// Path of the offending field inside the spec, such as
+    /// `mix.mean_dep_dist` or `pattern.parts[1].Temporal.p_new`.
+    pub field: String,
+    /// The precondition the field breaks.
+    pub message: String,
+}
+
+impl SpecError {
+    pub(crate) fn new(field: impl Into<String>, message: impl Into<String>) -> Self {
+        SpecError {
+            field: field.into(),
+            message: message.into(),
+        }
+    }
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "`{}`: {}", self.field, self.message)
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// Buckets of [`DepTable`]: a power of two, so `u * DEP_BUCKETS` is
 /// exact and its integer part is the bucket of `u`.
 const DEP_BUCKETS: usize = 4096;
+
+/// `2^-53`, the spacing of `Standard` uniforms, written as `rand` writes
+/// it so `x as f64 * UNIT` is the uniform of `x`.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
 
 /// How far a bucket's edge distances must stay from a step of the
 /// truncated output for the whole bucket to share one value: far above
@@ -210,11 +280,14 @@ impl DepTable {
         DepTable { ln_q, table }
     }
 
-    /// The distance for the uniform `u` in `[0, 1)`.
+    /// The distance for the `Standard` uniform of the RNG word `w`,
+    /// `u = x·2^-53` with `x = w >> 11`. The bucket of `u` is `x >> 41`,
+    /// because `u·4096 = x·2^-41` exactly.
     #[inline]
-    fn draw(&self, u: f64) -> u8 {
-        match self.table[(u * DEP_BUCKETS as f64) as usize] {
-            0 => Self::truncate(Self::distance(self.ln_q, u)),
+    fn draw(&self, w: u64) -> u8 {
+        let x = w >> 11;
+        match self.table[(x >> 41) as usize] {
+            0 => Self::truncate(Self::distance(self.ln_q, x as f64 * UNIT)),
             d => d,
         }
     }
@@ -236,17 +309,58 @@ impl DepTable {
     }
 }
 
+/// A spec's per-instruction draws as integer thresholds, built once per
+/// generator. Every decision [`TraceGen`] makes per instruction compares
+/// one RNG word, or its uniform's 53 bits `x = w >> 11`, with one of
+/// these constants, and decides what the float draw it replaces decided
+/// from the same word (see `crate::threshold`).
+#[derive(Debug, Clone)]
+struct Plan {
+    /// `x < mem` exactly when the class uniform is below `mem_ratio`.
+    mem: u64,
+    /// `x < mem_or_branch` exactly when it is below `mem_ratio +
+    /// branch_ratio`, summed in `f64` as the float draw summed it.
+    mem_or_branch: u64,
+    store: Coin,
+    fp: Coin,
+    long: Coin,
+    /// The taken coin of a biased (predictable) branch site.
+    biased: Coin,
+    /// `h < hard_branch` exactly when `h·2^-24 < hard_branch_frac`.
+    hard_branch: u64,
+    line_burst: u32,
+    dep_table: DepTable,
+}
+
+impl Plan {
+    /// Checks `spec` (see [`WorkloadSpec::check`]) and builds its plan.
+    fn new(spec: &WorkloadSpec) -> Result<Self, SpecError> {
+        spec.check()?;
+        let mix = &spec.mix;
+        Ok(Plan {
+            mem: unit_threshold(mix.mem_ratio, 53),
+            mem_or_branch: unit_threshold(mix.mem_ratio + mix.branch_ratio, 53),
+            store: Coin::new(mix.store_frac),
+            fp: Coin::new(mix.fp_frac),
+            long: Coin::new(mix.long_op_frac),
+            biased: Coin::new(0.92),
+            hard_branch: unit_threshold(mix.hard_branch_frac, 24),
+            line_burst: mix.line_burst,
+            dep_table: DepTable::new(mix.mean_dep_dist),
+        })
+    }
+}
+
 /// A deterministic, infinite instruction stream (see [`WorkloadSpec`]).
 ///
 /// Implements `Iterator<Item = Inst>`; use `.take(n)` for a fixed-length
 /// trace.
 #[derive(Debug, Clone)]
 pub struct TraceGen {
-    mix: MixSpec,
+    plan: Plan,
     code: CodeSpec,
     pattern: PatternState,
     rng: SmallRng,
-    dep_table: DepTable,
     /// Dynamic instruction index.
     idx: u64,
     /// Current data line and remaining same-line references.
@@ -267,25 +381,11 @@ const REGION_SPACING: u64 = 0x0010_0000;
 
 impl TraceGen {
     fn new(spec: WorkloadSpec) -> Self {
-        assert!(
-            spec.mix.mean_dep_dist >= 1.0,
-            "mean_dep_dist must be >= 1, got {}",
-            spec.mix.mean_dep_dist
-        );
-        assert!(
-            spec.mix.mem_ratio + spec.mix.branch_ratio <= 1.0,
-            "mem_ratio + branch_ratio must not exceed 1"
-        );
-        assert!(
-            spec.code.loop_body >= 2,
-            "loop body needs >= 2 instructions"
-        );
-        assert!(spec.mix.line_burst >= 1, "line_burst must be >= 1");
+        let plan = Plan::new(&spec).unwrap_or_else(|e| panic!("{}", e.message));
         TraceGen {
             pattern: spec.pattern.state(),
             rng: SmallRng::seed_from_u64(spec.seed),
-            dep_table: DepTable::new(spec.mix.mean_dep_dist),
-            mix: spec.mix,
+            plan,
             code: spec.code,
             idx: 0,
             cur_block: 0,
@@ -307,20 +407,26 @@ impl TraceGen {
 
     /// Geometric dependency distance with the configured mean, in 1..=255.
     fn dep(&mut self) -> u8 {
-        self.dep_table.draw(self.rng.gen())
+        self.plan.dep_table.draw(self.rng.next_u64())
+    }
+
+    /// The outcome of `coin` on the next RNG word.
+    fn flip(&mut self, coin: Coin) -> bool {
+        coin.flip(self.rng.next_u64())
     }
 
     /// Whether the static branch at `pc` is "hard" (data-dependent).
     fn is_hard_branch(&self, pc: u64) -> bool {
         // Deterministic per-site classification via a cheap hash.
         let h = pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-        (h as f64 / (1u64 << 24) as f64) < self.mix.hard_branch_frac
+        h < self.plan.hard_branch
     }
 }
 
 impl Iterator for TraceGen {
     type Item = Inst;
 
+    #[inline]
     fn next(&mut self) -> Option<Inst> {
         let pc = self.pc();
         self.idx += 1;
@@ -347,38 +453,38 @@ impl Iterator for TraceGen {
         }
         self.body_pos += 1;
 
-        let u: f64 = self.rng.gen();
-        let kind = if u < self.mix.mem_ratio {
+        let x = self.rng.next_u64() >> 11;
+        let kind = if x < self.plan.mem {
             if self.burst_left == 0 {
                 self.cur_block = self.pattern.next_block(&mut self.rng);
-                self.burst_left = self.mix.line_burst.max(1);
+                self.burst_left = self.plan.line_burst;
                 self.word_idx = 0;
             }
             let addr = self.cur_block * LINE_BYTES + u64::from(self.word_idx) * 8 % LINE_BYTES;
             self.word_idx += 1;
             self.burst_left -= 1;
-            if self.rng.gen_bool(self.mix.store_frac) {
+            if self.flip(self.plan.store) {
                 InstKind::Store { addr }
             } else {
                 InstKind::Load { addr }
             }
-        } else if u < self.mix.mem_ratio + self.mix.branch_ratio {
-            let taken = if self.is_hard_branch(pc) {
-                self.rng.gen_bool(0.5)
+        } else if x < self.plan.mem_or_branch {
+            let coin = if self.is_hard_branch(pc) {
+                Coin::HALF
             } else {
-                self.rng.gen_bool(0.92)
+                self.plan.biased
             };
             InstKind::Branch {
-                taken,
+                taken: self.flip(coin),
                 target: pc + 64, // short forward branch within the region
             }
         } else {
-            let fp = self.rng.gen_bool(self.mix.fp_frac);
-            let long = self.rng.gen_bool(self.mix.long_op_frac);
+            let fp = self.flip(self.plan.fp);
+            let long = self.flip(self.plan.long);
             match (fp, long) {
                 (false, false) => InstKind::IntAlu,
                 (false, true) => {
-                    if self.rng.gen_bool(0.5) {
+                    if self.flip(Coin::HALF) {
                         InstKind::IntMul
                     } else {
                         InstKind::IntDiv
@@ -391,11 +497,7 @@ impl Iterator for TraceGen {
 
         let d1 = self.dep();
         // Second operand dependency present half the time.
-        let d2 = if self.rng.gen_bool(0.5) {
-            self.dep()
-        } else {
-            0
-        };
+        let d2 = if self.flip(Coin::HALF) { self.dep() } else { 0 };
         Some(Inst {
             pc,
             kind,
@@ -408,6 +510,8 @@ impl Iterator for TraceGen {
 mod tests {
     use super::*;
     use crate::pattern::BasePattern;
+    use rand::rngs::mock::StepRng;
+    use rand::Rng;
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -540,23 +644,26 @@ mod tests {
 
     #[test]
     fn dep_table_matches_the_formula() {
-        // `Standard` uniforms are the multiples of 2^-53 in [0, 1).
+        // A word's `Standard` uniform is `x / 2^53` for `x = w >> 11`.
         const UNITS: u64 = 1 << 53;
         let step = UNITS / DEP_BUCKETS as u64;
         let mut rng = SmallRng::seed_from_u64(5);
         for mean in [1.0, 1.5, 2.0, 5.0, 8.0, 12.0, 300.0] {
             let dt = DepTable::new(mean);
-            let check = |u: f64| {
-                assert_eq!(dt.draw(u), dep_formula(mean, u), "mean {mean}, u {u:e}");
+            let check = |w: u64| {
+                let u: f64 = StepRng::new(w, 0).gen();
+                assert_eq!(dt.draw(w), dep_formula(mean, u), "mean {mean}, u {u:e}");
             };
-            // Each bucket edge ±64 uniforms.
+            // Each bucket edge ±64 uniforms, with the word's low bits
+            // clear and set.
             for edge in (0..=DEP_BUCKETS as u64).map(|j| j * step) {
                 for x in edge.saturating_sub(64)..(edge + 65).min(UNITS) {
-                    check(x as f64 / UNITS as f64);
+                    check(x << 11);
+                    check(x << 11 | 0x7ff);
                 }
             }
             for _ in 0..1_000_000 {
-                check(rng.gen());
+                check(rng.next_u64());
             }
         }
     }
@@ -590,5 +697,202 @@ mod tests {
         let mut s = spec();
         s.mix.mean_dep_dist = 0.5;
         let _ = s.generator();
+    }
+
+    /// One spec breaking each precondition the generator and the pattern
+    /// samplers assert, with the field `check` must name.
+    fn broken_specs() -> Vec<(WorkloadSpec, &'static str)> {
+        use BasePattern as B;
+        let with_mix = |edit: fn(&mut MixSpec), field| {
+            let mut s = spec();
+            edit(&mut s.mix);
+            (s, field)
+        };
+        let with_pattern = |pattern, field| (WorkloadSpec { pattern, ..spec() }, field);
+        let single = AccessPattern::single;
+        let scan = || B::LinearScan {
+            region_blocks: 8,
+            stride: 1,
+        };
+        let temporal = |p_new, mean_depth, footprint_blocks| B::Temporal {
+            p_new,
+            mean_depth,
+            footprint_blocks,
+        };
+        let mut short_body = spec();
+        short_body.code.loop_body = 1;
+        vec![
+            with_mix(|m| m.mean_dep_dist = 0.5, "mix.mean_dep_dist"),
+            with_mix(|m| m.mean_dep_dist = f64::NAN, "mix.mean_dep_dist"),
+            with_mix(|m| m.branch_ratio = 0.9, "mix.mem_ratio + mix.branch_ratio"),
+            with_mix(
+                |m| m.mem_ratio = f64::NAN,
+                "mix.mem_ratio + mix.branch_ratio",
+            ),
+            with_mix(|m| m.line_burst = 0, "mix.line_burst"),
+            (short_body, "code.loop_body"),
+            with_pattern(AccessPattern::Phased { phases: vec![] }, "pattern.phases"),
+            with_pattern(
+                AccessPattern::Phased {
+                    phases: vec![(scan(), 0, 5), (scan(), 0, 0)],
+                },
+                "pattern.phases[1]",
+            ),
+            with_pattern(
+                AccessPattern::Interleaved { parts: vec![] },
+                "pattern.parts",
+            ),
+            with_pattern(
+                AccessPattern::Interleaved {
+                    parts: vec![(scan(), 0, 0)],
+                },
+                "pattern.parts",
+            ),
+            with_pattern(
+                single(B::LinearScan {
+                    region_blocks: 8,
+                    stride: 0,
+                }),
+                "pattern.LinearScan.stride",
+            ),
+            with_pattern(
+                single(B::HotScan {
+                    hot_blocks: 4,
+                    scan_blocks: 8,
+                    hot_burst: 0,
+                    scan_burst: 1,
+                }),
+                "pattern.HotScan.hot_burst",
+            ),
+            with_pattern(
+                single(B::Zipf {
+                    footprint_blocks: 0,
+                    exponent: 1.0,
+                }),
+                "pattern.Zipf.footprint_blocks",
+            ),
+            with_pattern(
+                single(B::Zipf {
+                    footprint_blocks: 1 << 32,
+                    exponent: 1.0,
+                }),
+                "pattern.Zipf.footprint_blocks",
+            ),
+            with_pattern(
+                single(B::Zipf {
+                    footprint_blocks: 8,
+                    exponent: f64::INFINITY,
+                }),
+                "pattern.Zipf.exponent",
+            ),
+            with_pattern(single(temporal(f64::NAN, 4.0, 8)), "pattern.Temporal.p_new"),
+            with_pattern(single(temporal(0.1, 0.5, 8)), "pattern.Temporal.mean_depth"),
+            with_pattern(
+                single(temporal(0.1, 4.0, 0)),
+                "pattern.Temporal.footprint_blocks",
+            ),
+            with_pattern(
+                single(B::ShiftingHot {
+                    window_blocks: 8,
+                    period_refs: 0,
+                    shift_blocks: 1,
+                }),
+                "pattern.ShiftingHot.period_refs",
+            ),
+            with_pattern(
+                single(B::RescanLoop {
+                    hot_blocks: 8,
+                    passes: 2,
+                    scan_blocks: 8,
+                    scan_chunk: 0,
+                }),
+                "pattern.RescanLoop.scan_chunk",
+            ),
+            with_pattern(
+                single(B::Striped {
+                    inner: Box::new(scan()),
+                    sets: 9,
+                    total_sets: 8,
+                }),
+                "pattern.Striped.sets",
+            ),
+            with_pattern(
+                single(B::Striped {
+                    inner: Box::new(temporal(2.0, 4.0, 8)),
+                    sets: 4,
+                    total_sets: 8,
+                }),
+                "pattern.Striped.inner.Temporal.p_new",
+            ),
+            with_pattern(
+                single(B::Split {
+                    parts: vec![],
+                    total_sets: 8,
+                }),
+                "pattern.Split.parts",
+            ),
+            with_pattern(
+                single(B::Split {
+                    parts: vec![scan(), scan(), scan()],
+                    total_sets: 2,
+                }),
+                "pattern.Split.parts",
+            ),
+            with_pattern(
+                AccessPattern::Interleaved {
+                    parts: vec![
+                        (scan(), 0, 1),
+                        (
+                            B::Split {
+                                parts: vec![scan(), temporal(0.1, 4.0, 0)],
+                                total_sets: 8,
+                            },
+                            0,
+                            1,
+                        ),
+                    ],
+                },
+                "pattern.parts[1].Split.parts[1].Temporal.footprint_blocks",
+            ),
+        ]
+    }
+
+    #[test]
+    fn check_rejects_exactly_what_the_generator_asserts() {
+        for (s, field) in broken_specs() {
+            let err = s.check().expect_err(field);
+            assert_eq!(err.field, field, "{err}");
+            let panicked = std::panic::catch_unwind(|| s.generator()).is_err();
+            assert!(panicked, "{field}: the generator must reject it too");
+        }
+        let mut edges = spec();
+        edges.mix.mean_dep_dist = 1.0;
+        edges.mix.line_burst = 1;
+        edges.code.loop_body = 2;
+        (edges.mix.mem_ratio, edges.mix.branch_ratio) = (0.6, 0.4);
+        (edges.mix.fp_frac, edges.mix.store_frac) = (f64::NAN, 1.0);
+        edges.pattern = AccessPattern::single(BasePattern::Temporal {
+            p_new: 1.0,
+            mean_depth: 1.0,
+            footprint_blocks: 1,
+        });
+        for s in crate::extended_suite()
+            .into_iter()
+            .map(|b| b.spec)
+            .chain([edges])
+        {
+            assert_eq!(s.check(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn the_generator_panics_with_the_checks_message() {
+        let mut s = spec();
+        s.mix.line_burst = 0;
+        let panic = std::panic::catch_unwind(|| s.generator()).unwrap_err();
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("line_burst must be >= 1")
+        );
     }
 }

@@ -7,6 +7,7 @@
 //! short-reuse-dominated profiles typical of integer codes — the streams
 //! on which LRU is close to optimal.
 
+use crate::threshold::Coin;
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -35,7 +36,8 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct StackDistanceGen {
-    p_new: f64,
+    /// `gen_bool(p_new)` as a threshold on the word it draws.
+    p_new: Coin,
     /// `ln(1 - 1/mean_depth)`, the per-generator constant of the depth
     /// formula.
     ln_q: f64,
@@ -61,7 +63,7 @@ impl StackDistanceGen {
         assert!(mean_depth >= 1.0, "mean_depth must be >= 1");
         assert!(footprint > 0, "footprint must be positive");
         StackDistanceGen {
-            p_new,
+            p_new: Coin::new(p_new),
             ln_q: (1.0 - 1.0 / mean_depth).ln(),
             footprint,
             stack: VecDeque::new(),
@@ -76,7 +78,7 @@ impl StackDistanceGen {
 
     /// Draws the next block address.
     pub fn next_block<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        let want_new = self.stack.is_empty() || rng.gen_bool(self.p_new);
+        let want_new = self.stack.is_empty() || self.p_new.flip(rng.next_u64());
         if want_new {
             let b = self.next_block;
             self.next_block += 1;
