@@ -25,14 +25,15 @@
 //! `AC_TELEMETRY` environment variable) enables the `ac-telemetry`
 //! observability layer — `metrics.prom`, a Chrome `trace.json`, a
 //! sampled `events.jsonl` decision stream and `telemetry-summary.json`
-//! are written to the chosen directory on exit (and periodically
-//! mid-run when `AC_TELEMETRY_FLUSH_MS` is set).
+//! are written to the chosen directory on exit.
 //!
-//! Live introspection: `--serve <addr>` (or `AC_SERVE=<addr>`) starts an
-//! HTTP server exposing the running process — `/metrics` (Prometheus),
-//! `/progress` (sweep cells + ETA), `/events` (SSE decision stream) and
-//! a live `/` dashboard. Bind port 0 for an ephemeral port;
-//! `AC_SERVE_ADDR_FILE=<path>` publishes the bound address.
+//! Watching a long run: with `AC_TELEMETRY_FLUSH_MS=<ms>` every artifact
+//! is rewritten atomically each interval, so the directory is the live
+//! view. `metrics.prom` counts settled sweep cells
+//! (`ac_cells_total{label=ok|failed|timed_out|resumed}`) against the
+//! sweep's size (`ac_sweep_cells`), the journal
+//! `results/<name>.journal.jsonl` lists them, and `cachesim report <dir>`
+//! renders the flushed directory at any moment.
 //!
 //! Exit codes: `0` all results produced, `2` sweep finished with partial
 //! results, `3` invalid input.
@@ -343,7 +344,6 @@ fn run_sweep_request(req: SweepRequest, config_path: &Path) -> i32 {
         journal: Some(resilience::journal_path(Path::new("results"), &stem)),
         resume: resilience::resume_from_env(),
         threads: 0,
-        progress: Some(stem.clone()),
     };
     let report = match resilience::run_sweep(
         &cells,
@@ -407,20 +407,7 @@ fn main() {
     if let Err(e) = bench::init_telemetry(&mut args) {
         die_invalid(&e);
     }
-    // The introspection server (`--serve <addr>` / `AC_SERVE`) outlives
-    // the whole dispatch; `dispatch` *returns* its exit code instead of
-    // exiting so the normal paths shut the server down and release the
-    // port deterministically. (The `die_invalid` paths still leave via
-    // `process::exit` — the OS reclaims the port there.)
-    let server = match bench::init_serve(&mut args) {
-        Ok(s) => s,
-        Err(e) => die_invalid(&e),
-    };
-    let code = dispatch(args);
-    if let Some(s) = server {
-        s.shutdown();
-    }
-    std::process::exit(code);
+    std::process::exit(dispatch(args));
 }
 
 fn dispatch(mut args: Vec<String>) -> i32 {
@@ -451,7 +438,7 @@ fn dispatch(mut args: Vec<String>) -> i32 {
     }
     if arg.is_empty() || arg.starts_with("--") {
         die_invalid(
-            "usage: cachesim [--telemetry <dir> | --metrics] [--serve <addr>] [run] <run.json> | cachesim --template | cachesim figure {all|<stem>...} | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>]",
+            "usage: cachesim [--telemetry <dir> | --metrics] [run] <run.json> | cachesim --template | cachesim figure {all|<stem>...} | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>]",
         );
     }
 

@@ -32,8 +32,9 @@ pub fn inline_benchmark(spec: &WorkloadSpec) -> Result<Benchmark, String> {
 /// * `--metrics` — enable telemetry with artifacts under `results/`;
 /// * neither — defer to `AC_TELEMETRY` (see the `ac-telemetry` docs).
 ///
-/// Flags take precedence over the environment for the artifact
-/// directory; `AC_TELEMETRY_SAMPLE` still controls event sampling.
+/// A flag overrides only the environment's artifact directory; every
+/// other setting (sampling, timeline and heatmap shape) still comes from
+/// the environment ([`ac_telemetry::TelemetryConfig::from_env`]).
 /// Returns the hub when telemetry ends up enabled, `Err` on a malformed
 /// flag (missing directory operand).
 pub fn init_telemetry(
@@ -61,58 +62,7 @@ pub fn init_telemetry(
             i += 1;
         }
     }
-    match dir {
-        Some(dir) => {
-            // Respect the environment's sampling choice, but let the flag
-            // decide the directory.
-            let sample = std::env::var("AC_TELEMETRY_SAMPLE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(ac_telemetry::DEFAULT_ENV_SAMPLE_RATE);
-            let cfg = ac_telemetry::TelemetryConfig::default()
-                .with_dir(dir)
-                .with_sample_rate(sample);
-            Ok(ac_telemetry::Telemetry::install(cfg).ok())
-        }
-        None => Ok(ac_telemetry::init_from_env()),
-    }
-}
-
-/// Strips the `--serve <addr>` (or `--serve=<addr>`) flag from `args`
-/// and starts the live introspection server it — or the `AC_SERVE`
-/// environment variable — asks for, after plugging the full
-/// [`report::render_live_html`] dashboard into `GET /`.
-///
-/// Returns the running server (shut it down before exiting so the port
-/// is released deterministically), `Ok(None)` when nothing asked for
-/// one, `Err` on a malformed flag or an unbindable address.
-pub fn init_serve(args: &mut Vec<String>) -> Result<Option<ac_telemetry::serve::Server>, String> {
-    let mut addr: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--serve" {
-            if i + 1 >= args.len() {
-                return Err("flag `--serve` requires an address operand (e.g. 127.0.0.1:0)".into());
-            }
-            args.remove(i);
-            addr = Some(args.remove(i));
-        } else if let Some(rest) = args[i].strip_prefix("--serve=") {
-            if rest.is_empty() {
-                return Err("flag `--serve=` requires an address operand".into());
-            }
-            addr = Some(rest.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    ac_telemetry::serve::set_dashboard_renderer(Box::new(report::render_live_html));
-    match addr {
-        Some(addr) => ac_telemetry::serve::Server::start(&addr)
-            .map(Some)
-            .map_err(|e| format!("flag `--serve {addr}`: cannot bind: {e}")),
-        None => Ok(ac_telemetry::serve::Server::start_from_env()),
-    }
+    Ok(ac_telemetry::init_from_env(dir))
 }
 
 /// Flushes telemetry artifacts (when a hub with an artifact directory is

@@ -1130,82 +1130,6 @@ pub fn render_html(
     out
 }
 
-/// Renders the standard run report from the *live* telemetry hub: the
-/// in-memory summary and timelines are snapshotted (no artifacts need to
-/// exist on disk), a sweep-progress section is injected under the
-/// heading, and a 2-second `<meta http-equiv="refresh">` keeps the page
-/// current. Returns `None` when no hub is installed — the introspection
-/// server then falls back to its built-in dashboard.
-///
-/// Registered as the `GET /` renderer of `ac_telemetry::serve` by the
-/// `cachesim --serve` front end.
-pub fn render_live_html() -> Option<String> {
-    let hub = ac_telemetry::hub()?;
-    let summary: Option<Value> = serde_json::from_str(&hub.summary_json()).ok();
-    let mut jsonl = String::new();
-    for t in hub.timelines() {
-        t.write_jsonl(&mut jsonl);
-    }
-    let timeline: Vec<Value> = jsonl
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str(l).ok())
-        .collect();
-    let run = RunArtifacts {
-        dir: PathBuf::from("(live)"),
-        summary,
-        timeline,
-        heatmap: None,
-        audit: None,
-    };
-    let html = render_html(&run, None)
-        .replacen(
-            "<meta charset=\"utf-8\">",
-            "<meta charset=\"utf-8\"><meta http-equiv=\"refresh\" content=\"2\">",
-            1,
-        )
-        .replacen(
-            "<h1>cachesim run report</h1>",
-            &format!(
-                "<h1>cachesim run report <em>(live)</em></h1>{}",
-                progress_section()
-            ),
-            1,
-        );
-    Some(html)
-}
-
-/// The live sweep-progress section of the dashboard (empty string when
-/// no sweep has registered).
-fn progress_section() -> String {
-    let sweeps = ac_telemetry::progress::snapshot();
-    if sweeps.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("<h2>Sweep progress</h2><table><tr><th>sweep</th><th>cells</th><th>failed</th><th>running</th><th>elapsed</th><th>ETA</th></tr>");
-    for s in &sweeps {
-        let state = if s.finished {
-            "done".to_string()
-        } else {
-            format!("{:.0}s", s.eta_secs)
-        };
-        let _ = write!(
-            out,
-            "<tr><td>{}</td><td class=\"num\">{}/{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{}</td><td class=\"num\">{:.1}s</td><td class=\"num\">{}</td></tr>",
-            escaped(&s.name),
-            s.completed(),
-            s.total,
-            s.failed + s.timed_out,
-            s.running.len(),
-            s.elapsed_secs,
-            state,
-        );
-    }
-    out.push_str("</table>");
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Subcommand driver
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 //! End-to-end tests of the `cachesim` binary: JSON in, JSON out, typed
 //! exit codes (0 = ok, 2 = partial sweep, 3 = invalid input), journal
 //! checkpointing and `AC_RESUME=1` resume, for JSON sweeps and for
-//! `cachesim figure` — all through a real subprocess, the way a user
-//! drives it.
+//! `cachesim figure`, and the telemetry artifacts as a live view of a
+//! running sweep — all through a real subprocess, the way a user drives
+//! it.
 
 use serde_json::Value;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_cachesim")
@@ -424,6 +427,160 @@ fn an_inline_spec_run_audits_like_the_same_benchmark_by_name() {
         assert_eq!(inline[comp]["hits"], by_name[comp]["hits"], "{comp}");
     }
     assert_eq!(inline["per_set"], by_name["per_set"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--telemetry <dir>` takes every setting but the directory from the
+/// environment, as `AC_TELEMETRY=<dir>` does: zero timeline and heatmap
+/// shapes turn both artifacts off, and a heatmap stride beyond `u32`
+/// falls back to the default instead of wrapping to zero.
+#[test]
+fn telemetry_flag_takes_the_artifact_shapes_from_the_environment() {
+    let dir = tmp_dir("tele_shapes");
+    let cfg = dir.join("applu.json");
+    let applu = template_cell(&dir, &[(r#""mcf""#, r#""applu""#), ("50000", "300000")]);
+    std::fs::write(&cfg, applu).unwrap();
+    let cfg = cfg.to_str().unwrap();
+    let off = [("AC_TIMELINE_WINDOW", "0"), ("AC_HEATMAP_STRIDE", "0")];
+    let env_off = [("AC_TELEMETRY", "env_off"), off[0], off[1]];
+    let env_wide = [
+        ("AC_TELEMETRY", "env_wide"),
+        ("AC_HEATMAP_STRIDE", "4294967296"),
+    ];
+    let runs = [
+        ("flag", vec!["--telemetry", "flag", cfg], vec![], true),
+        (
+            "flag_off",
+            vec!["--telemetry", "flag_off", cfg],
+            off.to_vec(),
+            false,
+        ),
+        ("env_off", vec![cfg], env_off.to_vec(), false),
+        ("env_wide", vec![cfg], env_wide.to_vec(), true),
+    ];
+    for (name, args, env, written) in runs {
+        let out = run_in(&dir, &args, &env);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
+        let run_dir = dir.join(name);
+        assert!(run_dir.join("metrics.prom").exists(), "{name}");
+        for artifact in ["timeline.jsonl", "heatmap.json"] {
+            let exists = run_dir.join(artifact).exists();
+            assert_eq!(exists, written, "{name}: {artifact}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parses a Prometheus text exposition into `series -> value`, failing
+/// on any line that is neither a comment nor `<series> <number>`.
+fn parse_prom(text: &str) -> HashMap<String, f64> {
+    text.lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let (series, value) = l
+                .rsplit_once(' ')
+                .unwrap_or_else(|| panic!("malformed exposition line {l:?}"));
+            let value = value
+                .parse()
+                .unwrap_or_else(|_| panic!("non-numeric value in {l:?}"));
+            (series.to_string(), value)
+        })
+        .collect()
+}
+
+/// Kills the child if the test fails before it exits.
+struct Reaper(std::process::Child);
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// With `AC_TELEMETRY_FLUSH_MS`, the artifact directory is the live view
+/// of a sweep: while the last cell stalls, `metrics.prom` already counts
+/// the settled cells against the sweep's size, every read parses, and
+/// the counts never go backwards.
+#[test]
+fn periodic_flush_shows_a_sweep_settling_mid_run() {
+    let dir = tmp_dir("flush");
+    let stall = r#"{"Faulty":{"fault":{"stall_at_access":1,"stall_millis":2000},"inner":{"Plain":"Fifo"}}}"#;
+    let cells = [
+        cell("ammp", r#"{"Plain":"Lru"}"#),
+        cell("applu", r#"{"Plain":"Lru"}"#),
+        cell("mcf", r#"{"Plain":"Lru"}"#),
+        cell("mcf", stall),
+    ];
+    let total = cells.len() as f64;
+    let cfg = dir.join("flush.json");
+    let sweep = format!(r#"{{"name":"flush","sweep":[{}]}}"#, cells.join(","));
+    std::fs::write(&cfg, sweep).unwrap();
+    let tele = dir.join("tele");
+    let child = Command::new(bin())
+        .args(["--telemetry", tele.to_str().unwrap(), cfg.to_str().unwrap()])
+        .current_dir(&dir)
+        .env_remove("AC_RESUME")
+        .env("AC_TELEMETRY_FLUSH_MS", "50")
+        .stdout(Stdio::from(
+            std::fs::File::create(dir.join("stdout")).unwrap(),
+        ))
+        .stderr(Stdio::from(
+            std::fs::File::create(dir.join("stderr")).unwrap(),
+        ))
+        .spawn()
+        .expect("cachesim did not start");
+    let mut child = Reaper(child);
+
+    let ok = |prom: &HashMap<String, f64>| {
+        prom.get(r#"ac_cells_total{label="ok"}"#)
+            .copied()
+            .unwrap_or(0.0)
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut seen: Vec<f64> = Vec::new();
+    let mut mid_run = false;
+    let status = loop {
+        if let Ok(text) = std::fs::read_to_string(tele.join("metrics.prom")) {
+            let prom = parse_prom(&text);
+            let done = ok(&prom);
+            if let Some(&prev) = seen.last() {
+                assert!(
+                    done >= prev,
+                    "ok count went backwards: {seen:?} then {done}"
+                );
+            }
+            seen.push(done);
+            let running = child.0.try_wait().unwrap().is_none();
+            if running && done > 0.0 && done < total {
+                assert_eq!(prom.get("ac_sweep_cells"), Some(&total), "{text}");
+                mid_run = true;
+            }
+        }
+        if let Some(status) = child.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "sweep did not finish: {seen:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let stderr = std::fs::read_to_string(dir.join("stderr")).unwrap();
+    assert_eq!(status.code(), Some(0), "{stderr}");
+    assert!(mid_run, "no mid-run flush showed settled cells: {seen:?}");
+
+    let prom = parse_prom(&std::fs::read_to_string(tele.join("metrics.prom")).unwrap());
+    assert_eq!(ok(&prom), total);
+    assert_eq!(prom.get("ac_sweep_cells"), Some(&total));
+    let journal = std::fs::read_to_string(dir.join("results/flush.journal.jsonl")).unwrap();
+    let settled: Vec<Value> = journal
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(settled.len(), cells.len(), "{journal}");
+    assert!(
+        settled.iter().all(|e| e["status"].as_str() == Some("ok")),
+        "{journal}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

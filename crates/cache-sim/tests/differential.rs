@@ -6,129 +6,17 @@
 //! The packed rework is required to be *behaviour-preserving*: identical
 //! hit/miss outcomes, identical way choices (first-match / first-invalid
 //! order), identical eviction reports, for every tag mode. These tests
-//! re-implement the original `Vec<Way>` directory verbatim and drive both
-//! implementations with the same generated operation and reference
-//! streams.
+//! drive both implementations with the same generated operation and
+//! reference streams; the original `Vec<Way>` directory lives in
+//! `support/reference.rs`, shared with `adaptive-cache`'s differential
+//! suite.
 
-use cache_sim::{
-    BlockAddr, Geometry, MetaTable, PolicyKind, ReplacementPolicy, SimdLevel, StoredTag, TagAccess,
-    TagArray, TagMode, TagStats, Way,
-};
+#[path = "support/reference.rs"]
+mod reference;
+
+use cache_sim::{BlockAddr, Geometry, PolicyKind, SimdLevel, TagArray, TagMode};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-/// The seed implementation's directory: one padded struct per way,
-/// set-major, with early-exit linear scans.
-#[derive(Clone)]
-struct RefDirectory {
-    geom: Geometry,
-    tag_mode: TagMode,
-    ways: Vec<Way>, // set-major: index = set * assoc + way
-}
-
-impl RefDirectory {
-    fn new(geom: Geometry, tag_mode: TagMode) -> Self {
-        RefDirectory {
-            geom,
-            tag_mode,
-            ways: vec![Way::default(); geom.num_sets() * geom.associativity()],
-        }
-    }
-
-    fn locate(&self, block: BlockAddr) -> (usize, StoredTag) {
-        (
-            self.geom.set_index(block),
-            self.tag_mode.store(self.geom.tag(block)),
-        )
-    }
-
-    fn set_ways(&self, set: usize) -> &[Way] {
-        let b = set * self.geom.associativity();
-        &self.ways[b..b + self.geom.associativity()]
-    }
-
-    fn find(&self, set: usize, stored: StoredTag) -> Option<usize> {
-        self.set_ways(set)
-            .iter()
-            .position(|w| w.valid && w.tag == stored)
-    }
-
-    fn invalid_way(&self, set: usize) -> Option<usize> {
-        self.set_ways(set).iter().position(|w| !w.valid)
-    }
-
-    fn fill_at(&mut self, set: usize, way: usize, stored: StoredTag) -> Option<Way> {
-        let idx = set * self.geom.associativity() + way;
-        let old = self.ways[idx];
-        self.ways[idx] = Way {
-            valid: true,
-            tag: stored,
-            dirty: false,
-        };
-        old.valid.then_some(old)
-    }
-
-    fn mark_dirty(&mut self, set: usize, way: usize) {
-        self.ways[set * self.geom.associativity() + way].dirty = true;
-    }
-
-    fn invalidate(&mut self, set: usize, way: usize) -> Option<Way> {
-        let idx = set * self.geom.associativity() + way;
-        let old = self.ways[idx];
-        self.ways[idx] = Way::default();
-        old.valid.then_some(old)
-    }
-
-    fn valid_count(&self, set: usize) -> usize {
-        self.set_ways(set).iter().filter(|w| w.valid).count()
-    }
-}
-
-/// The seed implementation's tag array: [`RefDirectory`] driven with the
-/// original `find` → `invalid_way` → `victim` access sequence.
-struct RefTagArray<P: ReplacementPolicy> {
-    dir: RefDirectory,
-    meta: MetaTable<P>,
-    rng: SmallRng,
-    stats: TagStats,
-}
-
-impl<P: ReplacementPolicy> RefTagArray<P> {
-    fn new(geom: Geometry, tag_mode: TagMode, policy: P, seed: u64) -> Self {
-        RefTagArray {
-            dir: RefDirectory::new(geom, tag_mode),
-            meta: MetaTable::new(policy, geom.num_sets(), geom.associativity()),
-            rng: SmallRng::seed_from_u64(seed),
-            stats: TagStats::default(),
-        }
-    }
-
-    fn access(&mut self, block: BlockAddr) -> TagAccess {
-        let (set, stored) = self.dir.locate(block);
-        if let Some(way) = self.dir.find(set, stored) {
-            self.stats.hits += 1;
-            self.meta.on_hit(set, way);
-            return TagAccess {
-                hit: true,
-                way,
-                evicted: None,
-            };
-        }
-        self.stats.misses += 1;
-        let way = match self.dir.invalid_way(set) {
-            Some(w) => w,
-            None => self.meta.victim(set, &mut self.rng),
-        };
-        let evicted = self.dir.fill_at(set, way, stored);
-        self.meta.on_fill(set, way);
-        TagAccess {
-            hit: false,
-            way,
-            evicted,
-        }
-    }
-}
+use reference::{RefDirectory, RefTagArray};
 
 /// Geometries covering the specialised scan widths: 8-way (fixed-width +
 /// SWAR eligible), 4-way (fixed-width), 2-way and 16-way (generic loop),

@@ -90,7 +90,7 @@ impl<T> SpinMutex<T> {
         SpinGuard { lock: self }
     }
 
-    /// Acquires the lock only if it is free right now. The introspection
+    /// Acquires the lock only if it is free right now. The metrics
     /// publisher uses this to sample shard occupancy without ever
     /// stalling a worker.
     pub fn try_lock(&self) -> Option<SpinGuard<'_, T>> {

@@ -189,8 +189,8 @@ pub fn run_threads(
     assert!(threads >= 1, "need at least one thread");
     // Striped per-thread op/hit counters: one private cacheline per
     // thread on the hot path, folded into the ordinary counter namespace
-    // (and thus the live `/metrics` endpoint) at snapshot time. Inert
-    // and allocation-free when telemetry is off.
+    // (and thus `metrics.prom`) at snapshot time. Inert and
+    // allocation-free when telemetry is off.
     let ops_counter = ac_telemetry::striped_counter("concurrent.thread_ops", "", threads);
     let hits_counter = ac_telemetry::striped_counter("concurrent.thread_hits", "", threads);
     let start = std::time::Instant::now();

@@ -1,6 +1,5 @@
-//! Live observability: per-shard occupancy and the shared PSEL must be
-//! visible through the telemetry hub — and therefore through the
-//! introspection server's `/metrics` endpoint, which renders exactly
+//! Per-shard occupancy and the shared PSEL must be visible through the
+//! telemetry hub — and therefore in `metrics.prom`, which is exactly
 //! this hub's Prometheus exposition. Runs in its own process because a
 //! global recorder installs once per process.
 
@@ -57,7 +56,7 @@ fn shard_occupancy_and_psel_reach_the_metrics_exposition() {
     assert_eq!(hub.counter_value("concurrent.thread_ops", ""), 200_000);
     assert_eq!(hub.counter_value("concurrent.thread_hits", ""), report.hits);
 
-    // And the /metrics text body carries all of it.
+    // And the Prometheus exposition carries all of it.
     let prom = hub.prometheus();
     assert!(
         prom.contains("ac_concurrent_shard_occupancy{label=\"shard0\"}"),

@@ -5,7 +5,9 @@
 //! runs the Case-1/Case-2 scans over bitmasks, and decomposes each address
 //! once for all three tag structures. This test re-implements the seed's
 //! *unfused* adaptive cache — array-of-structs real directory, per-way
-//! `mode.store()` recomputation, early-exit linear scans — and asserts
+//! `mode.store()` recomputation, early-exit linear scans, over the seed
+//! tag structures `cache-sim`'s differential suite also checks
+//! (`support/reference.rs`) — and asserts
 //! both produce identical access outcomes, statistics, shadow statistics,
 //! aliasing fallbacks, and the paper's Figure-7 imitation counters, for
 //! full and partial shadow tags.
@@ -15,130 +17,27 @@
 //! (Section 4.7: leader sets "behave like the regular adaptive cache");
 //! it is driven alongside as a third implementation.
 
+#[path = "../../cache-sim/tests/support/reference.rs"]
+mod reference;
+
 use adaptive_cache::{
     AdaptiveCache, AdaptiveConfig, Component, MissHistory, SbarCache, SbarConfig,
 };
 use cache_sim::{
-    AccessOutcome, BlockAddr, CacheModel, CacheStats, Eviction, Geometry, MetaTable, PolicyKind,
-    StoredTag, TagAccess, TagMode, Way,
+    AccessOutcome, BlockAddr, CacheModel, CacheStats, Eviction, Geometry, PolicyKind, TagMode, Way,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Seed-layout directory: padded way structs, early-exit scans.
-#[derive(Clone)]
-struct RefDirectory {
-    geom: Geometry,
-    tag_mode: TagMode,
-    ways: Vec<Way>,
-}
-
-impl RefDirectory {
-    fn new(geom: Geometry, tag_mode: TagMode) -> Self {
-        RefDirectory {
-            geom,
-            tag_mode,
-            ways: vec![Way::default(); geom.num_sets() * geom.associativity()],
-        }
-    }
-
-    fn locate(&self, block: BlockAddr) -> (usize, StoredTag) {
-        (
-            self.geom.set_index(block),
-            self.tag_mode.store(self.geom.tag(block)),
-        )
-    }
-
-    fn set_ways(&self, set: usize) -> &[Way] {
-        let b = set * self.geom.associativity();
-        &self.ways[b..b + self.geom.associativity()]
-    }
-
-    fn find(&self, set: usize, stored: StoredTag) -> Option<usize> {
-        self.set_ways(set)
-            .iter()
-            .position(|w| w.valid && w.tag == stored)
-    }
-
-    fn invalid_way(&self, set: usize) -> Option<usize> {
-        self.set_ways(set).iter().position(|w| !w.valid)
-    }
-
-    fn fill_at(&mut self, set: usize, way: usize, stored: StoredTag) -> Option<Way> {
-        let idx = set * self.geom.associativity() + way;
-        let old = self.ways[idx];
-        self.ways[idx] = Way {
-            valid: true,
-            tag: stored,
-            dirty: false,
-        };
-        old.valid.then_some(old)
-    }
-
-    fn mark_dirty(&mut self, set: usize, way: usize) {
-        self.ways[set * self.geom.associativity() + way].dirty = true;
-    }
-}
-
-/// Seed-layout shadow tag array (reference directory + the same policy
-/// metadata and RNG discipline as the optimised one).
-struct RefTagArray {
-    dir: RefDirectory,
-    meta: MetaTable<PolicyKind>,
-    rng: SmallRng,
-    hits: u64,
-    misses: u64,
-}
-
-impl RefTagArray {
-    fn new(geom: Geometry, tag_mode: TagMode, policy: PolicyKind, seed: u64) -> Self {
-        RefTagArray {
-            dir: RefDirectory::new(geom, tag_mode),
-            meta: MetaTable::new(policy, geom.num_sets(), geom.associativity()),
-            rng: SmallRng::seed_from_u64(seed),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn access(&mut self, block: BlockAddr) -> TagAccess {
-        let (set, stored) = self.dir.locate(block);
-        if let Some(way) = self.dir.find(set, stored) {
-            self.hits += 1;
-            self.meta.on_hit(set, way);
-            return TagAccess {
-                hit: true,
-                way,
-                evicted: None,
-            };
-        }
-        self.misses += 1;
-        let way = match self.dir.invalid_way(set) {
-            Some(w) => w,
-            None => self.meta.victim(set, &mut self.rng),
-        };
-        let evicted = self.dir.fill_at(set, way, stored);
-        self.meta.on_fill(set, way);
-        TagAccess {
-            hit: false,
-            way,
-            evicted,
-        }
-    }
-
-    fn contains(&self, set: usize, stored: StoredTag) -> bool {
-        self.dir.find(set, stored).is_some()
-    }
-}
+use reference::{RefDirectory, RefTagArray};
 
 /// The seed's adaptive cache: unfused Algorithm 1 with per-way
 /// `mode.store()` recomputation inside the Case-1 and Case-2 scans.
 struct RefAdaptive {
     shadow_tags: TagMode,
     real: RefDirectory,
-    shadow_a: RefTagArray,
-    shadow_b: RefTagArray,
+    shadow_a: RefTagArray<PolicyKind>,
+    shadow_b: RefTagArray<PolicyKind>,
     history: Vec<MissHistory>,
     rng: SmallRng,
     stats: CacheStats,
@@ -300,18 +199,11 @@ fn drive_and_compare(
         "partial-tag alias fallbacks"
     );
     assert_eq!(sbar.aliasing_fallbacks(), reference.aliasing_fallbacks);
-    for (c, hits, misses) in [
-        (
-            Component::A,
-            reference.shadow_a.hits,
-            reference.shadow_a.misses,
-        ),
-        (
-            Component::B,
-            reference.shadow_b.hits,
-            reference.shadow_b.misses,
-        ),
+    for (c, shadow) in [
+        (Component::A, &reference.shadow_a),
+        (Component::B, &reference.shadow_b),
     ] {
+        let (hits, misses) = (shadow.stats.hits, shadow.stats.misses);
         assert_eq!(fused.shadow_stats(c), (hits, misses), "{c:?} shadow stats");
         assert_eq!(
             sbar.shadow_stats(c),

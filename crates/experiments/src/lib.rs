@@ -40,6 +40,6 @@ pub use resilience::{
     EXIT_OK, EXIT_PARTIAL,
 };
 pub use runner::{
-    default_insts, run_functional_l2, run_functional_l2_cfg, run_timed, try_parallel_map,
-    try_parallel_map_progress, L2Kind, CACHE_SEED, PAPER_L2,
+    default_insts, run_functional_l2, run_functional_l2_cfg, run_timed, try_parallel_map, L2Kind,
+    CACHE_SEED, PAPER_L2,
 };

@@ -244,10 +244,6 @@ pub struct SupervisorConfig {
     pub resume: bool,
     /// Worker threads; `0` uses the available parallelism.
     pub threads: usize,
-    /// Register the sweep under this name in the live progress registry
-    /// ([`ac_telemetry::progress`]), so a `--serve` introspection server
-    /// can report cells done/running/failed and an ETA mid-run.
-    pub progress: Option<String>,
 }
 
 impl Default for SupervisorConfig {
@@ -258,20 +254,17 @@ impl Default for SupervisorConfig {
             journal: None,
             resume: false,
             threads: 0,
-            progress: None,
         }
     }
 }
 
 impl SupervisorConfig {
     /// A config journalling to [`journal_path`]`(dir, figure)` with resume
-    /// taken from the `AC_RESUME` environment variable, reporting live
-    /// progress under the figure's name.
+    /// taken from the `AC_RESUME` environment variable.
     pub fn journalled(dir: &Path, figure: &str) -> Self {
         SupervisorConfig {
             journal: Some(journal_path(dir, figure)),
             resume: resume_from_env(),
-            progress: Some(figure.to_string()),
             ..SupervisorConfig::default()
         }
     }
@@ -392,6 +385,13 @@ impl<R> SweepReport<R> {
 /// journal proves complete are returned as [`CellOutcome::Resumed`]
 /// without recomputation.
 ///
+/// These records are the one account of a running sweep: with telemetry
+/// on, the `sweep_cells` gauge holds the number of cells, every settled
+/// cell adds one to `cells_total{label=ok|failed|timed_out|resumed}`,
+/// and each computed cell records a `cell` span, its `cell_wall_time_us`
+/// and its `cell_retries_total`; the journal lists the settled cells
+/// with telemetry off too.
+///
 /// Cell keys produced by `key_of` must be stable across process restarts
 /// — they are the resume identity.
 pub fn run_sweep<T, R, F>(
@@ -415,10 +415,7 @@ where
     };
     let keys: Vec<String> = cells.iter().map(&key_of).collect();
     let f = Arc::new(f);
-    let progress = cfg
-        .progress
-        .as_deref()
-        .map(|name| ac_telemetry::progress::sweep(name, cells.len() as u64));
+    ac_telemetry::gauge_set("sweep_cells", cells.len() as f64);
 
     let threads = if cfg.threads > 0 {
         cfg.threads
@@ -436,7 +433,6 @@ where
     let journal = &journal;
     let completed = &completed;
     let keys = &keys;
-    let progress = &progress;
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -450,13 +446,6 @@ where
                 if let Some(v) = completed.get(&key) {
                     if let Ok(r) = serde_json::from_value::<R>(v.clone()) {
                         ac_telemetry::counter_add_labeled("cells_total", "resumed", 1);
-                        if let Some(p) = progress {
-                            p.cell_finished(
-                                &key,
-                                ac_telemetry::progress::CellStatus::Resumed,
-                                Duration::ZERO,
-                            );
-                        }
                         *slot = Some(CellReport {
                             key,
                             attempts: 0,
@@ -466,21 +455,7 @@ where
                     }
                 }
 
-                if let Some(p) = progress {
-                    p.cell_start(&key);
-                }
-                let started = std::time::Instant::now();
                 let report = supervise_cell(&key, &cells[i], cfg, &f);
-                if let Some(p) = progress {
-                    use ac_telemetry::progress::CellStatus;
-                    p.cell_retried(report.attempts.saturating_sub(1));
-                    let status = match &report.outcome {
-                        CellOutcome::Done(_) | CellOutcome::Resumed(_) => CellStatus::Done,
-                        CellOutcome::Failed(_) => CellStatus::Failed,
-                        CellOutcome::TimedOut(_) => CellStatus::TimedOut,
-                    };
-                    p.cell_finished(&key, status, started.elapsed());
-                }
                 if !matches!(
                     report.outcome,
                     CellOutcome::Done(_) | CellOutcome::Resumed(_)
@@ -500,9 +475,6 @@ where
             });
         }
     });
-    if let Some(p) = progress {
-        p.finish();
-    }
 
     Ok(SweepReport {
         cells: reports

@@ -295,25 +295,6 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    try_parallel_map_progress(items, None, |i, _| format!("item {i}"), f)
-}
-
-/// [`try_parallel_map`] with live progress reporting: when `handle` is
-/// `Some`, every item is announced to the progress registry
-/// ([`ac_telemetry::progress`]) as it starts and finishes, labelled by
-/// `key_of(index, item)`, so a `--serve` introspection server can show
-/// per-cell state and an ETA while the map runs.
-pub fn try_parallel_map_progress<T, R, F>(
-    items: &[T],
-    handle: Option<&ac_telemetry::progress::SweepHandle>,
-    key_of: impl Fn(usize, &T) -> String + Sync,
-    f: F,
-) -> Vec<Result<R, ExperimentError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let threads = std::thread::available_parallelism()
@@ -321,7 +302,6 @@ where
         .unwrap_or(4)
         .min(items.len().max(1));
     let f = &f;
-    let key_of = &key_of;
     // Work-stealing claim counter: each worker claims the next unclaimed
     // index with one uncontended `fetch_add` instead of serialising on a
     // mutex-guarded queue. Results are accumulated per worker and merged
@@ -340,23 +320,8 @@ where
                         if i >= items.len() {
                             break;
                         }
-                        let key = handle.map(|h| {
-                            let key = key_of(i, &items[i]);
-                            h.cell_start(&key);
-                            key
-                        });
-                        let started = std::time::Instant::now();
                         let out =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&items[i])));
-                        if let (Some(h), Some(key)) = (handle, key) {
-                            use ac_telemetry::progress::CellStatus;
-                            let status = if out.is_ok() {
-                                CellStatus::Done
-                            } else {
-                                CellStatus::Failed
-                            };
-                            h.cell_finished(&key, status, started.elapsed());
-                        }
                         local.push((
                             i,
                             out.map_err(|p| {

@@ -34,6 +34,12 @@
 //! * `AC_TELEMETRY_SAMPLE` — decision-event sampling rate (record one
 //!   event in `N`; `0` disables the event stream; default 64 from the
 //!   environment, [`TelemetryConfig::default`] uses 1).
+//! * `AC_TIMELINE_WINDOW`, `AC_HEATMAP_WINDOW`, `AC_HEATMAP_STRIDE` —
+//!   the timeline and heatmap shapes ([`TelemetryConfig`]; `0` disables
+//!   timelines or the heatmap).
+//! * `AC_TELEMETRY_FLUSH_MS` — rewrite every artifact atomically each
+//!   `N` ms (minimum 50) while the process runs, so the artifact
+//!   directory is a live view of a long run.
 //! * `AC_LOG` — `error`, `warn`, `info` (default) or `debug`.
 //!
 //! ## Example
@@ -63,15 +69,13 @@ mod hub;
 mod json;
 mod logging;
 mod metrics;
-pub mod progress;
-pub mod serve;
 mod span;
 mod striped;
 pub mod timeline;
 
 pub use event::{Comp, DecisionEvent, EventRecord, EvictionCase, EVENTS_SCHEMA_VERSION};
 pub use export::SUMMARY_SCHEMA_VERSION;
-pub use hub::{Telemetry, TelemetryConfig, DEFAULT_ENV_SAMPLE_RATE, DEFAULT_RING_CAPACITY};
+pub use hub::{Telemetry, TelemetryConfig, DEFAULT_RING_CAPACITY};
 pub use logging::{log_stderr, max_level, Level};
 pub use metrics::{HistogramSnapshot, LOG2_BUCKETS};
 pub use span::{now_us, Span, SpanRecord};
@@ -175,14 +179,16 @@ pub(crate) fn set_hub(hub: &'static Telemetry) {
     let _ = HUB.set(hub);
 }
 
-/// Installs a [`Telemetry`] hub if the `AC_TELEMETRY` environment
-/// variable asks for one. Returns the hub when telemetry is active
-/// (whether installed now or by an earlier call).
-pub fn init_from_env() -> Option<&'static Telemetry> {
+/// Installs a [`Telemetry`] hub if `dir` (an artifact directory named on
+/// the command line) or the `AC_TELEMETRY` environment variable asks for
+/// one, configured by [`TelemetryConfig::from_env`]. Returns the hub
+/// when telemetry is active (whether installed now or by an earlier
+/// call).
+pub fn init_from_env(dir: Option<std::path::PathBuf>) -> Option<&'static Telemetry> {
     if let Some(h) = hub() {
         return Some(h);
     }
-    let cfg = TelemetryConfig::from_env()?;
+    let cfg = TelemetryConfig::from_env(dir)?;
     Telemetry::install(cfg).ok()
 }
 

@@ -8,7 +8,7 @@
 //! shard) its own cacheline-aligned `AtomicU64`; the hot path is a single
 //! relaxed `fetch_add` on a cell no other thread touches, and the stripes
 //! are summed only when somebody *reads* the counters (Prometheus export,
-//! summary JSON, the live `/metrics` endpoint) — merge-on-snapshot.
+//! summary JSON) — merge-on-snapshot.
 //!
 //! With telemetry disabled, constructing a striped counter performs **no
 //! allocation** (the handle is just `None` inside) and `add` is one

@@ -643,6 +643,7 @@ mod tests {
         /// typed error — or, at the very least, never yield records that
         /// differ from the originals. (The trailing CRC-32 detects every
         /// single-byte corruption, so in practice this always errors.)
+        #[test]
         fn corrupted_byte_never_yields_wrong_records(
             n in 1usize..200,
             pos_seed in proptest::prelude::any::<u64>(),

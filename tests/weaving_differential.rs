@@ -256,6 +256,7 @@ fn spec() -> impl Strategy<Value = WorkloadSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    #[test]
     fn trace_gen_matches_the_float_weaving(spec in spec()) {
         prop_assert!(spec.check().is_ok(), "generated an invalid spec: {spec:?}");
         let mut reference = FloatWeaver::new(&spec);
