@@ -37,13 +37,12 @@
 use crate::report::EXIT_INVALID_INPUT;
 use cache_sim::Geometry;
 use cpu_model::{
-    belady, capture_functional, replay_model_windows, replay_standalone, CpuConfig, L2Trace,
-    PolicyReplay,
+    belady, capture_functional, replay_model_windows, replay_standalone, L2Trace, PolicyReplay,
 };
+use experiments::cell::{self, RunRequest, Workload};
 use experiments::{L2Kind, CACHE_SEED};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use workloads::{extended_suite, trace_io, WorkloadSpec};
 
 /// Schema version stamped on `audit.json`.
 pub const AUDIT_SCHEMA_VERSION: u32 = 1;
@@ -51,28 +50,6 @@ pub const AUDIT_SCHEMA_VERSION: u32 = 1;
 /// Default number of instruction windows the run is split into when
 /// `--window` is not given.
 pub const DEFAULT_WINDOWS: u64 = 64;
-
-/// The slice of a `run.json` the audit needs: the same shape `cachesim`
-/// serialises into the telemetry directory of every single run.
-#[derive(Debug, Clone, Deserialize)]
-struct RunConfig {
-    #[serde(default)]
-    benchmark: Option<String>,
-    #[serde(default)]
-    spec: Option<WorkloadSpec>,
-    #[serde(default)]
-    trace_file: Option<String>,
-    l2: L2Kind,
-    #[serde(default = "default_mode")]
-    mode: String,
-    insts: u64,
-    #[serde(default = "CpuConfig::paper_default")]
-    cpu: CpuConfig,
-}
-
-fn default_mode() -> String {
-    "functional".to_string()
-}
 
 /// Totals of one offline component-policy replay.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -291,32 +268,26 @@ struct ComponentPlan {
 }
 
 /// Captures (or fetches from the replay cache) the L2 reference stream
-/// the run config describes.
-fn capture_stream(cfg: &RunConfig) -> Result<(String, std::sync::Arc<L2Trace>), String> {
-    let bench = if let Some(name) = &cfg.benchmark {
-        extended_suite()
-            .into_iter()
-            .find(|b| &b.name == name)
-            .ok_or_else(|| format!("unknown benchmark {name:?} in run config"))?
-    } else if let Some(spec) = &cfg.spec {
-        crate::inline_benchmark(spec)?
-    } else if let Some(path) = &cfg.trace_file {
-        let file =
-            std::fs::File::open(path).map_err(|e| format!("cannot open trace {path}: {e}"))?;
-        let insts = trace_io::read_binary(std::io::BufReader::new(file))
-            .map_err(|e| format!("cannot parse trace {path}: {e}"))?;
-        let n = insts.len() as u64;
-        let trace = capture_functional(&cfg.cpu, insts.into_iter(), n);
-        return Ok((path.clone(), std::sync::Arc::new(trace)));
-    } else {
-        return Err("run config has no `benchmark`, `spec` or `trace_file`".to_string());
-    };
-    let (trace, _captured) = experiments::replay_cache::get_or_capture(&bench, &cfg.cpu, cfg.insts);
-    Ok((bench.name, trace))
+/// the run config describes, once `cell::validate` has resolved its
+/// workload.
+fn capture_stream(cfg: &RunRequest) -> Result<(String, std::sync::Arc<L2Trace>), String> {
+    match cell::validate(cfg).map_err(|e| e.to_string())? {
+        Workload::Generated(bench) => {
+            let (trace, _captured) =
+                experiments::replay_cache::get_or_capture(&bench, &cfg.cpu, cfg.insts);
+            Ok((bench.name, trace))
+        }
+        Workload::TraceFile(path) => {
+            let insts = cell::load_trace(&path).map_err(|e| e.to_string())?;
+            let n = insts.len() as u64;
+            let trace = capture_functional(&cfg.cpu, insts.into_iter(), n);
+            Ok((path, std::sync::Arc::new(trace)))
+        }
+    }
 }
 
 /// Computes the full audit of one run config.
-fn audit_run(cfg: &RunConfig, window_insts: u64) -> Result<AuditReport, String> {
+fn audit_run(cfg: &RunRequest, window_insts: u64) -> Result<AuditReport, String> {
     let (workload, trace) = capture_stream(cfg)?;
     let geom = Geometry::new(
         cfg.cpu.l2.size_bytes,
@@ -574,7 +545,7 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
     let Some(run_dir) = run_dir else {
         eprintln!(
             "error: usage: cachesim audit <run-dir> [--config <run.json>] [--window <insts>] \
-             [--out <file>]"
+             [--out <file>] (a --config file is a cachesim run request, `mode` included)"
         );
         return EXIT_INVALID_INPUT;
     };
@@ -591,7 +562,7 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
             return EXIT_INVALID_INPUT;
         }
     };
-    let cfg: RunConfig = match serde_json::from_str(&text) {
+    let cfg: RunRequest = match serde_json::from_str(&text) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: bad run config {}: {e}", config_path.display());
@@ -622,9 +593,10 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
 mod tests {
     use super::*;
     use adaptive_cache::AdaptiveConfig;
+    use cpu_model::CpuConfig;
 
-    fn small_cfg(l2: L2Kind) -> RunConfig {
-        RunConfig {
+    fn small_cfg(l2: L2Kind) -> RunRequest {
+        RunRequest {
             benchmark: Some("ammp".to_string()),
             spec: None,
             trace_file: None,

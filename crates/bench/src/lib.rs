@@ -3,24 +3,23 @@
 //! criterion micro-benchmarks (`benches/`).
 
 use std::path::PathBuf;
-use workloads::{Benchmark, Suite, WorkloadSpec};
 
 pub mod audit;
 pub mod figure;
 pub mod report;
 
-/// The benchmark a run's inline `spec` stands for, once the spec is
-/// checked (`WorkloadSpec::check`); the experiment runner reads only a
-/// benchmark's name and spec. The error names the spec's offending
-/// field.
-pub fn inline_benchmark(spec: &WorkloadSpec) -> Result<Benchmark, String> {
-    spec.check()
-        .map_err(|e| format!("field `spec.{}`: {}", e.field, e.message))?;
-    Ok(Benchmark {
-        name: "inline spec".to_string(),
-        suite: Suite::SpecInt,
-        spec: spec.clone(),
-    })
+/// Writes `text` and a newline to stdout. A closed stdout is not an
+/// error: once its reader is gone (`BrokenPipe`) nothing more can be
+/// shown, so the text is dropped and the run keeps the exit code it
+/// earns. Any other write error is logged.
+pub fn print_stdout(text: &str) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = writeln!(out, "{text}").and_then(|()| out.flush()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            ac_telemetry::warn!("cachesim: cannot write to stdout: {e}");
+        }
+    }
 }
 
 /// Strips the shared telemetry flags from `args` and installs the

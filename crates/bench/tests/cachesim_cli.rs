@@ -254,6 +254,32 @@ fn bad_sweep_cell_is_rejected_before_anything_runs() {
     }
 }
 
+#[test]
+fn a_deadline_no_duration_can_hold_is_rejected_before_anything_runs() {
+    for secs in ["-1", "1e300", "0"] {
+        let dir = tmp_dir("deadline");
+        let cfg = dir.join("bad.json");
+        std::fs::write(
+            &cfg,
+            format!(
+                r#"{{"name":"bad","deadline_secs":{secs},"sweep":[{}]}}"#,
+                cell("mcf", r#"{"Plain":"Lru"}"#)
+            ),
+        )
+        .unwrap();
+        let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{secs}: {stderr}");
+        assert!(stderr.contains("`deadline_secs`"), "{secs}: {stderr}");
+        assert!(out.stdout.is_empty(), "{secs}: nothing may run");
+        assert!(
+            !dir.join("results").exists(),
+            "{secs}: nothing may be written"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// `--template`'s single run as a functional `mcf` cell, with each
 /// `(from, to)` edit then applied to its text.
 fn template_cell(dir: &Path, edits: &[(&str, &str)]) -> String {
@@ -659,7 +685,7 @@ fn figure_resume_is_keyed_by_the_instruction_budget() {
 
     // Another budget is recomputed, and matches a fresh run at it.
     let stderr = run(&dir, "6000", true);
-    assert!(stderr.contains("1 cells: 1 ok (0 resumed)"), "{stderr}");
+    assert!(stderr.contains("78 cells: 78 ok (0 resumed)"), "{stderr}");
     run(&fresh, "6000", false);
     assert!(csv(&dir) == csv(&fresh), "recomputed table differs");
     assert!(csv(&dir) != small, "the budgets must give different tables");
@@ -668,10 +694,10 @@ fn figure_resume_is_keyed_by_the_instruction_budget() {
     // own table.
     std::fs::remove_file(dir.join("results/fig08_fifo_mru.csv")).unwrap();
     let stderr = run(&dir, "6000", true);
-    assert!(stderr.contains("1 cells: 1 ok (1 resumed)"), "{stderr}");
+    assert!(stderr.contains("78 cells: 78 ok (78 resumed)"), "{stderr}");
     assert!(csv(&dir) == csv(&fresh), "resumed 6000 table differs");
     let stderr = run(&dir, "3000", true);
-    assert!(stderr.contains("1 cells: 1 ok (1 resumed)"), "{stderr}");
+    assert!(stderr.contains("78 cells: 78 ok (78 resumed)"), "{stderr}");
     assert!(csv(&dir) == small, "resumed 3000 table differs");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&fresh);
@@ -732,4 +758,68 @@ fn figure_rejects_unknown_stems_listing_the_registry() {
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table 1."));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the binary in `dir` with its stdout the write end of a pipe
+/// whose read end is already closed, so every write to it fails.
+fn run_with_closed_stdout(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let mut cmd = Command::new(bin());
+    cmd.args(args)
+        .current_dir(dir)
+        .env_remove("AC_RESUME")
+        .stdout(writer);
+    for (k, v) in env {
+        cmd.env(k, v);
+    }
+    cmd.output().expect("cachesim did not start")
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_with_its_exit_code_and_no_panic() {
+    let dir = tmp_dir("closed_stdout");
+    let out = run_with_closed_stdout(&dir, &["--template"], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    let args = ["figure", "table_storage", "sec47_overheads"];
+    let out = run_with_closed_stdout(&dir, &args, &[("AC_INSTS", "1000")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for stem in ["table_storage", "sec47_overheads"] {
+        let written = std::fs::read(dir.join(format!("results/{stem}.csv"))).unwrap();
+        assert!(written == committed_csv(stem), "{stem}.csv differs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn figures_that_read_one_cell_share_it_through_the_journal() {
+    let dir = tmp_dir("figure_shared");
+    let fresh = tmp_dir("figure_shared_fresh");
+    let insts = [("AC_INSTS", "3000")];
+    let resume = [insts[0], ("AC_RESUME", "1")];
+    let out = run_in(&dir, &["figure", "fig04_cpi"], &insts);
+    assert_eq!(out.status.code(), Some(0));
+
+    // Section 4.7 reads Figure 4's LRU and adaptive cells.
+    let out = run_in(&dir, &["figure", "sec47_sbar"], &resume);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("104 cells: 104 ok (52 resumed)"),
+        "{stderr}"
+    );
+    let out = run_in(&fresh, &["figure", "sec47_sbar"], &insts);
+    assert_eq!(out.status.code(), Some(0));
+    let csv = |d: &Path| std::fs::read(d.join("results/sec47_sbar.csv")).unwrap();
+    assert!(
+        csv(&dir) == csv(&fresh),
+        "a table built from resumed cells differs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh);
 }

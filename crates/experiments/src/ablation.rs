@@ -5,23 +5,20 @@
 //! with brief justification; these sweeps quantify how much each choice
 //! matters on the primary suite.
 
-use crate::figures::l2_mpki;
+use crate::figures::{suite_means, Cells};
 use crate::report::Table;
-use crate::runner::{parallel_map, L2Kind};
+use crate::runner::L2Kind;
 use adaptive_cache::overhead::StorageModel;
 use adaptive_cache::{AdaptiveConfig, HistoryKind, SbarConfig};
 use cache_sim::{Geometry, PolicyKind};
-use workloads::primary_suite;
 
-fn average_mpki(kind: &L2Kind, insts: u64) -> f64 {
-    let suite = primary_suite();
-    let v = parallel_map(&suite, |b| l2_mpki(b, kind, insts));
-    v.iter().sum::<f64>() / v.len() as f64
+fn average_mpki(cells: &Cells, kind: &L2Kind, insts: u64) -> f64 {
+    suite_means(|b| vec![cells.mpki(b, kind, insts)])[0]
 }
 
 /// Sweep of the miss-history variant (paper Section 2.2 discusses three
 /// realisations but evaluates only the bit-vector with `m = 8`).
-pub fn history_ablation(insts: u64) -> Table {
+pub fn history_ablation(cells: &Cells, insts: u64) -> Table {
     let variants: Vec<(String, HistoryKind)> = [4u32, 8, 16, 32, 64]
         .iter()
         .map(|&m| (format!("bit-vector m={m}"), HistoryKind::BitVector { m }))
@@ -47,7 +44,7 @@ pub fn history_ablation(insts: u64) -> Table {
         t.push_row(
             label,
             vec![
-                average_mpki(&L2Kind::Adaptive(cfg), insts),
+                average_mpki(cells, &L2Kind::Adaptive(cfg), insts),
                 f64::from(kind.bits_per_set()),
             ],
         );
@@ -57,7 +54,7 @@ pub fn history_ablation(insts: u64) -> Table {
 
 /// Sweep of the LFU counter width (the paper uses 5 bits; too few bits
 /// saturate early and lose discrimination, too many embalm stale blocks).
-pub fn lfu_counter_ablation(insts: u64) -> Table {
+pub fn lfu_counter_ablation(cells: &Cells, insts: u64) -> Table {
     let mut t = Table::new(
         "Ablation: LFU counter width (primary-set average MPKI)",
         "counter bits",
@@ -70,8 +67,8 @@ pub fn lfu_counter_ablation(insts: u64) -> Table {
         t.push_row(
             bits.to_string(),
             vec![
-                average_mpki(&L2Kind::Plain(lfu), insts),
-                average_mpki(&L2Kind::Adaptive(cfg), insts),
+                average_mpki(cells, &L2Kind::Plain(lfu), insts),
+                average_mpki(cells, &L2Kind::Adaptive(cfg), insts),
             ],
         );
     }
@@ -80,7 +77,7 @@ pub fn lfu_counter_ablation(insts: u64) -> Table {
 
 /// Sweep of the SBAR leader-set count: fewer leaders = less overhead but
 /// noisier sampling.
-pub fn sbar_leader_ablation(insts: u64) -> Table {
+pub fn sbar_leader_ablation(cells: &Cells, insts: u64) -> Table {
     let geom = Geometry::new(512 * 1024, 64, 8).unwrap();
     let model = StorageModel::new(geom);
     let mut t = Table::new(
@@ -96,7 +93,7 @@ pub fn sbar_leader_ablation(insts: u64) -> Table {
         t.push_row(
             leaders.to_string(),
             vec![
-                average_mpki(&L2Kind::Sbar(cfg), insts),
+                average_mpki(cells, &L2Kind::Sbar(cfg), insts),
                 model.sbar_overhead_pct(&cfg),
             ],
         );
@@ -106,7 +103,7 @@ pub fn sbar_leader_ablation(insts: u64) -> Table {
 
 /// Sweep of the XOR-folded partial tags against low-order-bit tags of the
 /// same width (Section 3.1 mentions both).
-pub fn xor_tag_ablation(insts: u64) -> Table {
+pub fn xor_tag_ablation(cells: &Cells, insts: u64) -> Table {
     use cache_sim::TagMode;
     let mut t = Table::new(
         "Ablation: low-order vs XOR-folded partial tags (primary-set average MPKI)",
@@ -119,8 +116,8 @@ pub fn xor_tag_ablation(insts: u64) -> Table {
         t.push_row(
             bits.to_string(),
             vec![
-                average_mpki(&L2Kind::Adaptive(low), insts),
-                average_mpki(&L2Kind::Adaptive(xor), insts),
+                average_mpki(cells, &L2Kind::Adaptive(low), insts),
+                average_mpki(cells, &L2Kind::Adaptive(xor), insts),
             ],
         );
     }
@@ -130,11 +127,12 @@ pub fn xor_tag_ablation(insts: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Figure;
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn history_variants_are_all_sane() {
-        let t = history_ablation(250_000);
+        let t = Figure::Plan(history_ablation).run(250_000);
         let values: Vec<f64> = t.rows.iter().map(|(_, v)| v[0]).collect();
         let (min, max) = values
             .iter()
@@ -146,7 +144,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn sbar_more_leaders_cost_more() {
-        let t = sbar_leader_ablation(150_000);
+        let t = Figure::Plan(sbar_leader_ablation).run(150_000);
         let overheads: Vec<f64> = t.rows.iter().map(|(_, v)| v[1]).collect();
         for w in overheads.windows(2) {
             assert!(

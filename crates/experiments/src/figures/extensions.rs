@@ -2,7 +2,7 @@
 //! set-dueling successor (DIP), a synthesis of the two, and the paper's
 //! two future-work directions (a shared L2 and adaptive prefetching).
 
-use super::{l2_mpki, suite_table};
+use super::{suite_table, Cells};
 use crate::multicore::{paper_future_work_pairs, run_shared_l2};
 use crate::report::Table;
 use crate::runner::L2Kind;
@@ -16,7 +16,7 @@ use workloads::primary_suite;
 /// 2007), the successor its SBAR experiment anticipated. DIP needs no
 /// shadow tags but can only move LRU's *insertion* position; the
 /// adaptive cache combines arbitrary policies.
-pub fn related_dip(insts: u64) -> Table {
+pub fn related_dip(cells: &Cells, insts: u64) -> Table {
     let kinds = [
         ("LRU", L2Kind::Plain(PolicyKind::Lru)),
         (
@@ -29,7 +29,7 @@ pub fn related_dip(insts: u64) -> Table {
     suite_table(
         "Related work: adaptive replacement vs DIP set dueling (L2 MPKI)",
         &kinds,
-        |b, k| l2_mpki(b, k, insts),
+        |b, k| cells.mpki(b, k, insts),
     )
 }
 
@@ -37,7 +37,7 @@ pub fn related_dip(insts: u64) -> Table {
 /// thrash-protecting insertion) and LFU or LRU: a pairing neither the
 /// 2006 paper nor the 2007 DIP paper evaluated, which the adaptive
 /// framework turns into a configuration change.
-pub fn synthesis(insts: u64) -> Table {
+pub fn synthesis(cells: &Cells, insts: u64) -> Table {
     let kinds = [
         ("LRU", L2Kind::Plain(PolicyKind::Lru)),
         (
@@ -63,7 +63,7 @@ pub fn synthesis(insts: u64) -> Table {
     suite_table(
         "Synthesis: adaptivity over DIP's insertion policy (L2 MPKI)",
         &kinds,
-        |b, k| l2_mpki(b, k, insts),
+        |b, k| cells.mpki(b, k, insts),
     )
 }
 

@@ -5,12 +5,12 @@
 //! primary-set averages relative to full tags. The expected shape: under
 //! 1% degradation for 6 bits or more, visible degradation at 4 bits.
 
-use super::{cpi, l2_mpki};
+use super::{suite_means, Cells};
 use crate::report::Table;
-use crate::runner::{parallel_map, L2Kind};
+use crate::runner::L2Kind;
 use adaptive_cache::AdaptiveConfig;
 use cache_sim::TagMode;
-use workloads::primary_suite;
+use cpu_model::CpuConfig;
 
 /// The tag configurations of Figure 5, in paper order.
 pub fn tag_sweep() -> Vec<(String, TagMode)> {
@@ -23,8 +23,7 @@ pub fn tag_sweep() -> Vec<(String, TagMode)> {
 
 /// Regenerates Figure 5: average MPKI and CPI per tag size, plus the
 /// percentage increase over full tags.
-pub fn fig05_partial_tags(insts: u64) -> Table {
-    let suite = primary_suite();
+pub fn fig05_partial_tags(cells: &Cells, insts: u64) -> Table {
     let sweep = tag_sweep();
     let mut table = Table::new(
         "Figure 5: impact of partial tags on the adaptive cache (primary-set averages)",
@@ -37,18 +36,19 @@ pub fn fig05_partial_tags(insts: u64) -> Table {
         ],
     );
 
-    // One (mpki, cpi) average pair per tag mode; benchmarks in parallel.
+    // One (mpki, cpi) average pair per tag mode, summed in suite order.
     let per_mode: Vec<(f64, f64)> = sweep
         .iter()
         .map(|(_, mode)| {
             let kind = L2Kind::Adaptive(AdaptiveConfig::paper_full_tags().shadow_tag_mode(*mode));
-            let results =
-                parallel_map(&suite, |b| (l2_mpki(b, &kind, insts), cpi(b, &kind, insts)));
-            let n = results.len() as f64;
-            (
-                results.iter().map(|r| r.0).sum::<f64>() / n,
-                results.iter().map(|r| r.1).sum::<f64>() / n,
-            )
+            let paper = CpuConfig::paper_default();
+            let avg = suite_means(|b| {
+                vec![
+                    cells.mpki(b, &kind, insts),
+                    cells.cpi(b, &kind, paper, insts),
+                ]
+            });
+            (avg[0], avg[1])
         })
         .collect();
 
@@ -70,6 +70,7 @@ pub fn fig05_partial_tags(insts: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Figure;
 
     #[test]
     fn sweep_order_matches_paper() {
@@ -83,7 +84,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn eight_bit_tags_track_full_tags() {
-        let t = fig05_partial_tags(250_000);
+        let t = Figure::Plan(fig05_partial_tags).run(250_000);
         let full = t.row("Full").unwrap()[0];
         let eight = t.row("8-bit").unwrap()[0];
         assert!(

@@ -6,18 +6,20 @@
 //! adaptive cache still performs slightly better than the 10-way cache at
 //! less than a sixth of the overhead.
 
-use super::suite_table;
+use super::{suite_table, Cells};
 use crate::report::Table;
-use crate::runner::{run_timed_with_geom, L2Kind};
+use crate::runner::L2Kind;
 use adaptive_cache::AdaptiveConfig;
-use cache_sim::{Geometry, PolicyKind};
+use cache_sim::PolicyKind;
 use cpu_model::CpuConfig;
 
-/// The five organisations of Figure 6: `(label, (L2Kind, geometry))`.
-pub fn organisations() -> Vec<(String, (L2Kind, Geometry))> {
-    let base = Geometry::new(512 * 1024, 64, 8).unwrap();
-    let nine = Geometry::with_sets(1024, 64, 9).unwrap();
-    let ten = Geometry::with_sets(1024, 64, 10).unwrap();
+/// The five organisations of Figure 6: `(label, (L2Kind, processor))`.
+/// The bigger caches keep the paper's 1024 sets: 576 KB over 9 ways and
+/// 640 KB over 10 ways.
+pub fn organisations() -> Vec<(String, (L2Kind, CpuConfig))> {
+    let base = CpuConfig::paper_default();
+    let nine = base.l2_shape(576 * 1024, 9);
+    let ten = base.l2_shape(640 * 1024, 10);
     vec![
         (
             "Adaptive (512KB, full tags)".into(),
@@ -43,33 +45,39 @@ pub fn organisations() -> Vec<(String, (L2Kind, Geometry))> {
 }
 
 /// Regenerates Figure 6 (CPI per benchmark; lower is better).
-pub fn fig06_vs_bigger(insts: u64) -> Table {
+pub fn fig06_vs_bigger(cells: &Cells, insts: u64) -> Table {
     suite_table(
         "Figure 6: CPI of partially-tagged adaptive replacement vs bigger conventional caches",
         &organisations(),
-        |b, (kind, geom)| {
-            run_timed_with_geom(b, kind, CpuConfig::paper_default(), *geom, insts).cpi()
-        },
+        |b, (kind, cpu)| cells.cpi(b, kind, *cpu, insts),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Figure;
+    use cache_sim::Geometry;
 
     #[test]
     fn organisation_geometries() {
-        let geoms: Vec<Geometry> = organisations().into_iter().map(|(_, (_, g))| g).collect();
+        let geoms: Vec<Geometry> = organisations()
+            .into_iter()
+            .map(|(_, (_, cpu))| {
+                Geometry::new(cpu.l2.size_bytes, cpu.l2.line_bytes, cpu.l2.associativity).unwrap()
+            })
+            .collect();
         assert_eq!(geoms.len(), 5);
         assert_eq!(geoms[3].size_bytes(), 576 * 1024);
         assert_eq!(geoms[4].size_bytes(), 640 * 1024);
-        assert_eq!(geoms[4].num_sets(), 1024);
+        assert_eq!(geoms[3], Geometry::with_sets(1024, 64, 9).unwrap());
+        assert_eq!(geoms[4], Geometry::with_sets(1024, 64, 10).unwrap());
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn adaptive_beats_plain_lru_of_same_size() {
-        let t = fig06_vs_bigger(250_000);
+        let t = Figure::Plan(fig06_vs_bigger).run(250_000);
         let avg = t.row("Average").unwrap();
         // adaptive full (0) and 8-bit (1) vs same-size LRU (2)
         assert!(avg[0] <= avg[2] * 1.01, "{avg:?}");

@@ -5,14 +5,14 @@
 //! MRU will outperform more reasonable policies" — the adaptive policy
 //! must tightly track the better of the two.
 
-use super::{l2_mpki, suite_table};
+use super::{suite_table, Cells};
 use crate::report::Table;
 use crate::runner::L2Kind;
 use adaptive_cache::AdaptiveConfig;
 use cache_sim::PolicyKind;
 
 /// Regenerates Figure 8 (lower is better).
-pub fn fig08_fifo_mru(insts: u64) -> Table {
+pub fn fig08_fifo_mru(cells: &Cells, insts: u64) -> Table {
     let kinds = [
         L2Kind::Adaptive(AdaptiveConfig::with_policies(
             PolicyKind::Fifo,
@@ -25,18 +25,19 @@ pub fn fig08_fifo_mru(insts: u64) -> Table {
     suite_table(
         "Figure 8: L2 MPKI adapting between FIFO and MRU (512KB, 8-way)",
         &kinds,
-        |b, k| l2_mpki(b, k, insts),
+        |b, k| cells.mpki(b, k, insts),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Figure;
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn adaptive_tracks_better_component() {
-        let t = fig08_fifo_mru(1_000_000);
+        let t = Figure::Plan(fig08_fifo_mru).run(1_000_000);
         let avg = t.row("Average").unwrap();
         let (adaptive, fifo, mru) = (avg[0], avg[1], avg[2]);
         assert!(
@@ -67,7 +68,7 @@ mod tests {
         // The paper: "MRU is only beneficial for one of the gcc inputs, as
         // well as for the art benchmark" — at least one benchmark must
         // have MRU strictly better than FIFO.
-        let t = fig08_fifo_mru(1_000_000);
+        let t = Figure::Plan(fig08_fifo_mru).run(1_000_000);
         let better_somewhere = t
             .rows
             .iter()

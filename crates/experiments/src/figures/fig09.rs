@@ -5,20 +5,21 @@
 //! slightly for highly-associative caches ("our technique would be
 //! effective for future highly-associative last-level caches").
 
+use super::plan::cpi;
+use super::{suite_means, Cells};
+use crate::cell::RunRequest;
 use crate::report::Table;
-use crate::runner::{parallel_map, run_timed, L2Kind};
+use crate::runner::L2Kind;
 use adaptive_cache::AdaptiveConfig;
 use cache_sim::PolicyKind;
 use cpu_model::CpuConfig;
-use workloads::primary_suite;
 
 /// The associativities swept (512 KB each; the paper shows 4..32).
 pub const ASSOCIATIVITIES: [usize; 4] = [4, 8, 16, 32];
 
 /// Regenerates Figure 9: percentage improvement of average CPI and
 /// percentage reduction of average misses, adaptive vs LRU.
-pub fn fig09_associativity(insts: u64) -> Table {
-    let suite = primary_suite();
+pub fn fig09_associativity(cells: &Cells, insts: u64) -> Table {
     let mut table = Table::new(
         "Figure 9: benefit vs associativity (512KB L2)",
         "associativity",
@@ -30,15 +31,12 @@ pub fn fig09_associativity(insts: u64) -> Table {
             L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
             L2Kind::Plain(PolicyKind::Lru),
         ];
-        let results = parallel_map(&suite, |b| {
-            let a = run_timed(b, &kinds[0], config, insts).expect("paper geometry is valid");
-            let l = run_timed(b, &kinds[1], config, insts).expect("paper geometry is valid");
-            (a.cpi(), l.cpi(), a.l2.misses as f64, l.l2.misses as f64)
+        let avg = suite_means(|b| {
+            let a = cells.reply(RunRequest::timed(b, &kinds[0], config, insts));
+            let l = cells.reply(RunRequest::timed(b, &kinds[1], config, insts));
+            vec![cpi(a), cpi(l), a.l2_misses as f64, l.l2_misses as f64]
         });
-        let n = results.len() as f64;
-        let avg = |f: fn(&(f64, f64, f64, f64)) -> f64| results.iter().map(f).sum::<f64>() / n;
-        let (a_cpi, l_cpi) = (avg(|r| r.0), avg(|r| r.1));
-        let (a_miss, l_miss) = (avg(|r| r.2), avg(|r| r.3));
+        let (a_cpi, l_cpi, a_miss, l_miss) = (avg[0], avg[1], avg[2], avg[3]);
         table.push_row(
             format!("{assoc}-way"),
             vec![
@@ -53,11 +51,12 @@ pub fn fig09_associativity(insts: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Figure;
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn benefit_exists_across_associativities() {
-        let t = fig09_associativity(500_000);
+        let t = Figure::Plan(fig09_associativity).run(500_000);
         assert_eq!(t.rows.len(), 4);
         for (label, v) in &t.rows {
             assert!(

@@ -8,20 +8,19 @@
 //! buffer." Expected shape: a graceful decay of the CPI improvement as
 //! entries grow, with both absolute CPIs falling.
 
+use super::{suite_means, Cells};
 use crate::report::Table;
-use crate::runner::{parallel_map, run_timed, L2Kind};
+use crate::runner::L2Kind;
 use adaptive_cache::AdaptiveConfig;
 use cache_sim::PolicyKind;
 use cpu_model::CpuConfig;
-use workloads::primary_suite;
 
 /// The store-buffer capacities swept (the paper's x axis is irregular).
 pub const STORE_BUFFER_SIZES: [u32; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Regenerates Figure 10: average CPI of LRU and adaptive plus the
 /// percentage improvement, per store-buffer capacity.
-pub fn fig10_store_buffer(insts: u64) -> Table {
-    let suite = primary_suite();
+pub fn fig10_store_buffer(cells: &Cells, insts: u64) -> Table {
     let mut table = Table::new(
         "Figure 10: effect of store-buffer size on adaptive performance",
         "entries",
@@ -37,19 +36,13 @@ pub fn fig10_store_buffer(insts: u64) -> Table {
             L2Kind::Plain(PolicyKind::Lru),
             L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
         ];
-        let results = parallel_map(&suite, |b| {
-            (
-                run_timed(b, &kinds[0], config, insts)
-                    .expect("paper geometry is valid")
-                    .cpi(),
-                run_timed(b, &kinds[1], config, insts)
-                    .expect("paper geometry is valid")
-                    .cpi(),
-            )
+        let avg = suite_means(|b| {
+            kinds
+                .iter()
+                .map(|k| cells.cpi(b, k, config, insts))
+                .collect()
         });
-        let n = results.len() as f64;
-        let lru = results.iter().map(|r| r.0).sum::<f64>() / n;
-        let adaptive = results.iter().map(|r| r.1).sum::<f64>() / n;
+        let (lru, adaptive) = (avg[0], avg[1]);
         table.push_row(
             entries.to_string(),
             vec![lru, adaptive, 100.0 * (lru - adaptive) / lru],
@@ -61,11 +54,12 @@ pub fn fig10_store_buffer(insts: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Figure;
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn bigger_store_buffers_lower_cpi() {
-        let t = fig10_store_buffer(250_000);
+        let t = Figure::Plan(fig10_store_buffer).run(250_000);
         let one = t.row("1").unwrap();
         let big = t.row("256").unwrap();
         assert!(

@@ -1,5 +1,7 @@
 //! One module per table/figure of the paper's evaluation (Section 4),
-//! plus the experiments beyond it, all listed in [`registry`].
+//! plus the experiments beyond it, all listed in [`figures`]. Most of
+//! them state their cells as `RunRequest`s and build their tables from
+//! the replies, so one [`plan`] runs each distinct cell once.
 //!
 //! | module | paper artefact |
 //! |---|---|
@@ -29,6 +31,7 @@ pub mod fig08;
 pub mod fig09;
 pub mod fig10;
 pub mod headline;
+pub mod plan;
 pub mod sec44;
 pub mod sec46;
 pub mod sec47;
@@ -45,6 +48,7 @@ pub use fig08::fig08_fifo_mru;
 pub use fig09::fig09_associativity;
 pub use fig10::fig10_store_buffer;
 pub use headline::headline;
+pub use plan::{Cells, Plan, PlanFn, Produced, Settled};
 pub use sec44::sec44_five_policy;
 pub use sec46::sec46_l1_adaptivity;
 pub use sec47::{sec47_overheads, sec47_sbar};
@@ -53,86 +57,112 @@ pub use table1::table1_config;
 
 use crate::ablation;
 use crate::report::Table;
-use crate::runner::{parallel_map, run_functional_l2, run_timed, L2Kind, PAPER_L2};
-use cpu_model::CpuConfig;
+use crate::resilience::SupervisorConfig;
 use fig07::fig07_table;
 use workloads::{primary_suite, Benchmark};
 
-/// A figure generator: instruction budget in, finished table out.
-pub type FigureFn = fn(u64) -> Table;
+/// One entry of the evaluation.
+#[derive(Debug, Clone, Copy)]
+pub enum Figure {
+    /// A table built from standard cells ([`crate::cell::RunRequest`]s), each of
+    /// which runs once however many figures read it.
+    Plan(PlanFn),
+    /// A table that builds its own hierarchies or runs nothing: one
+    /// cell of its own, instruction budget in, table out.
+    Whole(fn(u64) -> Table),
+}
 
-/// Stem → generator for every table the evaluation writes, in the order
-/// the figure driver (`cachesim figure all`) runs them. Each stem names
-/// the artifacts `results/<stem>.{csv,json}`.
+/// A registry entry's standalone callable: instruction budget in,
+/// finished table out.
+pub type FigureFn = Box<dyn Fn(u64) -> Table + Send + Sync>;
+
+/// Every table the evaluation writes, in the order the figure driver
+/// (`cachesim figure all`) prints them. Each stem names the artifacts
+/// `results/<stem>.{csv,json}`.
 ///
 /// Table 1 is plain text rather than a [`Table`]; see
 /// [`table1_config`].
-pub fn registry() -> Vec<(&'static str, FigureFn)> {
+pub fn figures() -> Vec<(&'static str, Figure)> {
+    use Figure::{Plan, Whole};
     vec![
-        ("table_storage", |_| storage_table()),
-        ("fig03_mpki", fig03_mpki),
-        ("fig04_cpi", fig04_cpi),
-        ("fig05_partial_tags", fig05_partial_tags),
-        ("fig06_vs_bigger", fig06_vs_bigger),
-        ("fig07_ammp", |insts| fig07_table("ammp", insts)),
-        ("fig07_mgrid", |insts| fig07_table("mgrid", insts)),
-        ("fig08_fifo_mru", fig08_fifo_mru),
-        ("fig09_associativity", fig09_associativity),
-        ("fig10_store_buffer", fig10_store_buffer),
-        ("headline", headline),
-        ("sec44_five_policy", sec44_five_policy),
-        ("sec46_l1", sec46_l1_adaptivity),
-        ("sec47_sbar", sec47_sbar),
-        ("sec47_overheads", |_| sec47_overheads()),
-        ("ablation_history", ablation::history_ablation),
-        ("ablation_lfu", ablation::lfu_counter_ablation),
-        ("ablation_sbar", ablation::sbar_leader_ablation),
-        ("ablation_xor_tags", ablation::xor_tag_ablation),
-        ("multicore_shared_l2", multicore_shared_l2),
-        ("prefetch_adaptivity", prefetch_adaptivity),
-        ("related_dip", related_dip),
-        ("synthesis", synthesis),
+        ("table_storage", Whole(|_| storage_table())),
+        ("fig03_mpki", Plan(fig03_mpki)),
+        ("fig04_cpi", Plan(fig04_cpi)),
+        ("fig05_partial_tags", Plan(fig05_partial_tags)),
+        ("fig06_vs_bigger", Plan(fig06_vs_bigger)),
+        ("fig07_ammp", Whole(|insts| fig07_table("ammp", insts))),
+        ("fig07_mgrid", Whole(|insts| fig07_table("mgrid", insts))),
+        ("fig08_fifo_mru", Plan(fig08_fifo_mru)),
+        ("fig09_associativity", Plan(fig09_associativity)),
+        ("fig10_store_buffer", Plan(fig10_store_buffer)),
+        ("headline", Plan(headline)),
+        ("sec44_five_policy", Plan(sec44_five_policy)),
+        ("sec46_l1", Whole(sec46_l1_adaptivity)),
+        ("sec47_sbar", Plan(sec47_sbar)),
+        ("sec47_overheads", Whole(|_| sec47_overheads())),
+        ("ablation_history", Plan(ablation::history_ablation)),
+        ("ablation_lfu", Plan(ablation::lfu_counter_ablation)),
+        ("ablation_sbar", Plan(ablation::sbar_leader_ablation)),
+        ("ablation_xor_tags", Plan(ablation::xor_tag_ablation)),
+        ("multicore_shared_l2", Whole(multicore_shared_l2)),
+        ("prefetch_adaptivity", Whole(prefetch_adaptivity)),
+        ("related_dip", Plan(related_dip)),
+        ("synthesis", Plan(synthesis)),
     ]
 }
 
-/// A table with one row per primary-suite benchmark (computed in
-/// parallel) followed by the average row: column `j` is headed
-/// `columns[j].0` and holds `cell(benchmark, &columns[j].1)`.
-pub(crate) fn suite_table<L: ToString + Sync, C: Sync>(
+/// Stem → standalone callable for every entry of [`figures`].
+pub fn registry() -> Vec<(&'static str, FigureFn)> {
+    let standalone = |(stem, f): (_, Figure)| (stem, Box::new(move |i| f.run(i)) as FigureFn);
+    figures().into_iter().map(standalone).collect()
+}
+
+impl Figure {
+    /// Builds the table on its own, as a sweep of its distinct cells
+    /// without a journal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of the figure's cells fails.
+    pub fn run(self, insts: u64) -> Table {
+        let plan = Plan::new(vec![("figure", self)], insts).unwrap_or_else(|e| panic!("{e}"));
+        let produced = plan
+            .run(&SupervisorConfig::default(), |_, _| Ok(()))
+            .expect("a sweep without a journal starts");
+        let (_, table) = produced.tables.into_iter().next().expect("one figure");
+        table.unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// Column means over the primary suite: `row(b)` gives benchmark `b`'s
+/// values, and each mean sums its column in suite order.
+pub(crate) fn suite_means(row: impl Fn(&Benchmark) -> Vec<f64>) -> Vec<f64> {
+    let rows: Vec<Vec<f64>> = primary_suite().iter().map(row).collect();
+    let n = rows.len() as f64;
+    (0..rows[0].len())
+        .map(|c| rows.iter().map(|r| r[c]).sum::<f64>() / n)
+        .collect()
+}
+
+/// A table with one row per primary-suite benchmark, in suite order,
+/// followed by the average row: column `j` is headed `columns[j].0` and
+/// holds `cell(benchmark, &columns[j].1)`.
+pub(crate) fn suite_table<L: ToString, C>(
     title: &str,
     columns: &[(L, C)],
-    cell: impl Fn(&Benchmark, &C) -> f64 + Sync,
+    cell: impl Fn(&Benchmark, &C) -> f64,
 ) -> Table {
     let mut table = Table::new(
         title,
         "benchmark",
         columns.iter().map(|(label, _)| label.to_string()).collect(),
     );
-    let rows = parallel_map(&primary_suite(), |b| {
-        let values: Vec<f64> = columns.iter().map(|(_, c)| cell(b, c)).collect();
-        (b.name.clone(), values)
-    });
-    for (name, values) in rows {
-        table.push_row(name, values);
+    for b in primary_suite() {
+        let values: Vec<f64> = columns.iter().map(|(_, c)| cell(&b, c)).collect();
+        table.push_row(b.name.clone(), values);
     }
     table.push_average();
     table
-}
-
-/// L2 MPKI of `b` on a functional run of the paper's L2 organised as
-/// `kind`.
-pub(crate) fn l2_mpki(b: &Benchmark, kind: &L2Kind, insts: u64) -> f64 {
-    run_functional_l2(b, kind, PAPER_L2, insts)
-        .expect("paper geometry is valid")
-        .stats
-        .l2_mpki()
-}
-
-/// CPI of `b` on the paper's processor with its L2 organised as `kind`.
-fn cpi(b: &Benchmark, kind: &L2Kind, insts: u64) -> f64 {
-    run_timed(b, kind, CpuConfig::paper_default(), insts)
-        .expect("paper geometry is valid")
-        .cpi()
 }
 
 #[cfg(test)]

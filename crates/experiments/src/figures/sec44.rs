@@ -5,14 +5,15 @@
 //! combining LRU and LFU ... the cumulative CPI over our primary
 //! evaluation set was virtually identical to that of LRU/LFU adaptivity."
 
-use super::{cpi, suite_table};
+use super::{suite_table, Cells};
 use crate::report::Table;
 use crate::runner::L2Kind;
 use adaptive_cache::{AdaptiveConfig, MultiConfig};
+use cpu_model::CpuConfig;
 
 /// Regenerates the Section 4.4 comparison: CPI of five-policy adaptivity
 /// vs LRU/LFU adaptivity per benchmark.
-pub fn sec44_five_policy(insts: u64) -> Table {
+pub fn sec44_five_policy(cells: &Cells, insts: u64) -> Table {
     let kinds = [
         (
             "Adaptive x5",
@@ -26,18 +27,19 @@ pub fn sec44_five_policy(insts: u64) -> Table {
     suite_table(
         "Section 4.4: five-policy adaptivity vs LRU/LFU adaptivity (CPI)",
         &kinds,
-        |b, k| cpi(b, k, insts),
+        |b, k| cells.cpi(b, k, CpuConfig::paper_default(), insts),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Figure;
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn five_policy_is_not_clearly_superior() {
-        let t = sec44_five_policy(250_000);
+        let t = Figure::Plan(sec44_five_policy).run(250_000);
         let avg = t.row("Average").unwrap();
         let (five, two) = (avg[0], avg[1]);
         // "virtually identical": within ~8% either way at test scale.

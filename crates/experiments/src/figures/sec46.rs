@@ -5,18 +5,16 @@
 //! rate reduction was less than 1%. This did not result in any meaningful
 //! performance improvement (<0.1%)."
 
+use super::suite_means;
 use crate::report::Table;
-use crate::runner::parallel_map;
 use adaptive_cache::{AdaptiveCache, AdaptiveConfig};
 use cache_sim::{Cache, Geometry, PolicyKind};
 use cpu_model::{l1_geometry, CpuConfig, Hierarchy, Pipeline};
-use workloads::primary_suite;
 
 /// Regenerates the Section 4.6 numbers: average L1I MPKI, L1D MPKI and
 /// CPI with conventional vs adaptive L1 caches (L2 stays conventional
 /// LRU in both, isolating the L1 effect).
 pub fn sec46_l1_adaptivity(insts: u64) -> Table {
-    let suite = primary_suite();
     let config = CpuConfig::paper_default();
     let l2_geom = Geometry::new(
         config.l2.size_bytes,
@@ -25,7 +23,7 @@ pub fn sec46_l1_adaptivity(insts: u64) -> Table {
     )
     .unwrap();
 
-    let results = parallel_map(&suite, |b| {
+    let avg = suite_means(|b| {
         // Baseline: conventional LRU L1s.
         let base = Pipeline::new(config, Cache::new(l2_geom, PolicyKind::Lru, 1))
             .run(b.spec.generator(), insts);
@@ -51,32 +49,22 @@ pub fn sec46_l1_adaptivity(insts: u64) -> Table {
         );
         let hierarchy = Hierarchy::with_l1s(l1i, l1d, Cache::new(l2_geom, PolicyKind::Lru, 1));
         let adaptive = Pipeline::with_hierarchy(config, hierarchy).run(b.spec.generator(), insts);
-        (
+        vec![
             base.l1i_mpki(),
             base.l1d_mpki(),
             base.cpi(),
             adaptive.l1i_mpki(),
             adaptive.l1d_mpki(),
             adaptive.cpi(),
-        )
+        ]
     });
-
-    type Row = (f64, f64, f64, f64, f64, f64);
-    let n = results.len() as f64;
-    let avg = |f: fn(&Row) -> f64| results.iter().map(f).sum::<f64>() / n;
     let mut table = Table::new(
         "Section 4.6: LRU/LFU-adaptive L1 instruction and data caches (primary-set averages)",
         "configuration",
         vec!["L1I MPKI".into(), "L1D MPKI".into(), "CPI".into()],
     );
-    table.push_row(
-        "conventional L1s",
-        vec![avg(|r| r.0), avg(|r| r.1), avg(|r| r.2)],
-    );
-    table.push_row(
-        "adaptive L1s",
-        vec![avg(|r| r.3), avg(|r| r.4), avg(|r| r.5)],
-    );
+    table.push_row("conventional L1s", avg[..3].to_vec());
+    table.push_row("adaptive L1s", avg[3..].to_vec());
     table
 }
 

@@ -6,17 +6,18 @@
 //! less robust." Overheads: 0.16% (full leader tags) and 0.09% (8-bit
 //! leader tags) vs 4.0% for the partially-tagged adaptive cache.
 
-use super::{cpi, suite_table};
+use super::{suite_table, Cells};
 use crate::report::Table;
 use crate::runner::L2Kind;
 use adaptive_cache::overhead::StorageModel;
 use adaptive_cache::{AdaptiveConfig, SbarConfig};
 use cache_sim::{Geometry, PolicyKind};
+use cpu_model::CpuConfig;
 
 /// Regenerates the Section 4.7 comparison: per-benchmark CPI for LRU, the
 /// regular adaptive cache, the SBAR-like cache and its partial-tag
 /// variant.
-pub fn sec47_sbar(insts: u64) -> Table {
+pub fn sec47_sbar(cells: &Cells, insts: u64) -> Table {
     let kinds = [
         ("LRU", L2Kind::Plain(PolicyKind::Lru)),
         (
@@ -32,7 +33,7 @@ pub fn sec47_sbar(insts: u64) -> Table {
     suite_table(
         "Section 4.7: SBAR-like set sampling vs full adaptivity (CPI)",
         &kinds,
-        |b, k| cpi(b, k, insts),
+        |b, k| cells.cpi(b, k, CpuConfig::paper_default(), insts),
     )
 }
 
@@ -67,11 +68,12 @@ pub fn sec47_overheads() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Figure;
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn sbar_recovers_most_of_the_benefit() {
-        let t = sec47_sbar(300_000);
+        let t = Figure::Plan(sec47_sbar).run(300_000);
         let avg = t.row("Average").unwrap();
         let (lru, adaptive, sbar, sbar8) = (avg[0], avg[1], avg[2], avg[3]);
         let gain_adaptive = (lru - adaptive) / lru;

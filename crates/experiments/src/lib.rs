@@ -17,14 +17,16 @@
 //! `AC_RESUME=1` skips finished work. The [`faultinject`] module provides
 //! deterministic fault wrappers for testing those degradation paths.
 //!
-//! [`figures::registry`] lists every table the evaluation writes; the
-//! `bench` crate's `cachesim figure {all|<stem>...}` runs it
+//! [`figures::figures`] lists every table the evaluation writes; the
+//! `bench` crate's `cachesim figure {all|<stem>...}` runs their distinct
+//! [`cell`]s once each as one [`figures::Plan`]
 //! (`cargo run --release -p bench --bin cachesim -- figure fig03_mpki`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod cell;
 pub mod faultinject;
 pub mod figures;
 pub mod multicore;
@@ -40,6 +42,6 @@ pub use resilience::{
     EXIT_OK, EXIT_PARTIAL,
 };
 pub use runner::{
-    default_insts, run_functional_l2, run_functional_l2_cfg, run_timed, try_parallel_map, L2Kind,
-    CACHE_SEED, PAPER_L2,
+    default_insts, run_functional_l2, run_functional_l2_cfg, run_timed, L2Kind, CACHE_SEED,
+    PAPER_L2,
 };

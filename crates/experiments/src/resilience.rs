@@ -7,9 +7,9 @@
 //! cells. [`run_sweep`] executes each cell on its own worker thread under
 //! `catch_unwind`, enforces an optional deadline, retries a bounded number
 //! of times, and appends every settled cell to a
-//! `results/<figure>.journal.jsonl` checkpoint (written atomically:
-//! temp file, then rename). Restarting with `AC_RESUME=1` skips cells the
-//! journal proves complete.
+//! `results/<figure>.journal.jsonl` checkpoint (one line per cell,
+//! compacted to the latest line per key whenever a sweep opens it).
+//! Restarting with `AC_RESUME=1` skips cells the journal proves complete.
 
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -150,44 +150,58 @@ pub struct JournalEntry {
     pub error: Option<String>,
 }
 
-/// An append-only JSONL checkpoint journal, rewritten atomically
-/// (write `.tmp`, then rename) on every append so a kill can never leave
-/// a torn line that a resumed run would trust.
+/// An append-only JSONL checkpoint journal: one line per settled cell.
+///
+/// [`Journal::open`] compacts the file to the latest entry per key in
+/// one atomic rewrite (write `.tmp`, then rename), and
+/// [`Journal::append`] writes one complete line to the end of the file.
+/// A kill mid-append can leave at most a torn last line; a strict prefix
+/// of a JSON object never parses, so the next open drops it.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     entries: Vec<JournalEntry>,
+    /// The journal file, opened for appending.
+    file: std::fs::File,
 }
 
 impl Journal {
-    /// Opens (or creates) the journal at `path`, loading any entries an
-    /// earlier run left behind. Malformed lines — e.g. the torn tail of a
-    /// journal written by a non-atomic writer — are skipped, not fatal:
-    /// the worst case is recomputing the cell they described.
+    /// Opens (or creates) the journal at `path`, loading the entries an
+    /// earlier run left behind, the latest per key, and rewrites the
+    /// file to hold exactly those. Malformed lines, such as a torn tail,
+    /// are dropped, not fatal: the worst case is recomputing the cell
+    /// they described.
     pub fn open(path: impl Into<PathBuf>) -> Result<Journal, ExperimentError> {
         let path = path.into();
-        let mut entries = Vec::new();
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                for line in text.lines() {
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    if let Ok(entry) = serde_json::from_str::<JournalEntry>(line) {
-                        entries.push(entry);
-                    }
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(e.into()),
+        };
+        let mut entries: Vec<JournalEntry> = Vec::new();
+        let mut slot: HashMap<String, usize> = HashMap::new();
+        for line in text.lines() {
+            let Ok(entry) = serde_json::from_str::<JournalEntry>(line.trim()) else {
+                continue;
+            };
+            match slot.get(&entry.key) {
+                Some(&i) => entries[i] = entry,
+                None => {
+                    slot.insert(entry.key.clone(), entries.len());
+                    entries.push(entry);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
         }
-        Ok(Journal { path, entries })
-    }
-
-    /// The journal's on-disk location.
-    pub fn path(&self) -> &Path {
-        &self.path
+        let mut compacted = String::new();
+        for e in &entries {
+            compacted.push_str(&serde_json::to_string(e)?);
+            compacted.push('\n');
+        }
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        crate::report::write_atomic(&path, compacted.as_bytes())?;
+        let file = std::fs::OpenOptions::new().append(true).open(&path)?;
+        Ok(Journal { entries, file })
     }
 
     /// All loaded/appended entries, oldest first.
@@ -212,20 +226,13 @@ impl Journal {
         done
     }
 
-    /// Appends one entry and atomically rewrites the journal file.
+    /// Appends one entry as one line at the end of the file.
     pub fn append(&mut self, entry: JournalEntry) -> Result<(), ExperimentError> {
+        use std::io::Write;
+        let mut line = serde_json::to_string(&entry)?;
+        line.push('\n');
+        self.file.write_all(line.as_bytes())?;
         self.entries.push(entry);
-        let mut text = String::new();
-        for e in &self.entries {
-            text.push_str(&serde_json::to_string(e)?);
-            text.push('\n');
-        }
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        crate::report::write_atomic(&self.path, text.as_bytes())?;
         Ok(())
     }
 }
@@ -293,9 +300,23 @@ impl<R> CellOutcome<R> {
         }
     }
 
-    /// True for `Done`/`Resumed`.
-    pub fn is_ok(&self) -> bool {
-        self.value().is_some()
+    /// `ok`, `resumed`, `failed` or `timed_out`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            CellOutcome::Done(_) => "ok",
+            CellOutcome::Resumed(_) => "resumed",
+            CellOutcome::Failed(_) => "failed",
+            CellOutcome::TimedOut(_) => "timed_out",
+        }
+    }
+
+    /// Why the cell has no value, for `Failed` and `TimedOut`.
+    pub fn error(&self) -> Option<String> {
+        match self {
+            CellOutcome::Failed(e) => Some(e.to_string()),
+            CellOutcome::TimedOut(d) => Some(format!("exceeded {:.3}s deadline", d.as_secs_f64())),
+            CellOutcome::Done(_) | CellOutcome::Resumed(_) => None,
+        }
     }
 }
 
@@ -344,7 +365,7 @@ impl<R> SweepReport<R> {
 
     /// True when every cell completed (computed or resumed).
     pub fn is_complete(&self) -> bool {
-        self.cells.iter().all(|c| c.outcome.is_ok())
+        self.cells.iter().all(|c| c.outcome.value().is_some())
     }
 
     /// The process exit code this sweep deserves:
@@ -509,12 +530,8 @@ where
             "cell_wall_time_us",
             started.elapsed().as_micros().min(u64::MAX as u128) as u64,
         );
-        let status = match &report.outcome {
-            CellOutcome::Done(_) | CellOutcome::Resumed(_) => "ok",
-            CellOutcome::Failed(_) => "failed",
-            CellOutcome::TimedOut(_) => "timed_out",
-        };
-        ac_telemetry::counter_add_labeled("cells_total", status, 1);
+        // Only computed cells come here, so none is labelled `resumed`.
+        ac_telemetry::counter_add_labeled("cells_total", report.outcome.label(), 1);
         if report.attempts > 1 {
             ac_telemetry::counter_add("cell_retries_total", u64::from(report.attempts - 1));
         }
@@ -592,23 +609,20 @@ where
 
 /// The journal line describing a settled cell.
 fn entry_of<R: Serialize>(report: &CellReport<R>) -> JournalEntry {
-    let (status, value, error) = match &report.outcome {
-        CellOutcome::Done(r) | CellOutcome::Resumed(r) => {
-            (JournalStatus::Ok, serde_json::to_value(r).ok(), None)
-        }
-        CellOutcome::Failed(e) => (JournalStatus::Failed, None, Some(e.to_string())),
-        CellOutcome::TimedOut(d) => (
-            JournalStatus::TimedOut,
-            None,
-            Some(format!("exceeded {:.3}s deadline", d.as_secs_f64())),
-        ),
+    let status = match &report.outcome {
+        CellOutcome::Done(_) | CellOutcome::Resumed(_) => JournalStatus::Ok,
+        CellOutcome::Failed(_) => JournalStatus::Failed,
+        CellOutcome::TimedOut(_) => JournalStatus::TimedOut,
     };
     JournalEntry {
         key: report.key.clone(),
         status,
         attempts: report.attempts,
-        value,
-        error,
+        value: report
+            .outcome
+            .value()
+            .and_then(|r| serde_json::to_value(r).ok()),
+        error: report.outcome.error(),
     }
 }
 
@@ -797,6 +811,86 @@ mod tests {
             j.completed().is_empty(),
             "later failure invalidates the value"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn lines(path: &Path) -> Vec<String> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn reruns_leave_one_line_per_key() {
+        let dir = tmp_dir("rerun");
+        let path = journal_path(&dir, "r");
+        let cells: Vec<u32> = (0..4).collect();
+        let cfg = SupervisorConfig {
+            journal: Some(path.clone()),
+            ..Default::default()
+        };
+        for _ in 0..3 {
+            run_sweep(&cells, &cfg, |c| format!("c{c}"), |c: u32| Ok(c)).unwrap();
+            let j = Journal::open(&path).unwrap();
+            assert_eq!(j.entries().len(), 4);
+            assert_eq!(lines(&path).len(), 4, "compacted to one line per key");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_tail_is_gone_after_reopening() {
+        let dir = tmp_dir("torn_gone");
+        let path = dir.join("t.journal.jsonl");
+        let entry = |key: &str| JournalEntry {
+            key: key.into(),
+            status: JournalStatus::Ok,
+            attempts: 1,
+            value: Some(serde_json::json!(1)),
+            error: None,
+        };
+        Journal::open(&path).unwrap().append(entry("a")).unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"key\":\"b\",\"status\":\"ok\",\"att");
+        std::fs::write(&path, text).unwrap();
+
+        let mut j = Journal::open(&path).unwrap();
+        assert_eq!(j.entries().len(), 1, "the torn line is skipped");
+        assert_eq!(lines(&path).len(), 1, "and gone from the file");
+        j.append(entry("c")).unwrap();
+        let reopened = Journal::open(&path).unwrap();
+        let keys: Vec<&str> = reopened.entries().iter().map(|e| &*e.key).collect();
+        assert_eq!(keys, ["a", "c"], "the next append starts a line of its own");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failure_after_an_ok_wins_after_compaction() {
+        let dir = tmp_dir("compact_fail");
+        let path = dir.join("f.journal.jsonl");
+        let ok = JournalEntry {
+            key: "a".into(),
+            status: JournalStatus::Ok,
+            attempts: 1,
+            value: Some(serde_json::json!(1)),
+            error: None,
+        };
+        let mut j = Journal::open(&path).unwrap();
+        j.append(ok.clone()).unwrap();
+        j.append(JournalEntry {
+            status: JournalStatus::Failed,
+            value: None,
+            error: Some("x".into()),
+            ..ok
+        })
+        .unwrap();
+        let reopened = Journal::open(&path).unwrap();
+        assert_eq!(reopened.entries().len(), 1);
+        assert_eq!(reopened.entries()[0].status, JournalStatus::Failed);
+        assert!(reopened.completed().is_empty());
+        assert_eq!(lines(&path).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

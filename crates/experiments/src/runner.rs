@@ -266,126 +266,9 @@ pub fn run_timed(
         config.l2.line_bytes,
         config.l2.associativity,
     )?;
-    Ok(run_timed_with_geom(bench, kind, config, geom, insts))
-}
-
-/// Runs `bench` through the timing pipeline with an explicit L2 geometry
-/// (Figure 6's 9-way/10-way caches keep 1024 sets, so their geometry
-/// cannot be derived from a total size).
-pub fn run_timed_with_geom(
-    bench: &Benchmark,
-    kind: &L2Kind,
-    config: CpuConfig,
-    geom: Geometry,
-    insts: u64,
-) -> RunStats {
     let _span = ac_telemetry::span("run", || format!("timed {} x {}", bench.name, kind.label()));
-    let l2 = kind.build(geom);
-    let mut pipe = Pipeline::new(config, l2);
-    pipe.run(bench.spec.generator(), insts)
-}
-
-/// Maps `f` over `items` on worker threads (order-preserving), catching
-/// unwinds per item: one panicking item yields an
-/// [`ExperimentError::Panic`] in its slot while every sibling still
-/// completes.
-pub fn try_parallel_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, ExperimentError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(items.len().max(1));
-    let f = &f;
-    // Work-stealing claim counter: each worker claims the next unclaimed
-    // index with one uncontended `fetch_add` instead of serialising on a
-    // mutex-guarded queue. Results are accumulated per worker and merged
-    // by index afterwards, so no slot needs shared mutable access.
-    let next = AtomicUsize::new(0);
-    let next = &next;
-    let mut results: Vec<Option<Result<R, ExperimentError>>> =
-        (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let out =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&items[i])));
-                        local.push((
-                            i,
-                            out.map_err(|p| {
-                                ExperimentError::Panic(crate::resilience::panic_message(&*p))
-                            }),
-                        ));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for w in workers {
-            // Worker closures catch item panics, so join only fails on
-            // runtime-level faults; surface those rather than aborting.
-            if let Ok(local) = w.join() {
-                for (i, r) in local {
-                    results[i] = Some(r);
-                }
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|| {
-                Err(ExperimentError::Panic(
-                    "worker exited without producing a result".into(),
-                ))
-            })
-        })
-        .collect()
-}
-
-/// Maps `f` over `items` on worker threads (order-preserving).
-///
-/// # Panics
-///
-/// Propagates item failures as a single panic *after* every item has run
-/// (sibling items are never cancelled). Sweeps that must survive
-/// individual cell failures should use [`try_parallel_map`] or the
-/// supervisor in [`crate::resilience`].
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    let mut failures = Vec::new();
-    for (i, r) in try_parallel_map(items, f).into_iter().enumerate() {
-        match r {
-            Ok(v) => out.push(v),
-            Err(e) => failures.push(format!("item {i}: {e}")),
-        }
-    }
-    if !failures.is_empty() {
-        panic!(
-            "parallel_map: {} of {} items failed: {}",
-            failures.len(),
-            items.len(),
-            failures.join("; ")
-        );
-    }
-    out
+    let mut pipe = Pipeline::new(config, kind.build(geom));
+    Ok(pipe.run(bench.spec.generator(), insts))
 }
 
 #[cfg(test)]
@@ -437,53 +320,6 @@ mod tests {
         let err = run_functional_l2(b, &L2Kind::Plain(PolicyKind::Lru), (1000, 64, 7), 1_000)
             .unwrap_err();
         assert!(matches!(err, ExperimentError::Geometry(_)), "{err}");
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..50).collect();
-        let out = parallel_map(&items, |&x| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_parallel_map_isolates_panics() {
-        let items: Vec<u64> = (0..32).collect();
-        let out = try_parallel_map(&items, |&x| {
-            if x == 7 {
-                panic!("injected: item 7");
-            }
-            x + 1
-        });
-        assert_eq!(out.len(), 32);
-        for (i, r) in out.iter().enumerate() {
-            if i == 7 {
-                assert!(matches!(r, Err(ExperimentError::Panic(m)) if m.contains("item 7")));
-            } else {
-                assert_eq!(
-                    r.as_ref().unwrap(),
-                    &(i as u64 + 1),
-                    "sibling {i} must complete"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_map_panic_reports_failed_items() {
-        let items: Vec<u64> = (0..8).collect();
-        let err = std::panic::catch_unwind(|| {
-            parallel_map(&items, |&x| {
-                if x == 2 {
-                    panic!("kaboom");
-                }
-                x
-            })
-        })
-        .unwrap_err();
-        let msg = crate::resilience::panic_message(&*err);
-        assert!(msg.contains("1 of 8"), "{msg}");
-        assert!(msg.contains("kaboom"), "{msg}");
     }
 
     #[test]
