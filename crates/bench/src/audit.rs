@@ -42,6 +42,7 @@ use cpu_model::{
 use experiments::cell::{self, RunRequest, Workload};
 use experiments::{L2Kind, CACHE_SEED};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Schema version stamped on `audit.json`.
@@ -440,36 +441,41 @@ pub fn write_audit_json(path: &Path, report: &AuditReport) -> std::io::Result<()
 }
 
 fn print_summary(report: &AuditReport) {
-    println!(
+    let mut out = format!(
         "audit: {} on {} ({} mode, {} insts, {} L2 events, {}-inst windows)",
         report.l2, report.workload, report.mode, report.insts, report.accesses, report.window_insts
     );
-    println!(
-        "  achieved {} hits / {} misses; OPT {} hits; efficiency vs OPT {:.4}",
+    let _ = write!(
+        out,
+        "\n  achieved {} hits / {} misses; OPT {} hits; efficiency vs OPT {:.4}",
         report.achieved_hits, report.achieved_misses, report.opt_hits, report.efficiency_vs_opt
     );
     if let (Some(a), Some(b)) = (&report.comp_a, &report.comp_b) {
-        println!(
-            "  components: {} {} hits, {} {} hits",
+        let _ = write!(
+            out,
+            "\n  components: {} {} hits, {} {} hits",
             a.label, a.hits, b.label, b.hits
         );
     }
     if let Some(eff) = report.efficiency_vs_best_fixed {
-        println!(
-            "  efficiency vs best fixed {:.4} (regret total {})",
+        let _ = write!(
+            out,
+            "\n  efficiency vs best fixed {:.4} (regret total {})",
             eff,
             report.regret_best_total().unwrap_or(0)
         );
     }
     if let Some(lag) = &report.switch_lag {
         if lag.window_accesses == 0 {
-            println!(
-                "  switch lag: selector-driven ({} switches, followed instantly)",
+            let _ = write!(
+                out,
+                "\n  switch lag: selector-driven ({} switches, followed instantly)",
                 lag.winner_flips
             );
         } else {
-            println!(
-                "  switch lag: {} winner flips, {} followed, mean {:.2} windows \
+            let _ = write!(
+                out,
+                "\n  switch lag: {} winner flips, {} followed, mean {:.2} windows \
                  (max {}) of {} accesses",
                 lag.winner_flips,
                 lag.followed,
@@ -480,8 +486,9 @@ fn print_summary(report: &AuditReport) {
         }
     }
     if let Some(ok) = report.shadow_consistency {
-        println!(
-            "  shadow consistency: {}",
+        let _ = write!(
+            out,
+            "\n  shadow consistency: {}",
             if ok {
                 "offline replays bit-exact"
             } else {
@@ -489,6 +496,7 @@ fn print_summary(report: &AuditReport) {
             }
         );
     }
+    crate::print_stdout(&out);
 }
 
 /// Runs `cachesim audit <run-dir> [--config <run.json>] [--window <insts>]
@@ -585,7 +593,7 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
         eprintln!("error: cannot write {}: {e}", out_path.display());
         return EXIT_INVALID_INPUT;
     }
-    println!("audit: wrote {}", out_path.display());
+    crate::print_stdout(&format!("audit: wrote {}", out_path.display()));
     0
 }
 

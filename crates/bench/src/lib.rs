@@ -32,8 +32,8 @@ pub fn print_stdout(text: &str) {
 /// * neither — defer to `AC_TELEMETRY` (see the `ac-telemetry` docs).
 ///
 /// A flag overrides only the environment's artifact directory; every
-/// other setting (sampling, timeline and heatmap shape) still comes from
-/// the environment ([`ac_telemetry::TelemetryConfig::from_env`]).
+/// other setting (sampling and the timeline window) still comes from the
+/// environment ([`ac_telemetry::TelemetryConfig::from_env`]).
 /// Returns the hub when telemetry ends up enabled, `Err` on a malformed
 /// flag (missing directory operand).
 pub fn init_telemetry(

@@ -1,6 +1,8 @@
 //! `cachesim report` — renders the telemetry artifacts of one run
-//! (`telemetry-summary.json`, `timeline.jsonl`, `heatmap.json`) into a
-//! single self-contained HTML file, and optionally diffs two runs.
+//! (`telemetry-summary.json`, `timeline.jsonl`, `events.jsonl`,
+//! `audit.json`) into a single self-contained HTML file, and optionally
+//! diffs two runs. The per-set decision heatmap is bucketed here from
+//! the complete decision-event stream ([`Heatmap`]).
 //!
 //! The HTML embeds inline CSS and inline SVG only: no JavaScript, no
 //! external fonts, no network fetches. A report can be attached to a CI
@@ -10,14 +12,15 @@
 //! from both runs, computes per-metric percentage deltas, and classifies
 //! each metric as lower-is-better (miss-like counters, MPKI),
 //! higher-is-better (throughput) or neutral. A directional metric that
-//! moves the wrong way by more than the threshold
-//! (`--threshold <pct>` / `AC_REPORT_MAX_REGRESSION_PCT`, default 10%)
-//! makes the subcommand exit with [`EXIT_REGRESSION`].
+//! moves the wrong way by more than the threshold (`--threshold <pct>`,
+//! default 10%) makes the subcommand exit with [`EXIT_REGRESSION`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
+use serde::Deserialize;
 use serde_json::Value;
 
 /// Exit code when `--compare` finds a regression beyond the threshold.
@@ -27,8 +30,8 @@ pub const EXIT_REGRESSION: i32 = 4;
 /// the `cachesim` top-level convention).
 pub const EXIT_INVALID_INPUT: i32 = 3;
 
-/// Default regression threshold (percent) when neither `--threshold`
-/// nor `AC_REPORT_MAX_REGRESSION_PCT` is given.
+/// Default regression threshold (percent) when `--threshold` is not
+/// given.
 pub const DEFAULT_REGRESSION_PCT: f64 = 10.0;
 
 // ---------------------------------------------------------------------------
@@ -44,15 +47,15 @@ pub struct RunArtifacts {
     pub summary: Option<Value>,
     /// Parsed lines of `timeline.jsonl`, when present.
     pub timeline: Vec<Value>,
-    /// Parsed `heatmap.json`, when present.
-    pub heatmap: Option<Value>,
+    /// The heatmap bucketed from `events.jsonl`, when present.
+    pub heatmap: Option<Heatmap>,
     /// Parsed `audit.json` (`cachesim audit`), when present.
     pub audit: Option<Value>,
 }
 
 impl RunArtifacts {
     /// Loads whatever artifacts exist under `dir`. Missing files are
-    /// tolerated (a functional run without decisions has no heatmap);
+    /// tolerated (a run without decisions has no `events.jsonl`);
     /// present-but-unparsable files are an error.
     pub fn load(dir: &Path) -> Result<Self, String> {
         let mut out = RunArtifacts {
@@ -80,13 +83,13 @@ impl RunArtifacts {
                 out.timeline.push(v);
             }
         }
-        let heatmap_path = dir.join("heatmap.json");
-        if heatmap_path.is_file() {
-            let text = std::fs::read_to_string(&heatmap_path)
-                .map_err(|e| format!("{}: {e}", heatmap_path.display()))?;
-            let v: Value = serde_json::from_str(&text)
-                .map_err(|e| format!("{}: {e}", heatmap_path.display()))?;
-            out.heatmap = Some(v);
+        let events_path = dir.join("events.jsonl");
+        if events_path.is_file() {
+            let events = std::fs::File::open(&events_path)
+                .map_err(|e| format!("{}: {e}", events_path.display()))?;
+            let heatmap = Heatmap::from_events(std::io::BufReader::new(events))
+                .map_err(|e| format!("{} {e}", events_path.display()))?;
+            out.heatmap = Some(heatmap);
         }
         let audit_path = dir.join("audit.json");
         if audit_path.is_file() {
@@ -129,6 +132,160 @@ impl RunArtifacts {
                 (run, rows)
             })
             .collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Per-set decision heatmap
+// ---------------------------------------------------------------------------
+
+/// Most columns, and most rows, the heatmap keeps.
+const HEAT_MAX: u64 = 256;
+
+/// Width of a heatmap column before any widening, in event-stream
+/// positions.
+const HEAT_MIN_WINDOW: u64 = 4096;
+
+/// The decisions of one `(column, set)` cell of the heatmap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct HeatCell {
+    /// Evictions that imitated component policy A.
+    imit_a: u64,
+    /// Evictions that imitated component policy B.
+    imit_b: u64,
+    /// Exclusive-miss history updates charged to policy A.
+    miss_a: u64,
+    /// Exclusive-miss history updates charged to policy B.
+    miss_b: u64,
+}
+
+impl HeatCell {
+    fn add(&mut self, other: HeatCell) {
+        self.imit_a += other.imit_a;
+        self.imit_b += other.imit_b;
+        self.miss_a += other.miss_a;
+        self.miss_b += other.miss_b;
+    }
+}
+
+/// The per-set decision heatmap (set × window → imitation split and
+/// exclusive-miss density), bucketed from a run's `events.jsonl`.
+///
+/// Column `i` covers event-stream positions `[i·window, (i+1)·window)`.
+/// The window starts at 4096 and doubles until at most 256 columns
+/// cover every event the grid keeps. Rows are the sets `0, stride,
+/// 2·stride, …`, with the smallest power-of-two stride that leaves at
+/// most 256 rows. Both axes widen while the stream is read, and neither
+/// loses a count of what stays: doubling the window adds aligned column
+/// pairs, and doubling the stride drops only rows that no later stride
+/// keeps.
+#[derive(Debug)]
+pub struct Heatmap {
+    /// Event-stream positions per column.
+    window: u64,
+    /// Sets between two rows.
+    stride: u64,
+    /// Cells by column index, then by set.
+    columns: Vec<BTreeMap<u64, HeatCell>>,
+}
+
+/// The fields of an `events.jsonl` line that the heatmap reads.
+#[derive(Deserialize)]
+struct EventLine {
+    seq: u64,
+    kind: String,
+    #[serde(default)]
+    set: Option<u64>,
+    #[serde(default)]
+    component: Option<String>,
+    #[serde(default)]
+    a_missed: bool,
+    #[serde(default)]
+    b_missed: bool,
+}
+
+impl Heatmap {
+    /// Buckets an `events.jsonl` stream, one line at a time. A last line
+    /// without its newline is still being written and is skipped; any
+    /// other line that does not parse is an error naming its number.
+    fn from_events(mut events: impl BufRead) -> Result<Heatmap, String> {
+        let mut map = Heatmap {
+            window: HEAT_MIN_WINDOW,
+            stride: 1,
+            columns: vec![BTreeMap::new(); HEAT_MAX as usize],
+        };
+        let mut line = Vec::new();
+        for number in 1.. {
+            line.clear();
+            let read = events
+                .read_until(b'\n', &mut line)
+                .map_err(|e| format!("line {number}: {e}"))?;
+            if read == 0 || line.last() != Some(&b'\n') {
+                break;
+            }
+            if line.trim_ascii().is_empty() {
+                continue;
+            }
+            let event: EventLine =
+                serde_json::from_slice(&line).map_err(|e| format!("line {number}: {e}"))?;
+            map.add(&event);
+        }
+        Ok(map)
+    }
+
+    /// Counts one event: imitations by component, exclusive misses from
+    /// history updates, and an empty cell for a vote, so the voting set
+    /// keeps its row. Events without a set add nothing.
+    fn add(&mut self, event: &EventLine) {
+        let Some(set) = event.set else {
+            return;
+        };
+        let cell = match (event.kind.as_str(), event.component.as_deref()) {
+            ("imitation", Some("A")) => HeatCell {
+                imit_a: 1,
+                ..HeatCell::default()
+            },
+            ("imitation", Some("B")) => HeatCell {
+                imit_b: 1,
+                ..HeatCell::default()
+            },
+            ("history_update", _) => HeatCell {
+                miss_a: u64::from(event.a_missed),
+                miss_b: u64::from(event.b_missed),
+                ..HeatCell::default()
+            },
+            ("leader_vote" | "duel_vote", _) => HeatCell::default(),
+            _ => return,
+        };
+        while set / self.stride >= HEAT_MAX {
+            self.stride *= 2;
+            let stride = self.stride;
+            for column in &mut self.columns {
+                column.retain(|&row, _| row % stride == 0);
+            }
+        }
+        if set % self.stride != 0 {
+            return;
+        }
+        while event.seq / self.window >= HEAT_MAX {
+            self.window *= 2;
+            for i in 0..self.columns.len() / 2 {
+                let mut pair = std::mem::take(&mut self.columns[2 * i]);
+                for (set, later) in std::mem::take(&mut self.columns[2 * i + 1]) {
+                    pair.entry(set).or_default().add(later);
+                }
+                self.columns[i] = pair;
+            }
+        }
+        let column = (event.seq / self.window) as usize;
+        self.columns[column].entry(set).or_default().add(cell);
+    }
+
+    /// The columns that hold a cell, oldest first, with their indices.
+    fn filled(&self) -> impl Iterator<Item = (u64, &BTreeMap<u64, HeatCell>)> {
+        (0u64..)
+            .zip(&self.columns)
+            .filter(|(_, cells)| !cells.is_empty())
     }
 }
 
@@ -638,23 +795,16 @@ fn render_timeline_charts(out: &mut String, run: &RunArtifacts) {
             }],
             None,
         );
-        let mshr = series_of(&rows, "end", |r| r.get("mshr_busy").and_then(Value::as_f64));
         let sb = series_of(&rows, "end", |r| r.get("sb_busy").and_then(Value::as_f64));
-        if mshr.iter().any(|&(_, y)| y > 0.0) || sb.iter().any(|&(_, y)| y > 0.0) {
+        if sb.iter().any(|&(_, y)| y > 0.0) {
             chart_section(
                 out,
-                "MSHR / store-buffer occupancy at window close",
+                "Store-buffer occupancy at window close",
                 &unit,
-                vec![
-                    Series {
-                        name: "mshr_busy".into(),
-                        points: mshr,
-                    },
-                    Series {
-                        name: "sb_busy".into(),
-                        points: sb,
-                    },
-                ],
+                vec![Series {
+                    name: "sb_busy".into(),
+                    points: sb,
+                }],
                 None,
             );
         }
@@ -685,31 +835,23 @@ fn heat_color(imit_a: f64, imit_b: f64, misses: f64, max_misses: f64) -> String 
     )
 }
 
-fn render_heatmap(out: &mut String, heatmap: &Value) {
-    let Some(windows) = heatmap.get("windows").and_then(Value::as_array) else {
-        return;
-    };
-    if windows.is_empty() {
-        return;
-    }
-    // Collect the sampled set ids (rows) across every window.
-    let mut sets: Vec<u64> = Vec::new();
-    let mut max_misses = 0.0_f64;
-    for w in windows {
-        if let Some(cells) = w.get("sets").and_then(Value::as_array) {
-            for c in cells {
-                let set = num(c.get("set")) as u64;
-                if !sets.contains(&set) {
-                    sets.push(set);
-                }
-                max_misses = max_misses.max(num(c.get("miss_a")) + num(c.get("miss_b")));
-            }
-        }
-    }
-    sets.sort_unstable();
+fn render_heatmap(out: &mut String, heatmap: &Heatmap) {
+    let windows: Vec<(u64, &BTreeMap<u64, HeatCell>)> = heatmap.filled().collect();
+    // The sampled set ids (rows) across every window.
+    let sets: Vec<u64> = windows
+        .iter()
+        .flat_map(|(_, cells)| cells.keys().copied())
+        .collect::<BTreeSet<u64>>()
+        .into_iter()
+        .collect();
     if sets.is_empty() {
         return;
     }
+    let max_misses = windows
+        .iter()
+        .flat_map(|(_, cells)| cells.values())
+        .map(|c| (c.miss_a + c.miss_b) as f64)
+        .fold(0.0_f64, f64::max);
 
     out.push_str("<h2>Per-set decision heatmap</h2>");
     let _ = write!(
@@ -718,8 +860,8 @@ fn render_heatmap(out: &mut String, heatmap: &Value) {
          Blue = imitates A, orange = imitates B; opacity tracks windowed miss density.</p>",
         sets.len(),
         windows.len(),
-        num(heatmap.get("set_stride")),
-        num(heatmap.get("window_events")),
+        heatmap.stride,
+        heatmap.window,
     );
 
     const CELL: f64 = 9.0;
@@ -742,20 +884,17 @@ fn render_heatmap(out: &mut String, heatmap: &Value) {
             y + CELL - 1.0,
         );
     }
-    for (col, wnd) in windows.iter().enumerate() {
+    for (col, (index, cells)) in windows.iter().enumerate() {
         let x = LABEL_W + col as f64 * (CELL + GAP);
-        let (start, end) = (num(wnd.get("start_seq")), num(wnd.get("end_seq")));
-        let Some(cells) = wnd.get("sets").and_then(Value::as_array) else {
-            continue;
-        };
-        for c in cells {
-            let set = num(c.get("set")) as u64;
-            let Some(row) = sets.iter().position(|&s| s == set) else {
+        let start = (index * heatmap.window) as f64;
+        let end = start + heatmap.window as f64;
+        for (set, c) in cells.iter() {
+            let Ok(row) = sets.binary_search(set) else {
                 continue;
             };
             let y = row as f64 * (CELL + GAP);
-            let (ia, ib) = (num(c.get("imit_a")), num(c.get("imit_b")));
-            let (ma, mb) = (num(c.get("miss_a")), num(c.get("miss_b")));
+            let (ia, ib) = (c.imit_a as f64, c.imit_b as f64);
+            let (ma, mb) = (c.miss_a as f64, c.miss_b as f64);
             let fill = heat_color(ia, ib, ma + mb, max_misses);
             let _ = write!(
                 out,
@@ -1134,13 +1273,6 @@ pub fn render_html(
 // Subcommand driver
 // ---------------------------------------------------------------------------
 
-fn threshold_from_env() -> f64 {
-    std::env::var("AC_REPORT_MAX_REGRESSION_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_REGRESSION_PCT)
-}
-
 /// Runs `cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>]
 /// [--threshold <pct>]`; returns the process exit code.
 pub fn run_report_subcommand(rest: &[String]) -> i32 {
@@ -1202,7 +1334,7 @@ pub fn run_report_subcommand(rest: &[String]) -> i32 {
         eprintln!("error: usage: cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>]");
         return EXIT_INVALID_INPUT;
     };
-    let threshold = threshold.unwrap_or_else(threshold_from_env);
+    let threshold = threshold.unwrap_or(DEFAULT_REGRESSION_PCT);
 
     let run = match RunArtifacts::load(&run_dir) {
         Ok(r) => r,
@@ -1236,16 +1368,17 @@ pub fn run_report_subcommand(rest: &[String]) -> i32 {
         eprintln!("error: could not write {}: {e}", out_path.display());
         return EXIT_INVALID_INPUT;
     }
-    println!("report: wrote {}", out_path.display());
-
+    let mut summary = format!("report: wrote {}", out_path.display());
+    let mut code = 0;
     if let Some(b) = &baseline {
-        let regressions: Vec<&MetricDelta> = deltas.iter().filter(|d| d.regressed).collect();
-        println!(
-            "compare: {} shared metrics vs {} ({} regression{} at ±{threshold}%)",
+        let regressions = deltas.iter().filter(|d| d.regressed).count();
+        let _ = write!(
+            summary,
+            "\ncompare: {} shared metrics vs {} ({} regression{} at ±{threshold}%)",
             deltas.len(),
             b.dir.display(),
-            regressions.len(),
-            if regressions.len() == 1 { "" } else { "s" },
+            regressions,
+            if regressions == 1 { "" } else { "s" },
         );
         for d in &deltas {
             let tag = if d.regressed {
@@ -1255,8 +1388,9 @@ pub fn run_report_subcommand(rest: &[String]) -> i32 {
             } else {
                 "    ok    "
             };
-            println!(
-                "  {tag} {:<52} {:>14} -> {:>14}  {:>9}%",
+            let _ = write!(
+                summary,
+                "\n  {tag} {:<52} {:>14} -> {:>14}  {:>9}%",
                 d.key,
                 fmt_val(d.old),
                 fmt_val(d.new),
@@ -1267,11 +1401,12 @@ pub fn run_report_subcommand(rest: &[String]) -> i32 {
                 }
             );
         }
-        if !regressions.is_empty() {
-            return EXIT_REGRESSION;
+        if regressions > 0 {
+            code = EXIT_REGRESSION;
         }
     }
-    0
+    crate::print_stdout(&summary);
+    code
 }
 
 /// Writes `content` to `path` via a sibling temp file + rename so readers
@@ -1290,6 +1425,7 @@ fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ac_telemetry::{Comp, DecisionEvent, EventRecord, EvictionCase};
 
     fn v(s: &str) -> Value {
         serde_json::from_str(s).expect("test JSON parses")
@@ -1297,10 +1433,10 @@ mod tests {
 
     fn timeline_row(run: &str, end: u64, misses: u64, insts: u64, tps: f64) -> Value {
         v(&format!(
-            r#"{{"run":"{run}","unit":"accesses","end":{end},"misses":{misses},
+            r#"{{"run":"{run}","unit":"instructions","end":{end},"misses":{misses},
                "instructions":{insts},"mpki":{},"imit_frac_b":0.5,
                "ticks_per_sec":{tps},"excl_a_misses":1,"excl_b_misses":2,
-               "leader_votes":0,"psel":null,"mshr_busy":0,"sb_busy":0}}"#,
+               "leader_votes":0,"psel":null,"sb_busy":0}}"#,
             1000.0 * misses as f64 / insts as f64
         ))
     }
@@ -1509,19 +1645,212 @@ mod tests {
         assert!(html.contains("evil&lt;name&gt;"));
     }
 
+    fn imitation(set: u32, component: Comp) -> DecisionEvent {
+        DecisionEvent::Imitation {
+            set,
+            component,
+            case: EvictionCase::SameVictim,
+        }
+    }
+
+    /// `events` as the hub's sink writes them to `events.jsonl`.
+    fn event_lines(events: &[(u64, DecisionEvent)]) -> String {
+        events
+            .iter()
+            .map(|&(seq, event)| EventRecord {
+                seq,
+                t_us: 0,
+                event,
+            })
+            .map(|record| record.to_json_line() + "\n")
+            .collect()
+    }
+
+    fn heatmap_of(events: &[(u64, DecisionEvent)]) -> Heatmap {
+        Heatmap::from_events(event_lines(events).as_bytes()).expect("the fixture parses")
+    }
+
+    /// Every cell as `(column, set, cell)`, in column then set order.
+    fn cells(map: &Heatmap) -> Vec<(u64, u64, HeatCell)> {
+        map.filled()
+            .flat_map(|(column, cells)| cells.iter().map(move |(&set, &c)| (column, set, c)))
+            .collect()
+    }
+
+    fn cell(imit_a: u64, imit_b: u64, miss_a: u64, miss_b: u64) -> HeatCell {
+        HeatCell {
+            imit_a,
+            imit_b,
+            miss_a,
+            miss_b,
+        }
+    }
+
+    #[test]
+    fn heatmap_buckets_events_by_position_and_set() {
+        let map = heatmap_of(&[
+            (0, imitation(3, Comp::A)),
+            (5, imitation(3, Comp::B)),
+            (
+                20,
+                DecisionEvent::HistoryUpdate {
+                    set: 2,
+                    a_missed: true,
+                    b_missed: false,
+                },
+            ),
+            (
+                30,
+                DecisionEvent::LeaderVote {
+                    set: 8,
+                    slot: 0,
+                    psel: 512,
+                    global: Comp::A,
+                },
+            ),
+            (
+                31,
+                DecisionEvent::DuelVote {
+                    set: 9,
+                    bip_leader: true,
+                    psel: 100,
+                },
+            ),
+            // No set: adds nothing, and opens no column.
+            (
+                40,
+                DecisionEvent::SwitchLag {
+                    window: 1,
+                    lag: 2,
+                    to: Comp::B,
+                },
+            ),
+            (
+                5 * 4096,
+                DecisionEvent::SwitchLag {
+                    window: 2,
+                    lag: 1,
+                    to: Comp::A,
+                },
+            ),
+            (4096 + 12, imitation(7, Comp::B)),
+        ]);
+        assert_eq!((map.window, map.stride), (4096, 1));
+        assert_eq!(
+            cells(&map),
+            [
+                (0, 2, cell(0, 0, 1, 0)),
+                (0, 3, cell(1, 1, 0, 0)),
+                // A vote keeps its set's row with an empty cell.
+                (0, 8, cell(0, 0, 0, 0)),
+                (0, 9, cell(0, 0, 0, 0)),
+                (1, 7, cell(0, 1, 0, 0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn heatmap_rows_take_every_stride_th_set() {
+        // Sixteen sets, then set 1023, which needs a stride of 4 to fit
+        // 256 rows: the rows already filled off that stride go.
+        let mut events: Vec<(u64, DecisionEvent)> =
+            (0..16).map(|set| (0, imitation(set, Comp::A))).collect();
+        events.push((1, imitation(1023, Comp::B)));
+        events.push((2, imitation(1020, Comp::B)));
+        events.push((3, imitation(5, Comp::B)));
+        let map = heatmap_of(&events);
+        assert_eq!(map.stride, 4);
+        assert_eq!(
+            cells(&map),
+            [
+                (0, 0, cell(1, 0, 0, 0)),
+                (0, 4, cell(1, 0, 0, 0)),
+                (0, 8, cell(1, 0, 0, 0)),
+                (0, 12, cell(1, 0, 0, 0)),
+                (0, 1020, cell(0, 1, 0, 0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn heatmap_window_doubles_past_256_columns_and_keeps_every_count() {
+        // Column 255 of the narrowest window still fits.
+        let map = heatmap_of(&[
+            (0, imitation(0, Comp::A)),
+            (255 * 4096, imitation(0, Comp::B)),
+        ]);
+        assert_eq!(map.window, 4096);
+        assert_eq!(cells(&map)[1].0, 255);
+        // One position later needs column 256: the window doubles and
+        // each column pair folds into one.
+        let map = heatmap_of(&[
+            (0, imitation(0, Comp::A)),
+            (4096, imitation(0, Comp::A)),
+            (256 * 4096, imitation(0, Comp::B)),
+        ]);
+        assert_eq!(map.window, 8192);
+        assert_eq!(
+            cells(&map),
+            [(0, 0, cell(2, 0, 0, 0)), (128, 0, cell(0, 1, 0, 0))]
+        );
+        // 2048 columns' worth of events fold into 256 columns of eight.
+        let events: Vec<(u64, DecisionEvent)> = (0..2048u64)
+            .map(|i| (i * 4096, imitation((i % 8) as u32, Comp::A)))
+            .collect();
+        let map = heatmap_of(&events);
+        assert_eq!(map.window, 8 * 4096);
+        assert_eq!(map.filled().count(), 256);
+        let total: u64 = cells(&map).iter().map(|(_, _, c)| c.imit_a).sum();
+        assert_eq!(total, 2048, "widening loses no counts");
+    }
+
+    #[test]
+    fn heatmap_skips_a_torn_last_line_and_names_a_malformed_one() {
+        let whole = event_lines(&[(0, imitation(1, Comp::A)), (1, imitation(1, Comp::B))]);
+        // A flush can catch the sink mid-line; the stream so far counts.
+        let torn = format!("{whole}{{\"schema_version\":2,\"seq\":2,\"kind\":\"imitation\"");
+        let map = Heatmap::from_events(torn.as_bytes()).unwrap();
+        assert_eq!(cells(&map), [(0, 1, cell(1, 1, 0, 0))]);
+        // A line without its newline is torn even when it parses.
+        let unterminated = whole.trim_end();
+        let map = Heatmap::from_events(unterminated.as_bytes()).unwrap();
+        assert_eq!(cells(&map), [(0, 1, cell(1, 0, 0, 0))]);
+
+        let (first, rest) = whole.split_at(whole.find('\n').unwrap() + 1);
+        let malformed = format!("{first}not json\n{rest}");
+        let err = Heatmap::from_events(malformed.as_bytes()).unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+
+        // The loader names the file too.
+        let dir = std::env::temp_dir().join(format!("ac_report_events_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("timeline.jsonl"), "").unwrap();
+        std::fs::write(dir.join("events.jsonl"), &malformed).unwrap();
+        let err = RunArtifacts::load(&dir).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(err.contains("events.jsonl line 2: "), "{err}");
+    }
+
     #[test]
     fn heatmap_renders_cells() {
         let mut run = sample_run(10, 1.0);
-        run.heatmap = Some(v(
-            r#"{"schema_version":1,"window_events":64,"set_stride":2,"events":6,
-                "windows":[{"start_seq":0,"end_seq":64,
-                  "sets":[{"set":0,"imit_a":3,"imit_b":1,"miss_a":2,"miss_b":0},
-                          {"set":2,"imit_a":0,"imit_b":5,"miss_a":0,"miss_b":4}]}]}"#,
-        ));
+        run.heatmap = Some(heatmap_of(&[
+            (0, imitation(0, Comp::A)),
+            (
+                1,
+                DecisionEvent::HistoryUpdate {
+                    set: 2,
+                    a_missed: false,
+                    b_missed: true,
+                },
+            ),
+        ]));
         let html = render_html(&run, None);
         assert!(html.contains("Per-set decision heatmap"));
+        assert!(html.contains("2 sampled sets × 1 windows (stride 1, 4096 events/window)"));
         assert!(html.contains("set 0"));
         assert!(html.contains("set 2"));
         assert!(html.contains("<rect"));
+        assert!(html.contains("set 2, events 0..4096: imit A=0, B=0, misses A=0, B=1"));
     }
 }

@@ -3,7 +3,6 @@
 //! back with the schema version the writer claims to emit. Guards the
 //! hand-rolled JSON writers against drift from the documented schemas.
 
-use ac_telemetry::heatmap::HEATMAP_SCHEMA_VERSION;
 use ac_telemetry::timeline::TIMELINE_SCHEMA_VERSION;
 use ac_telemetry::{
     Comp, DecisionEvent, EvictionCase, Recorder, SpanRecord, Telemetry, TelemetryConfig, Timeline,
@@ -60,8 +59,7 @@ fn every_artifact_parses_with_its_schema_version() {
     let hub = Telemetry::new(
         TelemetryConfig::default()
             .with_dir(tmp.0.clone())
-            .with_sample_rate(1)
-            .with_heatmap(4, 1),
+            .with_sample_rate(1),
     );
 
     // One record of every kind the hub accepts.
@@ -126,7 +124,6 @@ fn every_artifact_parses_with_its_schema_version() {
         "telemetry-summary.json",
         "events.jsonl",
         "timeline.jsonl",
-        "heatmap.json",
     ] {
         assert!(
             names.iter().any(|n| n == expected),
@@ -189,23 +186,6 @@ fn every_artifact_parses_with_its_schema_version() {
     }
     let total_misses: u64 = windows.iter().map(|w| u64_of(w, "misses")).sum();
     assert_eq!(total_misses, 25, "window deltas must sum to the last probe");
-
-    // heatmap.json: schema version and the decisions that produced cells.
-    let heatmap = parse_json(&tmp.0.join("heatmap.json"));
-    assert_eq!(
-        u64_of(&heatmap, "schema_version"),
-        u64::from(HEATMAP_SCHEMA_VERSION)
-    );
-    assert_eq!(u64_of(&heatmap, "events"), 4);
-    let hm_windows = heatmap.get("windows").and_then(Value::as_array).unwrap();
-    assert!(!hm_windows.is_empty());
-    let first_sets = hm_windows[0].get("sets").and_then(Value::as_array).unwrap();
-    assert!(
-        first_sets
-            .iter()
-            .any(|c| c.get("set").and_then(Value::as_u64) == Some(3)),
-        "set 3 (imitation + history update) missing from heatmap cells"
-    );
 
     // trace.json parses and holds the span.
     let trace = parse_json(&tmp.0.join("trace.json"));
@@ -290,9 +270,19 @@ fn every_artifact_parses_with_its_schema_version() {
     // The report loader accepts the directory end to end.
     let run = bench::report::RunArtifacts::load(&tmp.0).expect("report loads artifacts");
     assert_eq!(run.timeline.len(), 3);
-    assert!(run.heatmap.is_some());
     assert!(run.audit.is_some(), "report loader must pick up audit.json");
     let html = bench::report::render_html(&run, None);
     assert!(html.contains("<svg"));
     assert!(html.contains("Adaptivity audit"));
+    // The report buckets events.jsonl into its per-set heatmap: set 3
+    // (imitation + history update) has a row there.
+    let heatmap = html
+        .split("<h2>Per-set decision heatmap</h2>")
+        .nth(1)
+        .and_then(|rest| rest.split("<h2>").next())
+        .expect("the report has a heatmap section");
+    assert!(
+        heatmap.contains(">set 3</text>"),
+        "set 3 missing from the heatmap"
+    );
 }

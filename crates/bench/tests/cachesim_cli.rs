@@ -457,9 +457,8 @@ fn an_inline_spec_run_audits_like_the_same_benchmark_by_name() {
 }
 
 /// `--telemetry <dir>` takes every setting but the directory from the
-/// environment, as `AC_TELEMETRY=<dir>` does: zero timeline and heatmap
-/// shapes turn both artifacts off, and a heatmap stride beyond `u32`
-/// falls back to the default instead of wrapping to zero.
+/// environment, as `AC_TELEMETRY=<dir>` does: a zero timeline window
+/// turns timelines off either way.
 #[test]
 fn telemetry_flag_takes_the_artifact_shapes_from_the_environment() {
     let dir = tmp_dir("tele_shapes");
@@ -467,22 +466,21 @@ fn telemetry_flag_takes_the_artifact_shapes_from_the_environment() {
     let applu = template_cell(&dir, &[(r#""mcf""#, r#""applu""#), ("50000", "300000")]);
     std::fs::write(&cfg, applu).unwrap();
     let cfg = cfg.to_str().unwrap();
-    let off = [("AC_TIMELINE_WINDOW", "0"), ("AC_HEATMAP_STRIDE", "0")];
-    let env_off = [("AC_TELEMETRY", "env_off"), off[0], off[1]];
-    let env_wide = [
-        ("AC_TELEMETRY", "env_wide"),
-        ("AC_HEATMAP_STRIDE", "4294967296"),
-    ];
+    let off = ("AC_TIMELINE_WINDOW", "0");
     let runs = [
         ("flag", vec!["--telemetry", "flag", cfg], vec![], true),
         (
             "flag_off",
             vec!["--telemetry", "flag_off", cfg],
-            off.to_vec(),
+            vec![off],
             false,
         ),
-        ("env_off", vec![cfg], env_off.to_vec(), false),
-        ("env_wide", vec![cfg], env_wide.to_vec(), true),
+        (
+            "env_off",
+            vec![cfg],
+            vec![("AC_TELEMETRY", "env_off"), off],
+            false,
+        ),
     ];
     for (name, args, env, written) in runs {
         let out = run_in(&dir, &args, &env);
@@ -490,10 +488,8 @@ fn telemetry_flag_takes_the_artifact_shapes_from_the_environment() {
         assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
         let run_dir = dir.join(name);
         assert!(run_dir.join("metrics.prom").exists(), "{name}");
-        for artifact in ["timeline.jsonl", "heatmap.json"] {
-            let exists = run_dir.join(artifact).exists();
-            assert_eq!(exists, written, "{name}: {artifact}");
-        }
+        let exists = run_dir.join("timeline.jsonl").exists();
+        assert_eq!(exists, written, "{name}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -792,6 +788,31 @@ fn a_closed_stdout_ends_the_run_with_its_exit_code_and_no_panic() {
     for stem in ["table_storage", "sec47_overheads"] {
         let written = std::fs::read(dir.join(format!("results/{stem}.csv"))).unwrap();
         assert!(written == committed_csv(stem), "{stem}.csv differs");
+    }
+
+    // The audit and the report print their summaries the same way, after
+    // writing what they write.
+    let cfg = dir.join("run.json");
+    std::fs::write(&cfg, template_cell(&dir, &[])).unwrap();
+    let out = run_in(
+        &dir,
+        &["--telemetry", "run", cfg.to_str().unwrap()],
+        &[("AC_TELEMETRY_SAMPLE", "1")],
+    );
+    assert_eq!(out.status.code(), Some(0));
+    let commands: [&[&str]; 3] = [
+        &["audit", "run"],
+        &["report", "run", "--out", "report.html"],
+        &["report", "run", "--compare", "run", "--out", "compare.html"],
+    ];
+    for args in commands {
+        let out = run_with_closed_stdout(&dir, args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    for written in ["run/audit.json", "report.html", "compare.html"] {
+        assert!(dir.join(written).is_file(), "{written}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

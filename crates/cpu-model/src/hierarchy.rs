@@ -427,10 +427,11 @@ where
     });
     let mut stats = FunctionalStats::default();
     let started = std::time::Instant::now();
-    // Ticks in units of L2-visible work (fetch-block lookups + data
-    // references); `None` unless a hub with timelines enabled is
-    // installed, so the disabled path costs one branch per instruction.
-    let mut timeline = ac_telemetry::Timeline::from_hub("accesses", || {
+    // Ticks in retired instructions, so a replay closes the same windows
+    // from the instruction index of each captured event; `None` unless a
+    // hub with timelines enabled is installed, so the disabled path
+    // costs one branch per instruction.
+    let mut timeline = ac_telemetry::Timeline::from_hub("instructions", || {
         format!("functional {}", hierarchy.l2().label())
     });
     let mut last_iblock = u64::MAX;
@@ -452,10 +453,9 @@ where
             hierarchy.data_access(addr, write);
         }
         if let Some(tl) = timeline.as_mut() {
-            let ticks = stats.inst_fetches + stats.data_accesses;
-            if tl.due(ticks) {
+            if tl.due(stats.instructions) {
                 tl.record(
-                    ticks,
+                    stats.instructions,
                     stats.instructions,
                     hierarchy.l2().timeline_probe(),
                     ac_telemetry::TimelineGauges::default(),
@@ -465,7 +465,7 @@ where
     }
     if let Some(tl) = timeline {
         tl.finish(
-            stats.inst_fetches + stats.data_accesses,
+            stats.instructions,
             stats.instructions,
             hierarchy.l2().timeline_probe(),
             ac_telemetry::TimelineGauges::default(),

@@ -294,7 +294,7 @@ mod tests {
         for (i, &blk) in blocks.iter().enumerate() {
             b.push(blk * 64, false, i as u64 + 1);
         }
-        b.finish(Default::default(), blocks.len() as u64, 0)
+        b.finish(Default::default())
     }
 
     #[test]

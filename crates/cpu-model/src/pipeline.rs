@@ -562,10 +562,9 @@ impl<L2: CacheModel, L1I: CacheModel, L1D: CacheModel> Pipeline<L2, L1I, L1D> {
         retire
     }
 
-    /// MSHR and store-buffer occupancy at cycle `now`.
+    /// Store-buffer occupancy at cycle `now`.
     fn gauges(&self, now: u64) -> ac_telemetry::TimelineGauges {
         ac_telemetry::TimelineGauges {
-            mshr_busy: busy_at(&self.mshrs, now),
             sb_busy: busy_at(&self.store_buffer.times, now),
         }
     }
@@ -575,8 +574,8 @@ impl<L2: CacheModel, L1I: CacheModel, L1D: CacheModel> Pipeline<L2, L1I, L1D> {
         let _span = ac_telemetry::span("cpu", || {
             format!("pipeline_run {}", self.hierarchy.l2().label())
         });
-        // Ticks in cycles; window boundaries also sample MSHR and
-        // store-buffer occupancy at the current retirement time.
+        // Ticks in cycles; window boundaries also sample store-buffer
+        // occupancy at the current retirement time.
         let mut timeline = ac_telemetry::Timeline::from_hub("cycles", || {
             format!("pipeline {}", self.hierarchy.l2().label())
         });

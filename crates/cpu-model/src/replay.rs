@@ -12,15 +12,9 @@
 //! [`replay_l2`] then drives any [`CacheModel`] with it, producing
 //! [`FunctionalStats`] — and timeline windows — exactly equal to a
 //! direct [`crate::run_functional`] run, with zero trace generation and
-//! zero L1 work.
-//!
-//! Timeline exactness needs one extra trick: the functional driver
-//! checks `Timeline::due(ticks)` once per *instruction*, and the
-//! boundary schedule depends on the ring's coarsening history. The
-//! capture therefore emulates the timeline's bookkeeping (same window
-//! length, capacity and doubling rule) and records the exact `(tick,
-//! instruction)` points at which the direct run would have recorded a
-//! window; the replay feeds `Timeline::record` at exactly those points.
+//! zero L1 work. Functional timelines tick in retired instructions, so
+//! the replay closes each window from the instruction index every event
+//! carries.
 
 use crate::config::CpuConfig;
 use crate::hierarchy::{build_l1, FunctionalStats, L2Complex, L1D_SEED, L1I_SEED};
@@ -51,14 +45,6 @@ pub struct L2Trace {
     addrs: DeltaSeq,
     insts: DeltaSeq,
     writebacks: BitSeq,
-    /// Timeline record points the direct run would have hit: `(tick,
-    /// instructions)` pairs, both monotonic.
-    sched_ticks: DeltaSeq,
-    sched_insts: DeltaSeq,
-    /// Window length the schedule was captured for (0 = no schedule).
-    sched_window: u64,
-    /// Final tick count (`inst_fetches + data_accesses`).
-    total_ticks: u64,
 }
 
 impl L2Trace {
@@ -77,18 +63,11 @@ impl L2Trace {
         self.addrs.is_empty()
     }
 
-    /// Final tick count of the captured run.
-    pub fn total_ticks(&self) -> u64 {
-        self.total_ticks
-    }
-
     /// Approximate resident size in bytes (packed buffers + header).
     pub fn approx_bytes(&self) -> usize {
         self.addrs.byte_len()
             + self.insts.byte_len()
             + self.writebacks.byte_len()
-            + self.sched_ticks.byte_len()
-            + self.sched_insts.byte_len()
             + std::mem::size_of::<L2Trace>()
     }
 
@@ -112,11 +91,6 @@ impl L2Trace {
             flags: self.writebacks.as_bytes(),
             index: 0,
         }
-    }
-
-    /// Decodes the timeline record-point schedule.
-    pub fn schedule(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.sched_ticks.iter().zip(self.sched_insts.iter())
     }
 }
 
@@ -171,78 +145,13 @@ impl L2TraceBuilder {
         self.trace.writebacks.push(writeback);
     }
 
-    /// Appends one timeline record point.
-    pub fn push_schedule(&mut self, tick: u64, inst: u64) {
-        self.trace.sched_ticks.push(tick);
-        self.trace.sched_insts.push(inst);
-    }
-
     /// Seals the trace with the front-end totals.
-    pub fn finish(
-        mut self,
-        front: FunctionalStats,
-        total_ticks: u64,
-        sched_window: u64,
-    ) -> L2Trace {
+    pub fn finish(mut self, front: FunctionalStats) -> L2Trace {
         self.trace.front = FunctionalStats {
             l2_misses: 0,
             ..front
         };
-        self.trace.total_ticks = total_ticks;
-        self.trace.sched_window = sched_window;
         self.trace
-    }
-}
-
-/// Mirrors [`ac_telemetry::Timeline`]'s boundary bookkeeping (window
-/// doubling on ring-capacity coarsening) without recording anything, so
-/// the capture knows exactly when a direct run would have recorded.
-#[derive(Debug)]
-struct ScheduleSim {
-    window_len: u64,
-    next_boundary: u64,
-    count: usize,
-    capacity: usize,
-}
-
-impl ScheduleSim {
-    fn new(window: u64) -> ScheduleSim {
-        let window = window.max(1);
-        ScheduleSim {
-            window_len: window,
-            next_boundary: window,
-            count: 0,
-            capacity: ac_telemetry::timeline::DEFAULT_TIMELINE_CAPACITY.max(2),
-        }
-    }
-
-    #[inline]
-    fn due(&self, tick: u64) -> bool {
-        tick >= self.next_boundary
-    }
-
-    fn record(&mut self, tick: u64) {
-        if self.count == self.capacity {
-            // Timeline::coarsen: pairwise merge halves the ring and
-            // doubles the window length.
-            self.count = self.capacity / 2 + self.capacity % 2;
-            self.window_len = self.window_len.saturating_mul(2);
-        }
-        self.count += 1;
-        while self.next_boundary <= tick {
-            self.next_boundary += self.window_len;
-        }
-    }
-}
-
-/// The timeline window length captures should assume: the installed
-/// hub's, or the default when no hub exists yet (`0` disables schedule
-/// capture — the hub is install-once, so a window of zero now means no
-/// timeline can ever record in this process).
-fn capture_window() -> u64 {
-    match ac_telemetry::hub() {
-        Some(hub) => hub.config().timeline_window,
-        None => ac_telemetry::timeline::DEFAULT_TIMELINE_WINDOW,
     }
 }
 
@@ -261,8 +170,6 @@ where
     let (mut l1i, l1i_geom) = build_l1(config.l1i, L1I_SEED);
     let (mut l1d, l1d_geom) = build_l1(config.l1d, L1D_SEED);
     let mut b = L2TraceBuilder::new();
-    let sched_window = capture_window();
-    let mut sched = (sched_window > 0).then(|| ScheduleSim::new(sched_window));
     let mut stats = FunctionalStats::default();
     let mut last_iblock = u64::MAX;
     let mut trace = trace;
@@ -293,18 +200,10 @@ where
                 b.push(addr, false, stats.instructions);
             }
         }
-        if let Some(sim) = sched.as_mut() {
-            let ticks = stats.inst_fetches + stats.data_accesses;
-            if sim.due(ticks) {
-                b.push_schedule(ticks, stats.instructions);
-                sim.record(ticks);
-            }
-        }
     }
     stats.l1d_misses = l1d.stats().misses;
     stats.l1i_misses = l1i.stats().misses;
-    let total_ticks = stats.inst_fetches + stats.data_accesses;
-    b.finish(stats, total_ticks, sched_window)
+    b.finish(stats)
 }
 
 /// Replays a captured reference stream against `l2`, producing the same
@@ -319,31 +218,26 @@ pub fn replay_l2<M: CacheModel + ?Sized>(trace: &L2Trace, l2: &mut M) -> Functio
     replay_into(trace, &mut cx)
 }
 
-/// The timeline side of a replay: the timeline, the instruction-index
-/// stream and the record-point schedule, decoded only while a timeline
-/// records.
-struct Recording<'a, S> {
+/// The timeline side of a replay: the timeline and the
+/// instruction-index stream, decoded only while a timeline records.
+struct Recording<'a> {
     timeline: ac_telemetry::Timeline,
     insts: DeltaIter<'a>,
-    schedule: S,
-    next_point: Option<(u64, u64)>,
 }
 
-impl<S: Iterator<Item = (u64, u64)>> Recording<'_, S> {
-    /// Records every schedule point before instruction `inst` (every
-    /// remaining point when `None`).
-    fn record_before<L2: CacheModel>(&mut self, inst: Option<u64>, l2: &L2) {
-        while let Some((tick, at)) = self.next_point {
-            if inst.is_some_and(|inst| at >= inst) {
-                break;
-            }
+impl Recording<'_> {
+    /// Closes every window whose boundary is at or before instruction
+    /// `last`, each at its boundary, as the direct run closes it at the
+    /// end of that instruction: the L2 has seen nothing since.
+    fn close_through<L2: CacheModel>(&mut self, last: u64, l2: &L2) {
+        while self.timeline.due(last) {
+            let at = self.timeline.next_boundary();
             self.timeline.record(
-                tick,
+                at,
                 at,
                 l2.timeline_probe(),
                 ac_telemetry::TimelineGauges::default(),
             );
-            self.next_point = self.schedule.next();
         }
     }
 }
@@ -353,33 +247,29 @@ impl<S: Iterator<Item = (u64, u64)>> Recording<'_, S> {
 ///
 /// One loop serves both cases: per event it decodes the address and the
 /// writeback flag, and only while a timeline records also the
-/// instruction index that places the event among the record points.
+/// instruction index that places the event among the window boundaries.
 pub fn replay_into<L2: CacheModel>(trace: &L2Trace, cx: &mut L2Complex<L2>) -> FunctionalStats {
     let _span = ac_telemetry::span("cpu", || format!("replay_run {}", cx.l2().label()));
     let started = std::time::Instant::now();
     let demand_before = cx.demand_misses();
     // Same label as the direct driver: replayed runs are
     // indistinguishable in timeline.jsonl.
-    let mut recording =
-        ac_telemetry::Timeline::from_hub("accesses", || format!("functional {}", cx.l2().label()))
-            .map(|timeline| {
-                let mut schedule = trace.schedule();
-                Recording {
-                    timeline,
-                    insts: trace.insts.iter(),
-                    next_point: schedule.next(),
-                    schedule,
-                }
-            });
+    let mut recording = ac_telemetry::Timeline::from_hub("instructions", || {
+        format!("functional {}", cx.l2().label())
+    })
+    .map(|timeline| Recording {
+        timeline,
+        insts: trace.insts.iter(),
+    });
     let mut accesses = trace.accesses();
     let mut next = accesses.next();
     while let Some((addr, writeback)) = next {
         if let Some(rec) = recording.as_mut() {
             // The direct run's due-check happens at the *end* of each
-            // instruction, so every record point with an instruction
-            // index below this event's precedes it.
+            // instruction, so every boundary before this event's
+            // instruction closes first.
             let inst = rec.insts.next().expect("one instruction index per event");
-            rec.record_before(Some(inst), cx.l2());
+            rec.close_through(inst.saturating_sub(1), cx.l2());
         }
         next = accesses.next();
         // Get the next event's L2 lookup records in flight before
@@ -398,9 +288,9 @@ pub fn replay_into<L2: CacheModel>(trace: &L2Trace, cx: &mut L2Complex<L2>) -> F
     let mut stats = trace.front_stats();
     stats.l2_misses = cx.demand_misses() - demand_before;
     if let Some(mut rec) = recording {
-        rec.record_before(None, cx.l2());
+        rec.close_through(stats.instructions, cx.l2());
         rec.timeline.finish(
-            trace.total_ticks(),
+            stats.instructions,
             stats.instructions,
             cx.l2().timeline_probe(),
             ac_telemetry::TimelineGauges::default(),
@@ -450,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips_events_and_schedule() {
+    fn builder_round_trips_events() {
         let mut b = L2TraceBuilder::new();
         let evs = [
             (0x1000u64, false, 1u64),
@@ -461,27 +351,17 @@ mod tests {
         for &(a, w, i) in &evs {
             b.push(a, w, i);
         }
-        b.push_schedule(100, 60);
-        b.push_schedule(200, 121);
-        let t = b.finish(
-            FunctionalStats {
-                instructions: 9,
-                data_accesses: 5,
-                inst_fetches: 4,
-                l1d_misses: 3,
-                l1i_misses: 1,
-                l2_misses: 777, // must be zeroed
-            },
-            9,
-            1 << 16,
-        );
+        let t = b.finish(FunctionalStats {
+            instructions: 9,
+            data_accesses: 5,
+            inst_fetches: 4,
+            l1d_misses: 3,
+            l1i_misses: 1,
+            l2_misses: 777, // must be zeroed
+        });
         let back: Vec<(u64, bool, u64)> =
             t.events().map(|e| (e.addr, e.writeback, e.inst)).collect();
         assert_eq!(back, evs);
-        assert_eq!(
-            t.schedule().collect::<Vec<_>>(),
-            vec![(100, 60), (200, 121)]
-        );
         assert_eq!(t.front_stats().l2_misses, 0);
         assert_eq!(t.front_stats().instructions, 9);
         assert_eq!(t.len(), 4);
@@ -508,7 +388,7 @@ mod tests {
                 b.push(ev.addr, ev.writeback, ev.inst);
                 pushed.push(ev);
             }
-            let t = b.finish(FunctionalStats::default(), 0, 0);
+            let t = b.finish(FunctionalStats::default());
             let events: Vec<L2Event> = t.events().collect();
             assert_eq!(events, pushed);
             // The replay's address-and-flag iteration is `events()`
@@ -537,30 +417,5 @@ mod tests {
 
         assert_eq!(replayed, direct);
         assert_eq!(l2.stats(), h.l2().stats());
-    }
-
-    #[test]
-    fn schedule_sim_tracks_real_timeline_boundaries() {
-        // Drive a real Timeline and the simulator with the same tick
-        // stream (including enough records to force coarsening) and
-        // check they agree on every boundary decision.
-        let window = 64u64;
-        let cap = ac_telemetry::timeline::DEFAULT_TIMELINE_CAPACITY;
-        let mut tl = ac_telemetry::Timeline::new("t".into(), "accesses", window, cap);
-        let mut sim = ScheduleSim::new(window);
-        for tick in 1..200_000u64 {
-            assert_eq!(tl.due(tick), sim.due(tick), "tick {tick}");
-            if tl.due(tick) {
-                tl.record(
-                    tick,
-                    0,
-                    ac_telemetry::TimelineProbe::default(),
-                    ac_telemetry::TimelineGauges::default(),
-                );
-                sim.record(tick);
-            }
-        }
-        assert!(tl.window_len() > window, "coarsening was exercised");
-        assert_eq!(tl.window_len(), sim.window_len);
     }
 }

@@ -202,7 +202,7 @@ proptest! {
         for &(addr, wb, inst) in &events {
             b.push(addr, wb, inst);
         }
-        let t = b.finish(cpu_model::FunctionalStats::default(), 0, 1 << 16);
+        let t = b.finish(cpu_model::FunctionalStats::default());
         let back: Vec<(u64, bool, u64)> =
             t.events().map(|e| (e.addr, e.writeback, e.inst)).collect();
         prop_assert_eq!(back, events);

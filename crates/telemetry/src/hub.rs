@@ -2,7 +2,6 @@
 //! decision-event ring buffer, streaming JSONL sink, artifact writer.
 
 use crate::event::{DecisionEvent, EventRecord};
-use crate::heatmap::HeatmapAggregator;
 use crate::metrics::Histogram;
 use crate::span::SpanRecord;
 use crate::striped::{StripedCounter, StripedInner};
@@ -37,13 +36,9 @@ pub struct TelemetryConfig {
     /// overwritten once full; the JSONL sink, when configured, streams
     /// every sampled event regardless).
     pub ring_capacity: usize,
-    /// Timeline window length in ticks (accesses / cycles) for
+    /// Timeline window length in ticks (instructions / cycles) for
     /// [`crate::timeline::Timeline::from_hub`]. `0` disables timelines.
     pub timeline_window: u64,
-    /// Heatmap event-window width (sampled events per column).
-    pub heatmap_window_events: u64,
-    /// Heatmap set-sampling stride (`0` disables the heatmap).
-    pub heatmap_set_stride: u32,
 }
 
 impl Default for TelemetryConfig {
@@ -53,8 +48,6 @@ impl Default for TelemetryConfig {
             sample_rate: 1,
             ring_capacity: DEFAULT_RING_CAPACITY,
             timeline_window: crate::timeline::DEFAULT_TIMELINE_WINDOW,
-            heatmap_window_events: crate::heatmap::DEFAULT_HEATMAP_WINDOW,
-            heatmap_set_stride: crate::heatmap::DEFAULT_HEATMAP_STRIDE,
         }
     }
 }
@@ -82,11 +75,6 @@ impl TelemetryConfig {
                 "AC_TIMELINE_WINDOW",
                 crate::timeline::DEFAULT_TIMELINE_WINDOW,
             ),
-            heatmap_window_events: env_or(
-                "AC_HEATMAP_WINDOW",
-                crate::heatmap::DEFAULT_HEATMAP_WINDOW,
-            ),
-            heatmap_set_stride: env_or("AC_HEATMAP_STRIDE", crate::heatmap::DEFAULT_HEATMAP_STRIDE),
         })
     }
 
@@ -108,14 +96,6 @@ impl TelemetryConfig {
         self.timeline_window = window;
         self
     }
-
-    /// This configuration with a different heatmap shape: `window_events`
-    /// per column, one set in `set_stride` sampled (`0` disables).
-    pub fn with_heatmap(mut self, window_events: u64, set_stride: u32) -> Self {
-        self.heatmap_window_events = window_events;
-        self.heatmap_set_stride = set_stride;
-        self
-    }
 }
 
 /// The environment variable `name` parsed as a `T`, or `default` when it
@@ -131,7 +111,6 @@ struct EventBuf {
     ring: VecDeque<EventRecord>,
     sink: Option<BufWriter<std::fs::File>>,
     sink_error: bool,
-    heatmap: HeatmapAggregator,
 }
 
 /// The standard recorder: thread-safe metric registry + event stream.
@@ -172,7 +151,6 @@ impl Telemetry {
     /// stream to `<dir>/events.jsonl` as they are recorded (the file is
     /// opened lazily on the first event).
     pub fn new(cfg: TelemetryConfig) -> Telemetry {
-        let heatmap = HeatmapAggregator::new(cfg.heatmap_window_events, cfg.heatmap_set_stride);
         Telemetry {
             cfg,
             counters: Mutex::new(HashMap::new()),
@@ -184,7 +162,6 @@ impl Telemetry {
                 ring: VecDeque::new(),
                 sink: None,
                 sink_error: false,
-                heatmap,
             }),
             timelines: Mutex::new(Vec::new()),
             event_seq: AtomicU64::new(0),
@@ -368,16 +345,6 @@ impl Telemetry {
         lock(&self.timelines).clone()
     }
 
-    /// The decision heatmap serialized as JSON, or `None` when no event
-    /// has reached the aggregator (disabled stride, no events).
-    pub fn heatmap_json(&self) -> Option<String> {
-        let buf = lock(&self.events);
-        if buf.heatmap.is_empty() {
-            return None;
-        }
-        Some(buf.heatmap.to_json())
-    }
-
     /// Log lines emitted per level (error, warn, info, debug).
     pub fn log_counts(&self) -> [u64; 4] {
         [
@@ -429,11 +396,6 @@ impl Telemetry {
             written.push(path);
         }
         drop(timelines);
-        if let Some(text) = self.heatmap_json() {
-            let path = dir.join("heatmap.json");
-            write_atomic(&path, text.as_bytes())?;
-            written.push(path);
-        }
         let events = dir.join("events.jsonl");
         if events.exists() {
             written.push(events);
@@ -518,7 +480,6 @@ impl Recorder for Telemetry {
         if buf.ring.len() == self.cfg.ring_capacity.max(1) {
             buf.ring.pop_front();
         }
-        buf.heatmap.offer(seq, &record.event);
         buf.ring.push_back(record);
     }
 

@@ -34,9 +34,8 @@
 //! * `AC_TELEMETRY_SAMPLE` — decision-event sampling rate (record one
 //!   event in `N`; `0` disables the event stream; default 64 from the
 //!   environment, [`TelemetryConfig::default`] uses 1).
-//! * `AC_TIMELINE_WINDOW`, `AC_HEATMAP_WINDOW`, `AC_HEATMAP_STRIDE` —
-//!   the timeline and heatmap shapes ([`TelemetryConfig`]; `0` disables
-//!   timelines or the heatmap).
+//! * `AC_TIMELINE_WINDOW` — the timeline window in ticks
+//!   ([`TelemetryConfig`]; `0` disables timelines).
 //! * `AC_TELEMETRY_FLUSH_MS` — rewrite every artifact atomically each
 //!   `N` ms (minimum 50) while the process runs, so the artifact
 //!   directory is a live view of a long run.
@@ -64,7 +63,6 @@
 
 mod event;
 mod export;
-pub mod heatmap;
 mod hub;
 mod json;
 mod logging;

@@ -2,14 +2,14 @@
 //! artifacts average away.
 //!
 //! A [`Timeline`] snapshots a [`TimelineProbe`] (cumulative counters
-//! read from the model under test) every `window` ticks — accesses in
-//! the functional engine, cycles in the pipeline — and stores the
-//! *delta* against the previous snapshot in a bounded, preallocated
-//! ring. When the ring fills up it **coarsens** instead of dropping
-//! history: adjacent windows are merged pairwise in place and the
-//! window length doubles, so a timeline always covers the whole run at
-//! the finest resolution its capacity allows, without ever allocating
-//! on the record path.
+//! read from the model under test) every `window` ticks — retired
+//! instructions in the functional engine, cycles in the pipeline — and
+//! stores the *delta* against the previous snapshot in a bounded,
+//! preallocated ring. When the ring fills up it **coarsens** instead of
+//! dropping history: adjacent windows are merged pairwise in place and
+//! the window length doubles, so a timeline always covers the whole run
+//! at the finest resolution its capacity allows, without ever
+//! allocating on the record path.
 //!
 //! Finished timelines attach to the global [`crate::Telemetry`] hub and
 //! are flushed atomically to `timeline.jsonl` (one JSON object per
@@ -23,10 +23,12 @@ use std::cell::RefCell;
 ///
 /// Version history: 2 added the `shadow_a_hits` / `shadow_b_hits`
 /// counters and the derived signed `regret_best` field for the
-/// adaptivity audit.
-pub const TIMELINE_SCHEMA_VERSION: u32 = 2;
+/// adaptivity audit. 3 made functional timelines tick in retired
+/// instructions (unit `"instructions"`, was L1 accesses, `"accesses"`)
+/// and dropped the `mshr_busy` gauge, which read 0 at every boundary.
+pub const TIMELINE_SCHEMA_VERSION: u32 = 3;
 
-/// Default window length in ticks (accesses or cycles).
+/// Default window length in ticks (instructions or cycles).
 pub const DEFAULT_TIMELINE_WINDOW: u64 = 1 << 16;
 
 /// Default ring capacity in windows; past this the timeline coarsens.
@@ -122,8 +124,6 @@ impl TimelineProbe {
 /// boundaries (pipeline mode only; zero in the functional engine).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimelineGauges {
-    /// MSHRs busy at the window boundary.
-    pub mshr_busy: u32,
     /// Store-buffer entries draining at the window boundary.
     pub sb_busy: u32,
 }
@@ -165,7 +165,7 @@ impl Window {
 pub struct TimelineData {
     /// Run label (`<scope>/<model label>` under a sweep cell).
     pub label: String,
-    /// What a tick is: `"accesses"` or `"cycles"`.
+    /// What a tick is: `"instructions"` or `"cycles"`.
     pub unit: &'static str,
     /// Closed windows, oldest first.
     pub windows: Vec<Window>,
@@ -202,7 +202,6 @@ impl TimelineData {
                 ("imitations_b", w.d.imitations_b),
                 ("aliasing_fallbacks", w.d.aliasing_fallbacks),
                 ("leader_votes", w.d.leader_votes),
-                ("mshr_busy", u64::from(w.gauges.mshr_busy)),
                 ("sb_busy", u64::from(w.gauges.sb_busy)),
             ] {
                 out.push_str(",\"");
@@ -335,6 +334,13 @@ impl Timeline {
     #[inline]
     pub fn due(&self, tick: u64) -> bool {
         tick >= self.next_boundary
+    }
+
+    /// The tick at which the next window closes: the first tick for
+    /// which [`Timeline::due`] holds.
+    #[inline]
+    pub fn next_boundary(&self) -> u64 {
+        self.next_boundary
     }
 
     /// Closes the window ending at `tick`. `probe` carries the model's
@@ -509,6 +515,7 @@ mod tests {
         tl.record(100, 0, probe(100, 0, 0, 0), TimelineGauges::default());
         assert!(!tl.due(150));
         assert!(tl.due(200));
+        assert_eq!(tl.next_boundary(), 200);
     }
 
     #[test]
@@ -553,7 +560,7 @@ mod tests {
         tl.into_data().write_jsonl(&mut out);
         assert_eq!(out.lines().count(), 1);
         let line = out.lines().next().unwrap();
-        assert!(line.starts_with("{\"schema_version\":2,"), "{line}");
+        assert!(line.starts_with("{\"schema_version\":3,"), "{line}");
         assert!(
             line.contains("\"run\":\"lab\\\"el\""),
             "label escaped: {line}"

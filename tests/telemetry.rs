@@ -150,12 +150,10 @@ fn decision_stream_matches_internal_counters() {
 
     // --- A timed cell records the pipeline's "cycles" timeline: window
     // boundaries in retirement cycles, the instructions retired and the
-    // L2 misses inside each window, and MSHR and store-buffer occupancy
-    // at each boundary. Pinned to values recorded before the timing
-    // model's per-instruction path was rewritten (wall-clock `dt_us` is
-    // the one field left out). MSHR occupancy reads zero at every
-    // boundary: a boundary is a retirement time, and every miss has
-    // returned by the time its load retires.
+    // L2 misses inside each window, and store-buffer occupancy at each
+    // boundary. Pinned to values recorded before the timing model's
+    // per-instruction path was rewritten (wall-clock `dt_us` is the one
+    // field left out).
     let bench = workloads::primary_suite()
         .into_iter()
         .find(|b| b.name == "applu")
@@ -173,15 +171,7 @@ fn decision_stream_matches_internal_counters() {
     let windows: Vec<_> = timed[0]
         .windows
         .iter()
-        .map(|w| {
-            (
-                w.end_tick,
-                w.instructions,
-                w.gauges.mshr_busy,
-                w.gauges.sb_busy,
-                w.d.misses,
-            )
-        })
+        .map(|w| (w.end_tick, w.instructions, w.gauges.sb_busy, w.d.misses))
         .collect();
     assert_eq!(windows.last().map(|w| w.0), Some(stats.cycles));
     assert_eq!(windows.iter().map(|w| w.1).sum::<u64>(), TIMED_INSTS);
@@ -191,18 +181,18 @@ fn decision_stream_matches_internal_counters() {
 /// Instructions of the timed cell whose timeline is pinned.
 const TIMED_INSTS: u64 = 100_000;
 
-/// `(end tick, instructions, mshr_busy, sb_busy, L2 misses)` of every
-/// window of the timed cell's timeline.
-const TIMED_WINDOWS: &[(u64, u64, u32, u32, u64)] = &[
-    (65644, 10461, 0, 0, 566),
-    (131158, 10959, 0, 0, 551),
-    (196611, 11475, 0, 4, 571),
-    (262228, 11361, 0, 0, 563),
-    (327818, 11560, 0, 0, 582),
-    (393374, 11649, 0, 4, 578),
-    (458776, 11469, 0, 4, 573),
-    (524376, 11337, 0, 1, 579),
-    (580366, 9729, 0, 4, 486),
+/// `(end tick, instructions, sb_busy, L2 misses)` of every window of
+/// the timed cell's timeline.
+const TIMED_WINDOWS: &[(u64, u64, u32, u64)] = &[
+    (65644, 10461, 0, 566),
+    (131158, 10959, 0, 551),
+    (196611, 11475, 4, 571),
+    (262228, 11361, 0, 563),
+    (327818, 11560, 0, 582),
+    (393374, 11649, 4, 578),
+    (458776, 11469, 4, 573),
+    (524376, 11337, 1, 579),
+    (580366, 9729, 4, 486),
 ];
 
 /// Sampling rate 0 must suppress the stream entirely — checked on a

@@ -9,17 +9,10 @@
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
-use ac_telemetry::heatmap::{DEFAULT_HEATMAP_STRIDE, DEFAULT_HEATMAP_WINDOW};
 use ac_telemetry::timeline::DEFAULT_TIMELINE_WINDOW;
 use ac_telemetry::{TelemetryConfig, DEFAULT_RING_CAPACITY};
 
-const VARS: [&str; 5] = [
-    "AC_TELEMETRY",
-    "AC_TELEMETRY_SAMPLE",
-    "AC_TIMELINE_WINDOW",
-    "AC_HEATMAP_WINDOW",
-    "AC_HEATMAP_STRIDE",
-];
+const VARS: [&str; 3] = ["AC_TELEMETRY", "AC_TELEMETRY_SAMPLE", "AC_TIMELINE_WINDOW"];
 
 /// Sole use of the telemetry variables, all unset, until dropped (which
 /// unsets them again).
@@ -55,27 +48,15 @@ impl Drop for Env {
 }
 
 /// Every setting but the directory: sample rate, ring capacity, timeline
-/// window, heatmap window, heatmap stride.
-type Shape = (u32, usize, u64, u64, u32);
+/// window.
+type Shape = (u32, usize, u64);
 
 fn shape(cfg: &TelemetryConfig) -> Shape {
-    (
-        cfg.sample_rate,
-        cfg.ring_capacity,
-        cfg.timeline_window,
-        cfg.heatmap_window_events,
-        cfg.heatmap_set_stride,
-    )
+    (cfg.sample_rate, cfg.ring_capacity, cfg.timeline_window)
 }
 
 /// The environment's defaults; its sample rate records one event in 64.
-const DEFAULT_SHAPE: Shape = (
-    64,
-    DEFAULT_RING_CAPACITY,
-    DEFAULT_TIMELINE_WINDOW,
-    DEFAULT_HEATMAP_WINDOW,
-    DEFAULT_HEATMAP_STRIDE,
-);
+const DEFAULT_SHAPE: Shape = (64, DEFAULT_RING_CAPACITY, DEFAULT_TIMELINE_WINDOW);
 
 /// The configurations of the two ways in: `AC_TELEMETRY=envdir` and a
 /// `flagdir` flag.
@@ -155,37 +136,27 @@ fn the_flag_and_ac_telemetry_read_the_same_settings() {
     let env = Env::lock();
     env.set("AC_TELEMETRY_SAMPLE", "8");
     env.set("AC_TIMELINE_WINDOW", "0");
-    env.set("AC_HEATMAP_WINDOW", "1000");
-    env.set("AC_HEATMAP_STRIDE", "0");
     for cfg in both_ways(&env) {
-        assert_eq!(
-            shape(&cfg),
-            (8, DEFAULT_RING_CAPACITY, 0, 1000, 0),
-            "{cfg:?}"
-        );
+        assert_eq!(shape(&cfg), (8, DEFAULT_RING_CAPACITY, 0), "{cfg:?}");
     }
 }
 
 #[test]
 fn values_that_do_not_parse_fall_back_to_the_defaults() {
     let env = Env::lock();
-    env.set("AC_TELEMETRY_SAMPLE", "-1");
-    env.set("AC_TIMELINE_WINDOW", "lots");
-    env.set("AC_HEATMAP_WINDOW", "1.5");
-    // One past u32::MAX: out of the stride's range, not wrapped to 0.
-    env.set("AC_HEATMAP_STRIDE", "4294967296");
-    for cfg in both_ways(&env) {
-        assert_eq!(shape(&cfg), DEFAULT_SHAPE, "{cfg:?}");
+    // One past u32::MAX: out of the sample rate's range, not wrapped to 0.
+    for (sample, window) in [("-1", "lots"), ("4294967296", "1.5")] {
+        env.set("AC_TELEMETRY_SAMPLE", sample);
+        env.set("AC_TIMELINE_WINDOW", window);
+        for cfg in both_ways(&env) {
+            assert_eq!(shape(&cfg), DEFAULT_SHAPE, "{cfg:?}");
+        }
     }
 
     for name in &VARS[1..] {
         env.set(name, " 16 ");
     }
     for cfg in both_ways(&env) {
-        assert_eq!(
-            shape(&cfg),
-            (16, DEFAULT_RING_CAPACITY, 16, 16, 16),
-            "{cfg:?}"
-        );
+        assert_eq!(shape(&cfg), (16, DEFAULT_RING_CAPACITY, 16), "{cfg:?}");
     }
 }
