@@ -428,16 +428,9 @@ fn audit_run(cfg: &RunRequest, window_insts: u64) -> Result<AuditReport, String>
 /// Writes `audit.json` via a sibling temp file + rename, so a crashed
 /// audit never leaves a torn document behind.
 pub fn write_audit_json(path: &Path, report: &AuditReport) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
     let text = serde_json::to_string_pretty(report)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    experiments::report::write_atomic(path, text.as_bytes())
 }
 
 fn print_summary(report: &AuditReport) {

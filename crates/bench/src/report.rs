@@ -1364,7 +1364,7 @@ pub fn run_report_subcommand(rest: &[String]) -> i32 {
         baseline.as_ref().map(|b| (b, deltas.as_slice(), threshold)),
     );
     let out_path = out_path.unwrap_or_else(|| run.dir.join("report.html"));
-    if let Err(e) = write_atomic(&out_path, &html) {
+    if let Err(e) = experiments::report::write_atomic(&out_path, html.as_bytes()) {
         eprintln!("error: could not write {}: {e}", out_path.display());
         return EXIT_INVALID_INPUT;
     }
@@ -1407,19 +1407,6 @@ pub fn run_report_subcommand(rest: &[String]) -> i32 {
     }
     crate::print_stdout(&summary);
     code
-}
-
-/// Writes `content` to `path` via a sibling temp file + rename so readers
-/// never observe a half-written report.
-fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let tmp = path.with_extension("html.tmp");
-    std::fs::write(&tmp, content)?;
-    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]

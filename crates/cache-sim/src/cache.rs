@@ -116,17 +116,6 @@ impl<P: ReplacementPolicy> Cache<P> {
             eviction,
         }
     }
-
-    /// The instruction-set tier the probe kernels run at.
-    pub fn simd_level(&self) -> crate::SimdLevel {
-        self.tags.simd_level()
-    }
-
-    /// Pins the probe kernels to `level` (clamped to hardware support);
-    /// see [`crate::Directory::force_simd_level`].
-    pub fn force_simd_level(&mut self, level: crate::SimdLevel) -> crate::SimdLevel {
-        self.tags.force_simd_level(level)
-    }
 }
 
 impl<P: ReplacementPolicy> CacheModel for Cache<P> {

@@ -35,8 +35,8 @@
 //! seeded [`rand::rngs::SmallRng`], so every simulation is reproducible.
 
 // `deny` rather than `forbid`: the `simd` module — and only it — opts
-// back in with a module-level `allow` to call feature-gated `std::arch`
-// intrinsics behind runtime detection. Everything else stays safe.
+// back in with a module-level `allow` for the baseline-x86-64 SSE2 pair
+// compare and the prefetch hint. Everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -58,6 +58,5 @@ pub use meta::{MetaTable, SetMeta};
 pub use model::{AuditCounts, CacheModel, SwitchLagStats};
 pub use partial::{StoredTag, TagMode};
 pub use policy::{Fifo, Lfu, Lru, Mru, PolicyKind, Rand, ReplacementPolicy};
-pub use simd::SimdLevel;
 pub use stats::CacheStats;
 pub use tag_array::{fused_pair_masks, Directory, TagAccess, TagArray, TagStats, Way, MAX_ASSOC};

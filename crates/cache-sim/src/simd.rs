@@ -1,69 +1,41 @@
-//! Runtime-dispatched SIMD kernels for the probe path.
+//! The probe path's compare kernels and prefetch hint.
 //!
-//! Every `unsafe` block in the crate lives in this module, and each one
-//! is a call to an `std::arch` x86-64 intrinsic wrapper gated on a
-//! runtime CPU-feature check (see *Safety* below). The rest of the
-//! crate consumes only the safe dispatch functions, which fall back to
-//! the portable SWAR/scalar code — bit-for-bit the pre-SIMD
-//! implementation — whenever the hardware lacks the feature or the
-//! `AC_FORCE_SCALAR=1` environment variable forces the fallback.
-//!
-//! # Feature-detection ladder
-//!
-//! [`active_level`] resolves once per process:
-//!
-//! 1. `AC_FORCE_SCALAR=1` → [`SimdLevel::Scalar`] (portable SWAR/scalar
-//!    paths only; used by the differential suites and the CI fallback
-//!    matrix),
-//! 2. `is_x86_feature_detected!("avx2")` → [`SimdLevel::Avx2`]
-//!    (4×`u64` tag compares via `vpcmpeqq`),
-//! 3. any x86-64 → [`SimdLevel::Sse2`] (SSE2 is part of the x86-64
-//!    baseline ISA: 2×`u64` tag compares emulated with `pcmpeqd`, and
-//!    the 16×`u8` fused shadow-lane compare via `pcmpeqb`),
-//! 4. any other architecture → [`SimdLevel::Scalar`].
-//!
-//! Directories capture the level at construction (so dispatch is one
-//! predictable branch on a resident field, not a global load per probe)
-//! and can be re-pinned per instance with
-//! [`crate::Directory::force_simd_level`] for differential testing.
+//! Every directory probe ends in one of three kernels: [`swar_lane_eq`]
+//! (one packed byte lane), [`eq_mask_u64`] (a set's full tag words) or
+//! [`lane_pair_eq`] (two packed lanes at once: the adaptive cache's
+//! shadow pair). The wide-tag compare is a portable loop whose
+//! fixed-width fast paths the compiler unrolls, and vectorises on builds
+//! for an AVX2 host. The pair compare is the one hand-written vector
+//! kernel: on x86-64 it is a single SSE2 `pcmpeqb` over both lanes,
+//! elsewhere two SWAR compares. Both are chosen at build time; nothing
+//! here is detected or switched at run time.
 //!
 //! # Safety
 //!
-//! The `#[target_feature]` functions below are only reachable through
-//! dispatchers that check the corresponding [`SimdLevel`], and a level
-//! above the hardware's capability is unrepresentable: [`active_level`]
-//! never exceeds [`hardware_level`], and `force_simd_level` clamps to
-//! it. All pointer-based loads use the unaligned (`loadu`) forms on
-//! ranges proved in-bounds by the borrow checker (`&[u64]` slices), so
-//! the only obligation the intrinsics add — "the CPU supports this
-//! instruction" — is exactly what the ladder establishes. Prefetch
-//! hints ([`prefetch_read`]) are architecturally safe for *any*
-//! address, including invalid ones: they never fault and have no
-//! observable effect besides cache warming.
+//! The module holds the crate's two `unsafe` blocks. [`lane_pair_eq`]
+//! calls an SSE2 intrinsic wrapper, compiled only for x86-64, where SSE2
+//! is part of the baseline ISA; the wrapper takes its operands by value
+//! and touches no memory. [`prefetch_read`] issues `prefetcht0`, which is
+//! architecturally safe for *any* address, including invalid ones: it
+//! never faults and has no observable effect besides cache warming.
 
 #![allow(unsafe_code)]
 
-use std::sync::OnceLock;
-
-/// The instruction-set tier the probe kernels run at.
-///
-/// Ordered: a higher level strictly extends the capabilities of the
-/// lower ones, so capping is `min`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
+/// The instruction-set tier this binary's probe kernels were compiled
+/// for, as stamped on benchmark records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Portable SWAR + scalar word loops (any architecture, or
-    /// `AC_FORCE_SCALAR=1`).
-    Scalar = 0,
-    /// x86-64 baseline vectors: `pcmpeqd`-emulated 64-bit compares and
-    /// the 16-byte fused shadow-lane compare.
-    Sse2 = 1,
-    /// AVX2: 256-bit `vpcmpeqq` tag compares, 4 ways per instruction.
-    Avx2 = 2,
+    /// Not x86-64: the SWAR pair compare and the portable wide-tag loops.
+    Scalar,
+    /// x86-64 baseline: the SSE2 pair compare; the wide-tag loops stay
+    /// scalar (SSE2 has no 64-bit vector compare).
+    Sse2,
+    /// Compiled with AVX2: the wide-tag loops vectorise to `vpcmpeqq`.
+    Avx2,
 }
 
 impl SimdLevel {
-    /// Stable lower-case name for telemetry and bench records.
+    /// Stable lower-case name for bench records.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
@@ -73,40 +45,18 @@ impl SimdLevel {
     }
 }
 
-/// The best level the hardware supports, ignoring `AC_FORCE_SCALAR`.
-/// Detected once per process.
-pub fn hardware_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                SimdLevel::Avx2
-            } else {
-                // SSE2 is architecturally guaranteed on x86-64.
-                SimdLevel::Sse2
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            SimdLevel::Scalar
-        }
-    })
-}
-
-/// The level new directories adopt: [`hardware_level`] unless
-/// `AC_FORCE_SCALAR=1` demands the portable fallback. Resolved once per
-/// process (the differential tests pin levels per instance instead of
-/// mutating the environment).
+/// The tier this binary was compiled for: [`SimdLevel::Avx2`] with AVX2
+/// enabled (e.g. `-C target-cpu=native` on an AVX2 host),
+/// [`SimdLevel::Sse2`] on other x86-64 targets, [`SimdLevel::Scalar`]
+/// elsewhere.
 pub fn active_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        if std::env::var("AC_FORCE_SCALAR").is_ok_and(|v| v == "1") {
-            SimdLevel::Scalar
-        } else {
-            hardware_level()
-        }
-    })
+    if cfg!(target_feature = "avx2") {
+        SimdLevel::Avx2
+    } else if cfg!(target_arch = "x86_64") {
+        SimdLevel::Sse2
+    } else {
+        SimdLevel::Scalar
+    }
 }
 
 /// The `target_feature` set this *binary* was compiled with (compile-time
@@ -129,10 +79,9 @@ const LANE_LSB: u64 = 0x0101_0101_0101_0101;
 const LANE_MSB: u64 = 0x8080_8080_8080_8080;
 
 /// Portable SWAR equality of each byte of `lane` against the low byte
-/// of `byte`: bit `w` of the result is set iff byte `w` matches. This
-/// is the pre-SIMD packed-lane compare, kept verbatim as the scalar
-/// fallback (and as the fastest option for a *single* lane — one
-/// resident word beats a vector round-trip).
+/// of `byte`: bit `w` of the result is set iff byte `w` matches. The
+/// fastest option for a *single* lane — one resident word beats a
+/// vector round-trip.
 #[inline(always)]
 pub fn swar_lane_eq(lane: u64, byte: u64) -> u64 {
     let x = lane ^ byte.wrapping_mul(LANE_LSB);
@@ -144,12 +93,12 @@ pub fn swar_lane_eq(lane: u64, byte: u64) -> u64 {
     (zero >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
-/// Scalar/autovectorised equality scan: bit `w` set iff `tags[w] ==
-/// needle`. Fixed-width fast paths for the common associativities let
-/// the compiler unroll; this is the portable fallback for
-/// [`eq_mask_u64`] and bit-identical to it by construction.
+/// Way-tag compare: bit `w` of the result is set iff `tags[w] ==
+/// needle` (`tags.len() <= 64`). Fixed-width fast paths for the common
+/// associativities let the compiler unroll the loop; on AVX2 builds it
+/// becomes `vpcmpeqq` compares.
 #[inline(always)]
-fn eq_mask_u64_scalar(tags: &[u64], needle: u64) -> u64 {
+pub fn eq_mask_u64(tags: &[u64], needle: u64) -> u64 {
     if let Ok(a) = <&[u64; 8]>::try_from(tags) {
         let mut eq = 0u64;
         for (w, &t) in a.iter().enumerate() {
@@ -171,53 +120,37 @@ fn eq_mask_u64_scalar(tags: &[u64], needle: u64) -> u64 {
     eq
 }
 
-/// Vectorised way-tag compare: bit `w` of the result is set iff
-/// `tags[w] == needle` (`tags.len() <= 64`). Dispatches on `level`;
-/// every tier returns identical bits.
-///
-/// On binaries already *compiled* with AVX2 enabled (`-C
-/// target-cpu=native` on modern x86-64) the portable fixed-width loops
-/// autovectorise to the same `vpcmpeqq` compares without the explicit
-/// `movemask` round-trips, and measure ~5% faster on the full-tag access
-/// path — so such builds keep the portable path and the hand kernels
-/// serve their real purpose: lifting *portable* builds to the hardware's
-/// tier at runtime.
-#[inline(always)]
-pub fn eq_mask_u64(level: SimdLevel, tags: &[u64], needle: u64) -> u64 {
-    #[cfg(all(target_arch = "x86_64", not(target_feature = "avx2")))]
-    {
-        if level >= SimdLevel::Avx2 {
-            // SAFETY: `level >= Avx2` implies AVX2 was runtime-detected
-            // (see module Safety notes).
-            return unsafe { eq_mask_u64_avx2(tags, needle) };
-        }
-        if level >= SimdLevel::Sse2 {
-            // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-            return unsafe { eq_mask_u64_sse2(tags, needle) };
-        }
-    }
-    let _ = level;
-    eq_mask_u64_scalar(tags, needle)
-}
-
 /// Fused two-lane compare: both shadow directories' packed 8-byte tag
-/// lanes are laid side by side in one 16-byte vector and compared
-/// against the broadcast probe byte with a single `pcmpeqb`, answering
-/// "hit in shadow A? hit in shadow B?" in one instruction. Returns the
-/// per-way match masks `(a, b)` (bit `w` = byte `w` matched), identical
-/// to [`swar_lane_eq`] on each lane.
+/// lanes are compared against the probe byte at once, answering "hit in
+/// shadow A? hit in shadow B?" together. Returns the per-way match masks
+/// `(a, b)` (bit `w` = byte `w` matched), identical to [`swar_lane_eq`]
+/// on each lane.
+///
+/// On x86-64 the lanes sit side by side in one 16-byte vector and a
+/// single `pcmpeqb` compares them; elsewhere this is two SWAR compares.
 #[inline(always)]
-pub fn lane_pair_eq(level: SimdLevel, lane_a: u64, lane_b: u64, byte: u64) -> (u64, u64) {
+pub fn lane_pair_eq(lane_a: u64, lane_b: u64, byte: u64) -> (u64, u64) {
     #[cfg(target_arch = "x86_64")]
     {
-        if level >= SimdLevel::Sse2 {
-            // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-            let m = unsafe { lane_pair_eq_sse2(lane_a, lane_b, byte) };
-            return (u64::from(m & 0xFF), u64::from(m >> 8));
-        }
+        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
+        let m = unsafe { lane_pair_eq_sse2(lane_a, lane_b, byte) };
+        (u64::from(m & 0xFF), u64::from(m >> 8))
     }
-    let _ = level;
-    (swar_lane_eq(lane_a, byte), swar_lane_eq(lane_b, byte))
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        (swar_lane_eq(lane_a, byte), swar_lane_eq(lane_b, byte))
+    }
+}
+
+/// # Safety
+/// The CPU must support SSE2, as every x86-64 CPU does.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn lane_pair_eq_sse2(lane_a: u64, lane_b: u64, byte: u64) -> u16 {
+    use std::arch::x86_64::*;
+    let lanes = _mm_set_epi64x(lane_b as i64, lane_a as i64);
+    let probe = _mm_set1_epi8(byte as i8);
+    _mm_movemask_epi8(_mm_cmpeq_epi8(lanes, probe)) as u16
 }
 
 /// Issues a read prefetch (`prefetcht0` / no-op off x86-64) for the
@@ -242,110 +175,37 @@ pub fn prefetch_read<T>(p: *const T) {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must have runtime-detected AVX2.
-    #[cfg(not(target_feature = "avx2"))]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn eq_mask_u64_avx2(tags: &[u64], needle: u64) -> u64 {
-        let n = _mm256_set1_epi64x(needle as i64);
-        let mut eq = 0u64;
-        let mut w = 0usize;
-        while w + 4 <= tags.len() {
-            // SAFETY: `w + 4 <= tags.len()` bounds the 32-byte load.
-            let v = _mm256_loadu_si256(tags.as_ptr().add(w) as *const __m256i);
-            let m = _mm256_cmpeq_epi64(v, n);
-            eq |= (_mm256_movemask_pd(_mm256_castsi256_pd(m)) as u64 & 0xF) << w;
-            w += 4;
-        }
-        while w < tags.len() {
-            eq |= u64::from(tags[w] == needle) << w;
-            w += 1;
-        }
-        eq
-    }
-
-    /// 64-bit equality on the SSE2 baseline: `pcmpeqd` gives 32-bit
-    /// lane equality; AND-ing with the lane-swapped mask makes each
-    /// 64-bit half all-ones iff both of its 32-bit halves matched.
-    ///
-    /// # Safety
-    /// SSE2 is part of the x86-64 baseline ISA; always available here.
-    #[cfg(not(target_feature = "avx2"))]
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn eq_mask_u64_sse2(tags: &[u64], needle: u64) -> u64 {
-        let n = _mm_set1_epi64x(needle as i64);
-        let mut eq = 0u64;
-        let mut w = 0usize;
-        while w + 2 <= tags.len() {
-            // SAFETY: `w + 2 <= tags.len()` bounds the 16-byte load.
-            let v = _mm_loadu_si128(tags.as_ptr().add(w) as *const __m128i);
-            let c = _mm_cmpeq_epi32(v, n);
-            let c64 = _mm_and_si128(c, _mm_shuffle_epi32::<0xB1>(c));
-            eq |= (_mm_movemask_pd(_mm_castsi128_pd(c64)) as u64 & 0x3) << w;
-            w += 2;
-        }
-        if w < tags.len() {
-            eq |= u64::from(tags[w] == needle) << w;
-        }
-        eq
-    }
-
-    /// # Safety
-    /// SSE2 is part of the x86-64 baseline ISA; always available here.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn lane_pair_eq_sse2(lane_a: u64, lane_b: u64, byte: u64) -> u16 {
-        let lanes = _mm_set_epi64x(lane_b as i64, lane_a as i64);
-        let probe = _mm_set1_epi8(byte as i8);
-        let eq = _mm_cmpeq_epi8(lanes, probe);
-        _mm_movemask_epi8(eq) as u16
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-use x86::lane_pair_eq_sse2;
-#[cfg(all(target_arch = "x86_64", not(target_feature = "avx2")))]
-use x86::{eq_mask_u64_avx2, eq_mask_u64_sse2};
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn levels() -> Vec<SimdLevel> {
-        let mut ls = vec![SimdLevel::Scalar];
-        for l in [SimdLevel::Sse2, SimdLevel::Avx2] {
-            if l <= hardware_level() {
-                ls.push(l);
-            }
-        }
-        ls
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
     }
 
     #[test]
-    fn eq_mask_matches_scalar_across_levels_and_widths() {
+    fn eq_mask_matches_per_way_scan_at_every_width() {
         let mut x = 0x1234_5678_9ABC_DEF0u64;
-        for width in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 31, 64] {
+        for width in 1..=64usize {
             let mut tags = vec![0u64; width];
             for _ in 0..200 {
                 for t in tags.iter_mut() {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    *t = x % 7; // small range forces frequent matches
+                    *t = xorshift(&mut x) % 7; // small range forces frequent matches
                 }
-                x ^= x << 13;
-                let needle = x % 7;
-                let want = eq_mask_u64_scalar(&tags, needle);
-                for &l in &levels() {
-                    assert_eq!(
-                        eq_mask_u64(l, &tags, needle),
-                        want,
-                        "{l:?} width {width} needle {needle}"
-                    );
-                }
+                let needle = xorshift(&mut x) % 7;
+                let want = tags
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &t)| t == needle)
+                    .fold(0u64, |m, (w, _)| m | 1 << w);
+                assert_eq!(
+                    eq_mask_u64(&tags, needle),
+                    want,
+                    "width {width} needle {needle}"
+                );
             }
         }
     }
@@ -354,26 +214,20 @@ mod tests {
     fn lane_pair_matches_swar() {
         let mut x = 99u64;
         for _ in 0..5_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let a = x;
+            let a = xorshift(&mut x);
             let b = x.rotate_left(17) ^ 0xA5;
             let byte = x >> 56 & 0xFF;
             let want = (swar_lane_eq(a, byte), swar_lane_eq(b, byte));
-            for &l in &levels() {
-                assert_eq!(lane_pair_eq(l, a, b, byte), want, "{l:?}");
-            }
+            assert_eq!(lane_pair_eq(a, b, byte), want);
         }
     }
 
     #[test]
-    fn ladder_is_ordered_and_named() {
-        assert!(SimdLevel::Scalar < SimdLevel::Sse2);
-        assert!(SimdLevel::Sse2 < SimdLevel::Avx2);
-        assert_eq!(SimdLevel::Avx2.name(), "avx2");
-        assert!(active_level() <= hardware_level());
-        assert!(!compiled_target_features().is_empty());
+    fn build_stamps_agree() {
+        assert_eq!(
+            active_level() == SimdLevel::Avx2,
+            compiled_target_features() == "avx2"
+        );
     }
 
     #[test]

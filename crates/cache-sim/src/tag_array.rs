@@ -24,7 +24,7 @@ use crate::geometry::Geometry;
 use crate::meta::MetaTable;
 use crate::partial::{StoredTag, TagMode};
 use crate::policy::{PolicyKind, ReplacementPolicy};
-use crate::simd::{self, SimdLevel};
+use crate::simd;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -82,11 +82,6 @@ pub struct Directory {
     /// one line per parallel array. Tag entries of invalid ways are stale
     /// and must be masked by the valid word.
     words: Vec<u64>,
-    /// Instruction-set tier the probe kernels dispatch to. Captured at
-    /// construction ([`crate::simd::active_level`]) so the per-probe
-    /// dispatch is a branch on a resident field; re-pinnable per instance
-    /// via [`Directory::force_simd_level`] for differential testing.
-    simd: SimdLevel,
 }
 
 /// Allocates `n` zeroed words plus slack, returning the vector and the
@@ -145,24 +140,7 @@ impl Directory {
             tag_off,
             off,
             words,
-            simd: simd::active_level(),
         }
-    }
-
-    /// The instruction-set tier this directory's probes run at.
-    #[inline]
-    pub fn simd_level(&self) -> SimdLevel {
-        self.simd
-    }
-
-    /// Pins this directory's probe kernels to `level`, clamped to what the
-    /// hardware actually supports (forcing a level the CPU lacks would be
-    /// unsound, so it is unrepresentable). Behaviour is identical at every
-    /// level — this exists for the SIMD-vs-scalar differential tests and
-    /// returns the level actually pinned.
-    pub fn force_simd_level(&mut self, level: SimdLevel) -> SimdLevel {
-        self.simd = level.min(simd::hardware_level());
-        self.simd
     }
 
     #[inline]
@@ -247,14 +225,13 @@ impl Directory {
         if self.tag_off > REC_PACKED {
             // SWAR path: compare all (<= 8) ways with one swizzled word.
             // A single resident lane beats a vector round-trip, so this
-            // stays scalar at every SIMD level (the fused *pair* compare,
-            // [`Directory::pair_match_mask`], is where vectors win).
+            // stays scalar (the fused *pair* compare,
+            // [`Directory::pair_match_mask`], is where a vector wins).
             return simd::swar_lane_eq(rec[REC_PACKED], stored.0) & valid;
         }
         let tags = &rec[self.tag_off..self.tag_off + self.assoc];
-        // Wide-tag compare: 4 ways per `vpcmpeqq` on AVX2, 2 on SSE2,
-        // unrolled scalar otherwise — identical bits on every tier.
-        simd::eq_mask_u64(self.simd, tags, stored.0) & valid
+        // Wide-tag compare: an unrolled loop, `vpcmpeqq` on AVX2 builds.
+        simd::eq_mask_u64(tags, stored.0) & valid
     }
 
     /// [`Directory::match_mask`] across *two* directories of one geometry
@@ -263,9 +240,9 @@ impl Directory {
     /// When both directories keep SWAR-packed lanes (≤8-bit partial tags,
     /// ≤8 ways — the adaptive cache's shadow pair) and probe for the same
     /// stored byte, both 8-byte lanes are compared side by side with one
-    /// 16-byte vector compare; otherwise this decays to two independent
-    /// `match_mask` calls. Either way the result is bit-identical to the
-    /// two-call form.
+    /// 16-byte vector compare on x86-64 ([`simd::lane_pair_eq`]);
+    /// otherwise this decays to two independent `match_mask` calls.
+    /// Either way the result is bit-identical to the two-call form.
     #[inline(always)]
     pub fn pair_match_mask(
         &self,
@@ -277,8 +254,7 @@ impl Directory {
         if self.tag_off > REC_PACKED && other.tag_off > REC_PACKED && stored_self == stored_other {
             let ra = self.rec(set);
             let rb = other.rec(set);
-            let (ea, eb) =
-                simd::lane_pair_eq(self.simd, ra[REC_PACKED], rb[REC_PACKED], stored_self.0);
+            let (ea, eb) = simd::lane_pair_eq(ra[REC_PACKED], rb[REC_PACKED], stored_self.0);
             return (ea & ra[REC_VALID], eb & rb[REC_VALID]);
         }
         (
@@ -632,18 +608,6 @@ impl<P: ReplacementPolicy> TagArray<P> {
         self.meta.prefetch(set);
     }
 
-    /// The instruction-set tier this array's probes run at.
-    #[inline]
-    pub fn simd_level(&self) -> SimdLevel {
-        self.dir.simd_level()
-    }
-
-    /// Pins the probe kernels to `level` (clamped to hardware support);
-    /// see [`Directory::force_simd_level`]. Returns the pinned level.
-    pub fn force_simd_level(&mut self, level: SimdLevel) -> SimdLevel {
-        self.dir.force_simd_level(level)
-    }
-
     /// Whether the array currently holds `block`.
     ///
     /// With partial tags this can produce false positives — exactly the
@@ -941,64 +905,31 @@ mod tests {
     }
 
     #[test]
-    fn force_simd_level_clamps_and_preserves_semantics() {
-        use crate::simd::{hardware_level, SimdLevel};
+    fn pair_match_mask_agrees_with_two_probes() {
         let g = Geometry::new(512 * 1024, 64, 8).unwrap();
-        let mut native = Directory::new(g, TagMode::Full);
-        let mut scalar = Directory::new(g, TagMode::Full);
-        assert_eq!(
-            scalar.force_simd_level(SimdLevel::Scalar),
-            SimdLevel::Scalar
-        );
-        assert!(native.force_simd_level(SimdLevel::Avx2) <= hardware_level());
-        let mut x = 77u64;
-        for _ in 0..4_000u64 {
+        let mode = TagMode::PartialLow { bits: 8 };
+        let mut a = Directory::new(g, mode);
+        let mut b = Directory::new(g, mode);
+        let mut x = 3u64;
+        for i in 0..4_000u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let tag = StoredTag(x % 50);
-            let way = (x >> 8) % 8;
-            native.fill_at(0, way as usize, tag);
-            scalar.fill_at(0, way as usize, tag);
-            let probe = StoredTag(x >> 16 & 0x3F);
-            assert_eq!(native.match_mask(0, probe), scalar.match_mask(0, probe));
-            assert_eq!(native.match_mask(0, tag), scalar.match_mask(0, tag));
-        }
-    }
-
-    #[test]
-    fn pair_match_mask_agrees_with_two_probes() {
-        use crate::simd::SimdLevel;
-        let g = Geometry::new(512 * 1024, 64, 8).unwrap();
-        let mode = TagMode::PartialLow { bits: 8 };
-        for force_scalar in [false, true] {
-            let mut a = Directory::new(g, mode);
-            let mut b = Directory::new(g, mode);
-            if force_scalar {
-                a.force_simd_level(SimdLevel::Scalar);
-                b.force_simd_level(SimdLevel::Scalar);
+            let tag = mode.store(x);
+            let way = ((x >> 8) % 8) as usize;
+            if i % 3 == 0 {
+                a.fill_at(0, way, tag);
+            } else {
+                b.fill_at(0, way, tag);
             }
-            let mut x = 3u64;
-            for i in 0..4_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let tag = mode.store(x);
-                let way = ((x >> 8) % 8) as usize;
-                if i % 3 == 0 {
-                    a.fill_at(0, way, tag);
-                } else {
-                    b.fill_at(0, way, tag);
-                }
-                if i % 11 == 0 {
-                    a.invalidate(0, way);
-                }
-                let probe = mode.store(x >> 16);
-                let fused = a.pair_match_mask(&b, 0, probe, probe);
-                assert_eq!(fused, (a.match_mask(0, probe), b.match_mask(0, probe)));
-                let fused = a.pair_match_mask(&b, 0, tag, tag);
-                assert_eq!(fused, (a.match_mask(0, tag), b.match_mask(0, tag)));
+            if i % 11 == 0 {
+                a.invalidate(0, way);
             }
+            let probe = mode.store(x >> 16);
+            let fused = a.pair_match_mask(&b, 0, probe, probe);
+            assert_eq!(fused, (a.match_mask(0, probe), b.match_mask(0, probe)));
+            let fused = a.pair_match_mask(&b, 0, tag, tag);
+            assert_eq!(fused, (a.match_mask(0, tag), b.match_mask(0, tag)));
         }
     }
 

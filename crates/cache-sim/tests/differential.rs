@@ -14,19 +14,23 @@
 #[path = "support/reference.rs"]
 mod reference;
 
-use cache_sim::{BlockAddr, Geometry, PolicyKind, SimdLevel, TagArray, TagMode};
+use cache_sim::{BlockAddr, Geometry, PolicyKind, TagArray, TagMode};
 use proptest::prelude::*;
 use reference::{RefDirectory, RefTagArray};
 
 /// Geometries covering the specialised scan widths: 8-way (fixed-width +
 /// SWAR eligible), 4-way (fixed-width), 2-way and 16-way (generic loop),
-/// 64-way fully-associative (mask-width edge).
+/// 6-way and 12-way (generic loop over a way count that is not a power
+/// of two, so each record ends in padding words), 64-way
+/// fully-associative (mask-width edge).
 fn geometries() -> Vec<Geometry> {
     vec![
         Geometry::new(16 * 1024, 64, 8).unwrap(),
         Geometry::new(8 * 1024, 64, 4).unwrap(),
         Geometry::new(4 * 1024, 64, 2).unwrap(),
         Geometry::new(32 * 1024, 64, 16).unwrap(),
+        Geometry::new(24 * 1024, 64, 6).unwrap(),
+        Geometry::new(48 * 1024, 64, 12).unwrap(),
         Geometry::new(4 * 1024, 64, 64).unwrap(),
     ]
 }
@@ -102,8 +106,9 @@ proptest! {
         }
     }
 
-    /// Full access sequences: for every policy and tag mode, the packed
-    /// tag array reports the exact [`TagAccess`] sequence (hit flag, way,
+    /// Full access sequences: for every geometry, policy and match path
+    /// (full compare, SWAR lane, wide partial compare), the packed tag
+    /// array reports the exact [`TagAccess`] sequence (hit flag, way,
     /// evicted way contents — i.e. the eviction order) and statistics of
     /// the reference, including RNG-consuming policies, which must draw
     /// identical victim sequences from identically seeded generators.
@@ -112,67 +117,33 @@ proptest! {
         addrs in proptest::collection::vec(0u64..4096, 1..600),
         seed in any::<u64>(),
     ) {
-        let geom = Geometry::new(16 * 1024, 64, 8).unwrap();
-        for mode in [TagMode::Full, TagMode::PartialLow { bits: 8 }] {
-            for policy in [
-                PolicyKind::Lru,
-                PolicyKind::LFU5,
-                PolicyKind::Fifo,
-                PolicyKind::Mru,
-                PolicyKind::Random,
-                PolicyKind::TreePlru,
+        for geom in geometries() {
+            for mode in [
+                TagMode::Full,
+                TagMode::PartialLow { bits: 8 },
+                TagMode::PartialLow { bits: 12 },
             ] {
-                let mut packed = TagArray::new(geom, mode, policy, seed);
-                let mut reference = RefTagArray::new(geom, mode, policy, seed);
-                for (i, &a) in addrs.iter().enumerate() {
-                    let block = BlockAddr::new(a);
-                    let got = packed.access(block);
-                    let want = reference.access(block);
-                    prop_assert_eq!(
-                        got, want,
-                        "{policy:?}/{mode:?} diverged at access {i} (block {a:#x})",
-                    );
-                }
-                prop_assert_eq!(packed.stats(), reference.stats);
-            }
-        }
-    }
-
-    /// SIMD tier equivalence: the vectorised probe kernels must be
-    /// bit-identical to the portable scalar path. Every case runs twice —
-    /// one tag array at the hardware's native tier, one pinned to
-    /// [`SimdLevel::Scalar`] — over geometries that include
-    /// non-power-of-two way counts (6- and 12-way), whose vector tails
-    /// exercise the mixed chunk/remainder code.
-    #[test]
-    fn simd_and_scalar_tiers_agree(
-        addrs in proptest::collection::vec(0u64..4096, 1..500),
-        seed in any::<u64>(),
-    ) {
-        let geoms = [
-            Geometry::new(16 * 1024, 64, 8).unwrap(),
-            Geometry::new(24 * 1024, 64, 6).unwrap(),  // non-pow2 assoc, AVX2 tail of 2
-            Geometry::new(48 * 1024, 64, 12).unwrap(), // non-pow2 assoc, 3 AVX2 chunks
-            Geometry::new(4 * 1024, 64, 64).unwrap(),
-        ];
-        for geom in geoms {
-            for mode in [TagMode::Full, TagMode::PartialLow { bits: 8 }, TagMode::PartialLow { bits: 12 }] {
-                for policy in [PolicyKind::Lru, PolicyKind::LFU5, PolicyKind::Random] {
-                    let mut native = TagArray::new(geom, mode, policy, seed);
-                    let mut scalar = TagArray::new(geom, mode, policy, seed);
-                    let pinned = scalar.force_simd_level(SimdLevel::Scalar);
-                    prop_assert_eq!(pinned, SimdLevel::Scalar);
+                for policy in [
+                    PolicyKind::Lru,
+                    PolicyKind::LFU5,
+                    PolicyKind::Fifo,
+                    PolicyKind::Mru,
+                    PolicyKind::Random,
+                    PolicyKind::TreePlru,
+                ] {
+                    let mut packed = TagArray::new(geom, mode, policy, seed);
+                    let mut reference = RefTagArray::new(geom, mode, policy, seed);
                     for (i, &a) in addrs.iter().enumerate() {
                         let block = BlockAddr::new(a);
-                        let got = native.access(block);
-                        let want = scalar.access(block);
+                        let got = packed.access(block);
+                        let want = reference.access(block);
                         prop_assert_eq!(
                             got, want,
-                            "{:?}/{:?}/{}-way tier divergence at access {} (block {:#x})",
+                            "{:?}/{:?}/{}-way diverged at access {} (block {:#x})",
                             policy, mode, geom.associativity(), i, a,
                         );
                     }
-                    prop_assert_eq!(native.stats(), scalar.stats());
+                    prop_assert_eq!(packed.stats(), reference.stats);
                 }
             }
         }

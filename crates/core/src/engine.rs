@@ -203,23 +203,6 @@ impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveEngine<S, 
         std::mem::replace(&mut self.samples, vec![ImitationSample::default(); n])
     }
 
-    /// Pins the probe kernels of the real directory and both shadow
-    /// arrays to `level`, clamped to hardware support (see
-    /// [`cache_sim::Directory::force_simd_level`]). Behaviour-preserving;
-    /// exists for the SIMD-vs-scalar differential tests. Returns the
-    /// level actually pinned.
-    pub fn force_simd_level(&mut self, level: cache_sim::SimdLevel) -> cache_sim::SimdLevel {
-        let pinned = self.real.force_simd_level(level);
-        self.shadow_a.force_simd_level(level);
-        self.shadow_b.force_simd_level(level);
-        pinned
-    }
-
-    /// The instruction-set tier the probe kernels run at.
-    pub fn simd_level(&self) -> cache_sim::SimdLevel {
-        self.real.simd_level()
-    }
-
     /// Picks the victim for a miss in the full `set` and counts the
     /// imitation. `victim_a`/`victim_b` are the shadows' own victims of
     /// this reference, when they missed.

@@ -489,11 +489,6 @@ where
                 (stats.inst_fetches + stats.data_accesses) as f64 / secs,
             );
         }
-        // Which probe-kernel tier the engine ran at (0 = scalar,
-        // 1 = sse2, 2 = avx2), so dashboards and CI can tell vectorised
-        // and fallback runs apart.
-        let level = cache_sim::simd::active_level();
-        ac_telemetry::gauge_set_labeled("engine.simd_level", level.name(), f64::from(level as u8));
     }
     stats
 }

@@ -309,9 +309,6 @@ pub fn replay_into<L2: CacheModel>(trace: &L2Trace, cx: &mut L2Complex<L2>) -> F
             );
             ac_telemetry::gauge_set("engine.replay_events_per_sec", trace.len() as f64 / secs);
         }
-        // Same probe-kernel tier gauge as the direct driver.
-        let level = cache_sim::simd::active_level();
-        ac_telemetry::gauge_set_labeled("engine.simd_level", level.name(), f64::from(level as u8));
     }
     stats
 }

@@ -99,7 +99,6 @@ impl Table {
     /// so an interrupted run can never leave a truncated artifact that a
     /// resumed run would trust.
     pub fn write_artifacts(&self, dir: &Path, stem: &str) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
         let json = serde_json::to_string_pretty(self).map_err(io::Error::other)?;
         write_atomic(&dir.join(format!("{stem}.csv")), self.to_csv().as_bytes())?;
         write_atomic(&dir.join(format!("{stem}.json")), json.as_bytes())?;
@@ -107,11 +106,15 @@ impl Table {
     }
 }
 
-/// Writes `bytes` to `path` atomically: the contents land in
-/// `<path>.tmp` first and are renamed into place, so readers (and
-/// resumed runs) only ever observe either the old file or the complete
-/// new one — never a truncated intermediate.
+/// Writes `bytes` to `path` atomically, creating a missing parent
+/// directory: the contents land in `<path>.tmp` first and are renamed
+/// into place, so readers (and resumed runs) only ever observe either
+/// the old file or the complete new one — never a truncated
+/// intermediate.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
@@ -241,11 +244,14 @@ mod tests {
     #[test]
     fn write_atomic_replaces_existing_content() {
         let dir = std::env::temp_dir().join("ac_write_atomic_test");
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("x.json");
-        write_atomic(&path, b"old").unwrap();
-        write_atomic(&path, b"new content").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new content");
+        // An existing directory, and one the first write must create.
+        for path in [dir.join("x.json"), dir.join("missing/y.json")] {
+            write_atomic(&path, b"old").unwrap();
+            write_atomic(&path, b"new content").unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), "new content");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

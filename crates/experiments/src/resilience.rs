@@ -196,9 +196,6 @@ impl Journal {
             compacted.push_str(&serde_json::to_string(e)?);
             compacted.push('\n');
         }
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)?;
-        }
         crate::report::write_atomic(&path, compacted.as_bytes())?;
         let file = std::fs::OpenOptions::new().append(true).open(&path)?;
         Ok(Journal { entries, file })

@@ -64,8 +64,8 @@ fn run_sweep() -> Vec<MpkiResult> {
 
 #[test]
 fn sweep_is_byte_identical_with_and_without_replay() {
-    // Timelines on, with a window small enough that every cell closes
-    // several windows (and the capture's schedule emulation matters).
+    // Timelines on, with a window small enough that the ring closes
+    // several windows per cell, from each event's instruction index.
     let cfg = ac_telemetry::TelemetryConfig::default().with_timeline_window(1 << 12);
     let hub = ac_telemetry::Telemetry::install(cfg)
         .expect("this test binary must be the only global installer");
