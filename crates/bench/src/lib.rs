@@ -1,6 +1,5 @@
 //! The `cachesim` front end's subcommands and shared plumbing (figure
-//! regeneration, audit, run reports, telemetry flags), plus the
-//! criterion micro-benchmarks (`benches/`).
+//! regeneration, audit, run reports, telemetry flags).
 
 use std::path::PathBuf;
 

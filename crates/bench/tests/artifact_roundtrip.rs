@@ -66,7 +66,6 @@ fn every_artifact_parses_with_its_schema_version() {
     hub.counter_add("roundtrip_misses_total", "policy=adaptive", 41);
     hub.counter_add("roundtrip_misses_total", "policy=adaptive", 1);
     hub.gauge_set("roundtrip_accesses_per_sec", "", 123456.5);
-    hub.histogram_record("roundtrip_latency", 17);
     hub.span_record(SpanRecord {
         name: "cell 0".into(),
         cat: "cell",

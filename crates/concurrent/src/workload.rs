@@ -170,9 +170,18 @@ pub struct LoadReport {
     pub ops_per_sec: f64,
 }
 
-/// How often the driving threads refresh the live shard-occupancy /
-/// PSEL gauges (thread 0 only, and only with telemetry enabled).
+/// How many operations each driving thread runs between adds to the
+/// hub's `concurrent.thread_ops`/`concurrent.thread_hits` counters;
+/// thread 0 also refreshes the shard-occupancy / PSEL gauges then. Both
+/// are no-ops with telemetry disabled.
 const PUBLISH_EVERY: u64 = 1 << 16;
+
+/// Adds one thread's operations and hits since its last add to the
+/// hub's per-thread totals.
+fn count_ops(ops: u64, hits: u64) {
+    ac_telemetry::counter_add("concurrent.thread_ops", ops);
+    ac_telemetry::counter_add("concurrent.thread_hits", hits);
+}
 
 /// Drives `cache` with `threads` concurrent streams of `ops_per_thread`
 /// operations each and returns aggregate throughput. Deterministic in
@@ -187,30 +196,25 @@ pub fn run_threads(
     ops_per_thread: u64,
 ) -> LoadReport {
     assert!(threads >= 1, "need at least one thread");
-    // Striped per-thread op/hit counters: one private cacheline per
-    // thread on the hot path, folded into the ordinary counter namespace
-    // (and thus `metrics.prom`) at snapshot time. Inert and
-    // allocation-free when telemetry is off.
-    let ops_counter = ac_telemetry::striped_counter("concurrent.thread_ops", "", threads);
-    let hits_counter = ac_telemetry::striped_counter("concurrent.thread_hits", "", threads);
     let start = std::time::Instant::now();
     let mut thread_hits = vec![0u64; threads];
     std::thread::scope(|s| {
         for (t, hits_out) in thread_hits.iter_mut().enumerate() {
-            let (ops_counter, hits_counter) = (&ops_counter, &hits_counter);
             s.spawn(move || {
                 let mut stream = ThreadStream::new(kind, write_every, seed, t as u64);
-                let mut hits = 0u64;
-                for n in 0..ops_per_thread {
+                let (mut hits, mut hits_counted) = (0u64, 0u64);
+                for n in 1..=ops_per_thread {
                     let (block, write) = stream.next_op();
-                    let hit = cache.access(block, write).hit;
-                    hits += u64::from(hit);
-                    ops_counter.add(t, 1);
-                    hits_counter.add(t, u64::from(hit));
-                    if t == 0 && (n + 1) % PUBLISH_EVERY == 0 {
-                        cache.publish_metrics();
+                    hits += u64::from(cache.access(block, write).hit);
+                    if n % PUBLISH_EVERY == 0 {
+                        count_ops(PUBLISH_EVERY, hits - hits_counted);
+                        hits_counted = hits;
+                        if t == 0 {
+                            cache.publish_metrics();
+                        }
                     }
                 }
+                count_ops(ops_per_thread % PUBLISH_EVERY, hits - hits_counted);
                 *hits_out = hits;
             });
         }

@@ -51,8 +51,8 @@ fn shard_occupancy_and_psel_reach_the_metrics_exposition() {
         "sbar mode publishes the shared selector"
     );
 
-    // The striped per-thread counters merge into the same exposition:
-    // 2 threads x 100k ops, one relaxed add each.
+    // The per-thread counts reach the same exposition: 2 threads x 100k
+    // ops, each thread adding 65 536 and then the remaining 34 464.
     assert_eq!(hub.counter_value("concurrent.thread_ops", ""), 200_000);
     assert_eq!(hub.counter_value("concurrent.thread_hits", ""), report.hits);
 

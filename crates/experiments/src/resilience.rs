@@ -406,9 +406,9 @@ impl<R> SweepReport<R> {
 /// These records are the one account of a running sweep: with telemetry
 /// on, the `sweep_cells` gauge holds the number of cells, every settled
 /// cell adds one to `cells_total{label=ok|failed|timed_out|resumed}`,
-/// and each computed cell records a `cell` span, its `cell_wall_time_us`
-/// and its `cell_retries_total`; the journal lists the settled cells
-/// with telemetry off too.
+/// and each computed cell records a `cell` span covering all its
+/// attempts and its `cell_retries_total`; the journal lists the settled
+/// cells with telemetry off too.
 ///
 /// Cell keys produced by `key_of` must be stable across process restarts
 /// — they are the resume identity.
@@ -512,7 +512,7 @@ where
 }
 
 /// Runs one cell's attempt loop, recording per-cell telemetry (a `cell`
-/// span, wall-time histogram, outcome and retry counters).
+/// span, outcome and retry counters).
 fn supervise_cell<T, R, F>(key: &str, cell: &T, cfg: &SupervisorConfig, f: &Arc<F>) -> CellReport<R>
 where
     T: Clone + Send + 'static,
@@ -520,13 +520,8 @@ where
     F: Fn(T) -> Result<R, ExperimentError> + Send + Sync + 'static,
 {
     let _span = ac_telemetry::span("cell", || format!("cell {key}"));
-    let started = std::time::Instant::now();
     let report = supervise_cell_attempts(key, cell, cfg, f);
     if ac_telemetry::enabled() {
-        ac_telemetry::histogram_record(
-            "cell_wall_time_us",
-            started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-        );
         // Only computed cells come here, so none is labelled `resumed`.
         ac_telemetry::counter_add_labeled("cells_total", report.outcome.label(), 1);
         if report.attempts > 1 {

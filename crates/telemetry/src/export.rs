@@ -2,7 +2,6 @@
 //! and the per-run summary document.
 
 use crate::json::{number, push_str_escaped};
-use crate::metrics::HistogramSnapshot;
 use crate::Telemetry;
 use std::fmt::Write;
 
@@ -25,8 +24,9 @@ fn prom_name(name: &str) -> String {
 }
 
 /// Schema version stamped on `telemetry-summary.json`. Version 1 had
-/// no `schema_version` field.
-pub const SUMMARY_SCHEMA_VERSION: u32 = 2;
+/// no `schema_version` field; version 2 added it; version 3 drops the
+/// `histograms` section.
+pub const SUMMARY_SCHEMA_VERSION: u32 = 3;
 
 /// Escapes a Prometheus label value per the text exposition format:
 /// backslash, double quote and line feed become `\\`, `\"` and `\n`.
@@ -46,7 +46,7 @@ fn prom_label_value(v: &str) -> String {
 }
 
 impl Telemetry {
-    /// Prometheus text exposition of every counter, gauge and histogram.
+    /// Prometheus text exposition of every counter and gauge.
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
         for (name, by_label) in self.counters() {
@@ -79,25 +79,6 @@ impl Telemetry {
                     );
                 }
             }
-        }
-        for (name, h) in self.histograms() {
-            let pname = prom_name(name);
-            let _ = writeln!(out, "# TYPE {pname} histogram");
-            let mut cumulative = 0u64;
-            for (i, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                cumulative += c;
-                let _ = writeln!(
-                    out,
-                    "{pname}_bucket{{le=\"{}\"}} {cumulative}",
-                    HistogramSnapshot::upper_bound(i)
-                );
-            }
-            let _ = writeln!(out, "{pname}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{pname}_sum {}", h.sum);
-            let _ = writeln!(out, "{pname}_count {}", h.count);
         }
         out
     }
@@ -140,7 +121,7 @@ impl Telemetry {
     }
 
     /// The per-run summary document (`telemetry-summary.json`):
-    /// counters, gauges, histogram digests, span totals and event-stream
+    /// counters, gauges, span totals, log-line counts and event-stream
     /// statistics.
     pub fn summary_json(&self) -> String {
         let mut out = String::from("{");
@@ -184,24 +165,6 @@ impl Telemetry {
         }
         out.push_str("},");
 
-        out.push_str("\"histograms\":{");
-        let histograms = self.histograms();
-        for (i, (name, h)) in histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str_escaped(&mut out, name);
-            let _ = write!(
-                out,
-                ":{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{}}}",
-                h.count,
-                h.sum,
-                h.max,
-                number(h.mean())
-            );
-        }
-        out.push_str("},");
-
         out.push_str("\"spans\":{");
         for (i, (name, cat, count, total_us)) in self.span_totals().iter().enumerate() {
             if i > 0 {
@@ -242,8 +205,6 @@ mod tests {
         t.counter_add("misses_total", "LRU (512KB)", 42);
         t.counter_add("cells_total", "ok", 3);
         t.gauge_set("sample_rate", "", 1.0);
-        t.histogram_record("cell_wall_time_us", 700);
-        t.histogram_record("cell_wall_time_us", 1500);
         t.span_record(SpanRecord {
             name: "fig03".into(),
             cat: "figure",
@@ -267,12 +228,6 @@ mod tests {
         assert!(text.contains("ac_misses_total{label=\"LRU (512KB)\"} 42"));
         assert!(text.contains("# TYPE ac_sample_rate gauge"));
         assert!(text.contains("ac_sample_rate 1"));
-        assert!(text.contains("# TYPE ac_cell_wall_time_us histogram"));
-        assert!(text.contains("ac_cell_wall_time_us_bucket{le=\"1024\"} 1"));
-        assert!(text.contains("ac_cell_wall_time_us_bucket{le=\"2048\"} 2"));
-        assert!(text.contains("ac_cell_wall_time_us_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("ac_cell_wall_time_us_sum 2200"));
-        assert!(text.contains("ac_cell_wall_time_us_count 2"));
     }
 
     #[test]
@@ -330,7 +285,6 @@ mod tests {
         for key in [
             "\"counters\"",
             "\"gauges\"",
-            "\"histograms\"",
             "\"spans\"",
             "\"log\"",
             "\"events\"",

@@ -2,9 +2,7 @@
 //! decision-event ring buffer, streaming JSONL sink, artifact writer.
 
 use crate::event::{DecisionEvent, EventRecord};
-use crate::metrics::Histogram;
 use crate::span::SpanRecord;
-use crate::striped::{StripedCounter, StripedInner};
 use crate::timeline::TimelineData;
 use crate::{Level, Recorder};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -12,7 +10,6 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard};
 
 /// Default capacity of the in-memory decision-event ring buffer.
@@ -121,11 +118,7 @@ struct EventBuf {
 pub struct Telemetry {
     cfg: TelemetryConfig,
     counters: Mutex<HashMap<&'static str, BTreeMap<String, u64>>>,
-    /// Striped counters registered through [`Telemetry::striped`]; their
-    /// per-stripe cells are folded into the counter snapshots on read.
-    striped: Mutex<Vec<Arc<StripedInner>>>,
     gauges: Mutex<HashMap<&'static str, BTreeMap<String, f64>>>,
-    histograms: Mutex<HashMap<&'static str, Histogram>>,
     spans: Mutex<Vec<SpanRecord>>,
     events: Mutex<EventBuf>,
     timelines: Mutex<Vec<TimelineData>>,
@@ -154,9 +147,7 @@ impl Telemetry {
         Telemetry {
             cfg,
             counters: Mutex::new(HashMap::new()),
-            striped: Mutex::new(Vec::new()),
             gauges: Mutex::new(HashMap::new()),
-            histograms: Mutex::new(HashMap::new()),
             spans: Mutex::new(Vec::new()),
             events: Mutex::new(EventBuf {
                 ring: VecDeque::new(),
@@ -229,51 +220,21 @@ impl Telemetry {
         &self.cfg
     }
 
-    /// Snapshot of all counters: `name -> label -> value`. Striped
-    /// counters are merged in here (merge-on-snapshot), so every reader
-    /// of this map — Prometheus export, summary JSON — sees them without
-    /// knowing they are striped.
+    /// Snapshot of all counters: `name -> label -> value`.
     pub fn counters(&self) -> BTreeMap<&'static str, BTreeMap<String, u64>> {
-        let mut out: BTreeMap<&'static str, BTreeMap<String, u64>> = lock(&self.counters)
+        lock(&self.counters)
             .iter()
             .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        for inner in lock(&self.striped).iter() {
-            *out.entry(inner.name)
-                .or_default()
-                .entry(inner.label.clone())
-                .or_insert(0) += inner.sum();
-        }
-        out
+            .collect()
     }
 
     /// The value of counter `name` with `label` (0 when never touched).
-    /// Includes the summed stripes of matching striped counters.
     pub fn counter_value(&self, name: &'static str, label: &str) -> u64 {
-        let plain = lock(&self.counters)
+        lock(&self.counters)
             .get(name)
             .and_then(|m| m.get(label))
             .copied()
-            .unwrap_or(0);
-        let striped: u64 = lock(&self.striped)
-            .iter()
-            .filter(|i| i.name == name && i.label == label)
-            .map(|i| i.sum())
-            .sum();
-        plain + striped
-    }
-
-    /// Registers a striped counter with `stripes` independent cells
-    /// (rounded up to a power of two) addressed as `name`/`label` in the
-    /// counter namespace. The returned handle's `add` is a single relaxed
-    /// `fetch_add` on a private cacheline — safe to call from every
-    /// worker thread of a concurrent cache without serialising on the
-    /// hub's registry lock. Stripes are summed into [`Telemetry::counters`]
-    /// and [`Telemetry::counter_value`] snapshots.
-    pub fn striped(&self, name: &'static str, label: &str, stripes: usize) -> StripedCounter {
-        let inner = StripedCounter::live(name, label, stripes);
-        lock(&self.striped).push(inner.clone());
-        StripedCounter::from_inner(inner)
+            .unwrap_or(0)
     }
 
     /// Snapshot of all gauges: `name -> label -> value`.
@@ -281,14 +242,6 @@ impl Telemetry {
         lock(&self.gauges)
             .iter()
             .map(|(k, v)| (*k, v.clone()))
-            .collect()
-    }
-
-    /// Snapshot of all histograms.
-    pub fn histograms(&self) -> BTreeMap<&'static str, crate::HistogramSnapshot> {
-        lock(&self.histograms)
-            .iter()
-            .map(|(k, v)| (*k, v.snapshot()))
             .collect()
     }
 
@@ -446,13 +399,6 @@ impl Recorder for Telemetry {
             .insert(label.to_string(), value);
     }
 
-    fn histogram_record(&self, name: &'static str, value: u64) {
-        lock(&self.histograms)
-            .entry(name)
-            .or_default()
-            .record(value);
-    }
-
     fn span_record(&self, span: SpanRecord) {
         lock(&self.spans).push(span);
     }
@@ -503,9 +449,6 @@ impl Recorder for HubHandle {
     fn gauge_set(&self, name: &'static str, label: &str, value: f64) {
         self.0.gauge_set(name, label, value);
     }
-    fn histogram_record(&self, name: &'static str, value: u64) {
-        self.0.histogram_record(name, value);
-    }
     fn span_record(&self, span: SpanRecord) {
         self.0.span_record(span);
     }
@@ -550,30 +493,6 @@ mod tests {
         assert_eq!(t.counter_value("misses_total", "LRU"), 5);
         assert_eq!(t.counter_value("misses_total", "LFU"), 1);
         assert_eq!(t.counter_value("misses_total", "absent"), 0);
-    }
-
-    #[test]
-    fn striped_counters_merge_on_snapshot() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        // A plain counter and a striped counter sharing an address fold
-        // into one value; a striped-only address appears from nothing.
-        t.counter_add("ops_total", "shardy", 5);
-        let striped = t.striped("ops_total", "shardy", 4);
-        let solo = t.striped("solo_total", "", 2);
-        striped.add(0, 10);
-        striped.add(3, 20);
-        solo.add(1, 7);
-        assert_eq!(t.counter_value("ops_total", "shardy"), 35);
-        assert_eq!(t.counter_value("solo_total", ""), 7);
-        let snap = t.counters();
-        assert_eq!(snap["ops_total"]["shardy"], 35);
-        assert_eq!(snap["solo_total"][""], 7);
-        // Snapshots are point-in-time: later adds show up in later reads.
-        striped.add(1, 1);
-        assert_eq!(t.counter_value("ops_total", "shardy"), 36);
-        assert_eq!(snap["ops_total"]["shardy"], 35, "old snapshot unchanged");
-        // And the merged view flows into the Prometheus exposition.
-        assert!(t.prometheus().contains("ac_solo_total 7"));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A zero-dependency, near-zero-overhead-when-disabled observability
 //! layer. It provides:
 //!
-//! * **metrics** — monotonic counters, gauges and log2-bucketed
-//!   histograms behind the [`Recorder`] trait (no-op by default),
+//! * **metrics** — monotonic counters and gauges behind the
+//!   [`Recorder`] trait (no-op by default),
 //! * **spans** — RAII wall-clock timers ([`span`]) that become Chrome
 //!   `trace_event` timeline entries,
 //! * **decision events** — a sampled structured stream
@@ -48,7 +48,6 @@
 //!
 //! let hub = Telemetry::new(TelemetryConfig::default());
 //! hub.counter_add("cache_misses_total", "LRU", 3);
-//! hub.histogram_record("cell_wall_time_us", 1500);
 //! hub.decision(DecisionEvent::Imitation {
 //!     set: 7,
 //!     component: Comp::A,
@@ -66,18 +65,14 @@ mod export;
 mod hub;
 mod json;
 mod logging;
-mod metrics;
 mod span;
-mod striped;
 pub mod timeline;
 
 pub use event::{Comp, DecisionEvent, EventRecord, EvictionCase, EVENTS_SCHEMA_VERSION};
 pub use export::SUMMARY_SCHEMA_VERSION;
 pub use hub::{Telemetry, TelemetryConfig, DEFAULT_RING_CAPACITY};
 pub use logging::{log_stderr, max_level, Level};
-pub use metrics::{HistogramSnapshot, LOG2_BUCKETS};
 pub use span::{now_us, Span, SpanRecord};
-pub use striped::StripedCounter;
 pub use timeline::{Timeline, TimelineData, TimelineGauges, TimelineProbe};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -96,9 +91,6 @@ pub trait Recorder: Send + Sync {
 
     /// Sets the gauge `name` (dimensioned by `label`) to `value`.
     fn gauge_set(&self, name: &'static str, label: &str, value: f64);
-
-    /// Records `value` into the log2-bucketed histogram `name`.
-    fn histogram_record(&self, name: &'static str, value: u64);
 
     /// Records a completed span.
     fn span_record(&self, span: SpanRecord);
@@ -202,19 +194,6 @@ pub fn flush_now() {
     }
 }
 
-/// A striped counter registered with the global hub: `stripes`
-/// cacheline-independent cells (one per worker thread / shard) summed
-/// into the ordinary `name`/`label` counter at snapshot time. With no
-/// hub installed this returns an inert handle **without allocating** —
-/// hot loops can construct and use it unconditionally.
-#[inline]
-pub fn striped_counter(name: &'static str, label: &str, stripes: usize) -> StripedCounter {
-    match hub() {
-        Some(h) => h.striped(name, label, stripes),
-        None => StripedCounter::disabled(),
-    }
-}
-
 /// Adds `delta` to counter `name` (label `""`) on the global recorder.
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
@@ -247,14 +226,6 @@ pub fn gauge_set_labeled(name: &'static str, label: &str, value: f64) {
     }
 }
 
-/// Records `value` into histogram `name` on the global recorder.
-#[inline]
-pub fn histogram_record(name: &'static str, value: u64) {
-    if let Some(r) = recorder() {
-        r.histogram_record(name, value);
-    }
-}
-
 /// Offers a decision event to the global stream. The closure runs only
 /// when the stream is live, so disabled-mode cost is one load + branch.
 #[inline]
@@ -284,7 +255,6 @@ pub struct NoopRecorder;
 impl Recorder for NoopRecorder {
     fn counter_add(&self, _: &'static str, _: &str, _: u64) {}
     fn gauge_set(&self, _: &'static str, _: &str, _: f64) {}
-    fn histogram_record(&self, _: &'static str, _: u64) {}
     fn span_record(&self, _: SpanRecord) {}
     fn decision(&self, _: DecisionEvent) {}
 }
@@ -304,7 +274,6 @@ mod tests {
         counter_add("x_total", 1);
         counter_add_labeled("y_total", "lbl", 2);
         gauge_set("g", 1.5);
-        histogram_record("h_us", 1024);
         decision(|| panic!("decision closure must not run while disabled"));
         let s = span("test", || {
             panic!("span name must not be built while disabled")

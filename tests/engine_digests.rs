@@ -192,7 +192,6 @@ struct EventDigest;
 impl Recorder for EventDigest {
     fn counter_add(&self, _: &'static str, _: &str, _: u64) {}
     fn gauge_set(&self, _: &'static str, _: &str, _: f64) {}
-    fn histogram_record(&self, _: &'static str, _: u64) {}
     fn span_record(&self, _: SpanRecord) {}
     fn decision(&self, event: DecisionEvent) {
         EVENTS.with(|h| h.set(event_digest(h.get(), event)));

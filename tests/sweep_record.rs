@@ -2,9 +2,9 @@
 //! still running: `run_sweep` sets the `sweep_cells` gauge to the number
 //! of cells, every settled cell adds one to
 //! `cells_total{label=ok|failed|timed_out|resumed}`, and each computed
-//! cell records one `cell` span, one `cell_wall_time_us` sample and its
-//! retries in `cell_retries_total`. These tests run sweeps of cells whose
-//! outcome is fixed in advance and check each record against it.
+//! cell records one `cell` span and its retries in `cell_retries_total`.
+//! These tests run sweeps of cells whose outcome is fixed in advance and
+//! check each record against it.
 //!
 //! The global hub is install-once per process and its counters are
 //! shared by every test in this binary, so each test holds one lock for
@@ -86,7 +86,6 @@ struct Record {
     timed_out: u64,
     resumed: u64,
     retries: u64,
-    wall_times: u64,
     spans: u64,
 }
 
@@ -98,7 +97,6 @@ impl Record {
             timed_out: hub.counter_value("cells_total", "timed_out"),
             resumed: hub.counter_value("cells_total", "resumed"),
             retries: hub.counter_value("cell_retries_total", ""),
-            wall_times: wall_time_us(hub).0,
             spans: hub.spans().iter().filter(|s| s.cat == "cell").count() as u64,
         }
     }
@@ -111,7 +109,6 @@ impl Record {
             timed_out: self.timed_out - before.timed_out,
             resumed: self.resumed - before.resumed,
             retries: self.retries - before.retries,
-            wall_times: self.wall_times - before.wall_times,
             spans: self.spans - before.spans,
         }
     }
@@ -119,13 +116,6 @@ impl Record {
     fn settled(&self) -> u64 {
         self.ok + self.failed + self.timed_out + self.resumed
     }
-}
-
-/// The `cell_wall_time_us` histogram's (count, sum).
-fn wall_time_us(hub: &Telemetry) -> (u64, u64) {
-    hub.histograms()
-        .get("cell_wall_time_us")
-        .map_or((0, 0), |h| (h.count, h.sum))
 }
 
 fn sweep_cells(hub: &Telemetry) -> Option<f64> {
@@ -160,7 +150,6 @@ fn computed_cells_each_count_once_as_ok() {
     assert_eq!(report.done(), 4);
     let expected = Record {
         ok: 4,
-        wall_times: 4,
         spans: 4,
         ..Record::default()
     };
@@ -189,7 +178,6 @@ fn failing_cells_count_once_as_failed_with_their_retries() {
         ok: 1,
         failed: 2,
         retries: 4,
-        wall_times: 3,
         spans: 3,
         ..Record::default()
     };
@@ -212,7 +200,6 @@ fn a_cell_that_recovers_on_retry_counts_as_ok_with_its_retries() {
     let expected = Record {
         ok: 1,
         retries: 2,
-        wall_times: 1,
         spans: 1,
         ..Record::default()
     };
@@ -229,7 +216,7 @@ fn a_stalled_cell_counts_as_timed_out_after_every_attempt() {
         retries: 1,
         ..SupervisorConfig::default()
     };
-    let wall_before = wall_time_us(hub).1;
+    let spans_before = hub.spans().len();
     let (report, change) = sweep(hub, &cells, &cfg);
     assert!(matches!(report.cells[1].outcome, CellOutcome::TimedOut(d) if d == deadline));
     assert_eq!(report.cells[1].attempts, 2);
@@ -237,13 +224,16 @@ fn a_stalled_cell_counts_as_timed_out_after_every_attempt() {
         ok: 1,
         timed_out: 1,
         retries: 1,
-        wall_times: 2,
         spans: 2,
         ..Record::default()
     };
     assert_eq!(change, expected);
-    // The stalled cell's wall time covers both abandoned attempts.
-    let waited = wall_time_us(hub).1 - wall_before;
+    // The stalled cell's span covers both abandoned attempts.
+    let waited = hub.spans()[spans_before..]
+        .iter()
+        .find(|s| s.name == "cell stalled")
+        .expect("the stalled cell records its span")
+        .dur_us;
     assert!(waited >= 2 * deadline.as_micros() as u64, "{waited} us");
 }
 
@@ -279,11 +269,10 @@ fn journalled_cells_count_as_resumed_without_running_again() {
     let values: Vec<_> = report.cells.iter().map(|c| c.outcome.value()).collect();
     assert_eq!(values, [Some(&1), Some(&2), Some(&3)]);
     assert_eq!(report.resumed(), 2);
-    // Resumed cells settle without a span or a wall time.
+    // Resumed cells settle without a span.
     let expected = Record {
         ok: 1,
         resumed: 2,
-        wall_times: 1,
         spans: 1,
         ..Record::default()
     };
@@ -380,7 +369,6 @@ fn the_record_shows_a_running_sweep_settling() {
     assert_eq!(report.done(), 4);
     let expected = Record {
         ok: 4,
-        wall_times: 4,
         spans: 4,
         ..Record::default()
     };
@@ -407,7 +395,6 @@ fn metrics_prom_carries_the_record_under_its_exported_names() {
             "ac_cell_retries_total {}",
             hub.counter_value("cell_retries_total", "")
         ),
-        format!("ac_cell_wall_time_us_count {}", wall_time_us(hub).0),
     ];
     for line in lines {
         assert!(text.lines().any(|l| l == line), "no `{line}` in\n{text}");
