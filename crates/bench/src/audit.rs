@@ -3,11 +3,11 @@
 //! Joins the two halves of the adaptivity-audit story into one
 //! `audit.json` artifact per run directory:
 //!
-//! 1. the **online** per-set regret accounting the cache kept while it
-//!    ran ([`cache_sim::AuditCounts`]: per-set achieved/shadow hit
-//!    vectors plus switch-lag attribution), recovered bit-exactly by
+//! 1. the **online** behaviour of the cache, recovered bit-exactly by
 //!    replaying the same captured L2 stream through the same seeded
-//!    organisation, and
+//!    organisation: its per-set achieved and shadow hits and its switch
+//!    lag, which the audit's [`Books`] derive from the organisation's
+//!    cumulative [`TimelineProbe`] after every access, and
 //! 2. the **offline** hindsight baselines of [`cpu_model::oracle`]: a
 //!    Belady/OPT replay and each component policy standalone (seeded as
 //!    the online shadow directories were, so the differential suite can
@@ -24,8 +24,7 @@
 //!   `achieved / OPT` hit ratios (the first may exceed 1: shaping
 //!   behaviour per set can beat every fixed global policy);
 //! * **switch lag** — how many comparison windows imitation trailed the
-//!   shadow-directory winner by, from the online
-//!   [`cache_sim::SwitchLagStats`].
+//!   shadow-directory winner by ([`SWITCH_LAG_WINDOW_ACCESSES`]).
 //!
 //! The audit replays the *functional* L2 reference stream (via the
 //! process replay cache). For `"timed"` runs the joined stream is the
@@ -35,13 +34,16 @@
 //! is a conservative lower bound.
 
 use crate::report::EXIT_INVALID_INPUT;
-use cache_sim::Geometry;
+use ac_telemetry::TimelineProbe;
+use adaptive_cache::Component;
+use cache_sim::{CacheModel, Geometry};
 use cpu_model::{
     belady, capture_functional, replay_model_windows, replay_standalone, L2Trace, PolicyReplay,
 };
 use experiments::cell::{self, RunRequest, Workload};
 use experiments::{L2Kind, CACHE_SEED};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -51,6 +53,9 @@ pub const AUDIT_SCHEMA_VERSION: u32 = 1;
 /// Default number of instruction windows the run is split into when
 /// `--window` is not given.
 pub const DEFAULT_WINDOWS: u64 = 64;
+
+/// Accesses per switch-lag comparison window of the paper's cache.
+pub const SWITCH_LAG_WINDOW_ACCESSES: u64 = 4096;
 
 /// Totals of one offline component-policy replay.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -88,9 +93,9 @@ pub struct AuditWindow {
     pub regret_opt: i64,
 }
 
-/// Switch-lag attribution summary (online accounting; see
-/// [`cache_sim::SwitchLagStats`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Switch-lag attribution summary (see [`Books`] for how each
+/// organisation's is derived).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SwitchLagSummary {
     /// Accesses per internal comparison window (0 = selector-driven
     /// organisation: followers imitate the selector instantly).
@@ -108,8 +113,7 @@ pub struct SwitchLagSummary {
 /// Per-set joined hit vectors (index = set).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PerSetAudit {
-    /// Achieved hits per set (empty when the organisation keeps no
-    /// per-set audit counters).
+    /// Achieved hits per set.
     pub hits: Vec<u64>,
     /// Online shadow-A hits per set (empty without shadow directories).
     pub shadow_a_hits: Vec<u64>,
@@ -268,6 +272,128 @@ struct ComponentPlan {
     seed_b: u64,
 }
 
+/// The books the audit keeps on an organisation with adaptivity while
+/// it re-runs the captured stream, from the organisation's cumulative
+/// [`TimelineProbe`] read after every access:
+///
+/// * **per-set shadow hits** (adaptive and SBAR): each access's increase
+///   in `shadow_a_hits` and `shadow_b_hits`, charged to the set it
+///   touched, so SBAR's land on its leader sets only;
+/// * **windowed switch lag** (the paper's cache): see
+///   [`Books::close_window`];
+/// * **selector switches** (SBAR and DIP): each time the selector counter
+///   changes sides of its start value, its midpoint above which it
+///   favours B, is a flip that the followers follow at once, with no lag
+///   (`window_accesses: 0`).
+#[derive(Default)]
+struct Books {
+    /// Shadow A and B hits per set (`None` without shadow directories).
+    shadow_hits: Option<(Vec<u64>, Vec<u64>)>,
+    /// SBAR's and DIP's selector: its start value, and whether it is
+    /// above that now. `None` for windowed switch lag.
+    selector: Option<(u32, bool)>,
+    /// The probe after the last access, and at the start of the open
+    /// window.
+    last: TimelineProbe,
+    window_start: TimelineProbe,
+    /// The winner as of the last closed window, and the latest flip not
+    /// followed yet: `(its window, the new winner)`.
+    winner: Option<Component>,
+    pending: Option<(u64, Component)>,
+    /// The summary so far; its mean is `total_lag / followed`.
+    lag: SwitchLagSummary,
+    total_lag: u64,
+}
+
+impl Books {
+    /// The books of `model`, built as `kind` and not accessed yet;
+    /// `None` for an organisation without adaptivity.
+    fn open(kind: &L2Kind, model: &dyn CacheModel) -> Option<Books> {
+        let start = model.timeline_probe();
+        let sets = model.geometry().num_sets();
+        let (shadows, selector) = match kind {
+            L2Kind::Adaptive(_) => (true, None),
+            L2Kind::Sbar(_) => (true, start.psel),
+            L2Kind::Dip(_) => (false, start.psel),
+            _ => return None,
+        };
+        Some(Books {
+            shadow_hits: shadows.then(|| (vec![0; sets], vec![0; sets])),
+            selector: selector.map(|psel| (psel, false)),
+            last: start,
+            window_start: start,
+            ..Books::default()
+        })
+    }
+
+    /// Books one access to `set`, after which the probe reads `now`.
+    fn record(&mut self, set: usize, now: TimelineProbe) {
+        if let Some((a, b)) = &mut self.shadow_hits {
+            a[set] += now.shadow_a_hits - self.last.shadow_a_hits;
+            b[set] += now.shadow_b_hits - self.last.shadow_b_hits;
+        }
+        let before = self.last.accesses;
+        if let Some((start, above)) = &mut self.selector {
+            if now.psel.is_some_and(|psel| psel > *start) != *above {
+                *above = !*above;
+                self.lag.winner_flips += 1;
+                self.lag.followed += 1;
+            }
+        } else if before > 0 && before.is_multiple_of(SWITCH_LAG_WINDOW_ACCESSES) {
+            // A window closes before the access after its last one, so
+            // the run's last window never closes.
+            self.close_window();
+        }
+        self.last = now;
+    }
+
+    /// Closes the open window of [`SWITCH_LAG_WINDOW_ACCESSES`], which
+    /// ended at the last probe. The component with more shadow hits in
+    /// the window is its winner, and a tie keeps the previous winner. A
+    /// change of winner is a flip. A flip is followed at the first close,
+    /// its own included, at which the window's imitation majority
+    /// (strictly more imitations) is the new winner, and its lag is the
+    /// number of windows in between. A newer flip supersedes an
+    /// unfollowed one, so a lag is measured to the latest flip.
+    fn close_window(&mut self) {
+        let d = self.last.delta_from(&self.window_start);
+        let window = self.last.accesses / SWITCH_LAG_WINDOW_ACCESSES - 1;
+        // The component with more of `(a, b)`, if either has more.
+        let more = |a: u64, b: u64| match a.cmp(&b) {
+            Ordering::Greater => Some(Component::A),
+            Ordering::Less => Some(Component::B),
+            Ordering::Equal => None,
+        };
+        let winner = more(d.shadow_a_hits, d.shadow_b_hits).or(self.winner);
+        if winner != self.winner {
+            self.lag.winner_flips += 1;
+            self.pending = winner.map(|to| (window, to));
+            self.winner = winner;
+        }
+        if let Some((flip, to)) = self.pending {
+            if more(d.imitations_a, d.imitations_b) == Some(to) {
+                self.lag.followed += 1;
+                self.total_lag += window - flip;
+                self.lag.max_lag_windows = self.lag.max_lag_windows.max(window - flip);
+                self.pending = None;
+            }
+        }
+        self.window_start = self.last;
+    }
+
+    /// The switch-lag summary.
+    fn switch_lag(&self) -> SwitchLagSummary {
+        let mut lag = self.lag.clone();
+        if self.selector.is_none() {
+            lag.window_accesses = SWITCH_LAG_WINDOW_ACCESSES;
+        }
+        if lag.followed > 0 {
+            lag.mean_lag_windows = self.total_lag as f64 / lag.followed as f64;
+        }
+        lag
+    }
+}
+
 /// Captures (or fetches from the replay cache) the L2 reference stream
 /// the run config describes, once `cell::validate` has resolved its
 /// workload.
@@ -290,6 +416,17 @@ fn capture_stream(cfg: &RunRequest) -> Result<(String, std::sync::Arc<L2Trace>),
 /// Computes the full audit of one run config.
 fn audit_run(cfg: &RunRequest, window_insts: u64) -> Result<AuditReport, String> {
     let (workload, trace) = capture_stream(cfg)?;
+    audit_trace(cfg, workload, &trace, window_insts)
+}
+
+/// The audit of `cfg`'s organisation on the L2 stream `trace` of
+/// `workload`.
+fn audit_trace(
+    cfg: &RunRequest,
+    workload: String,
+    trace: &L2Trace,
+    window_insts: u64,
+) -> Result<AuditReport, String> {
     let geom = Geometry::new(
         cfg.cpu.l2.size_bytes,
         cfg.cpu.l2.line_bytes,
@@ -298,38 +435,37 @@ fn audit_run(cfg: &RunRequest, window_insts: u64) -> Result<AuditReport, String>
     .map_err(|e| format!("bad L2 geometry in run config: {e}"))?;
 
     // Online re-run: same organisation, same seed, same stream — the
-    // model ends in the exact state the original run left it in, so its
-    // audit counters *are* the online accounting.
+    // model passes through the states the original run did, so the books
+    // kept on it are the online accounting.
     let mut l2 = cfg.l2.build(geom);
-    let achieved = replay_model_windows(&trace, l2.as_mut(), window_insts);
-    let online = l2.audit_counts();
+    let mut books = Books::open(&cfg.l2, &*l2);
+    let achieved = replay_model_windows(trace, l2.as_mut(), window_insts, |set, l2| {
+        if let Some(books) = &mut books {
+            books.record(set, l2.timeline_probe());
+        }
+    });
+    let switch_lag = books.as_ref().map(Books::switch_lag);
+    let shadow_hits = books.and_then(|books| books.shadow_hits);
 
     // Offline baselines.
-    let opt = belady(&trace, geom, window_insts);
+    let opt = belady(trace, geom, window_insts);
     let plan = component_plan(&cfg.l2);
     let comps = plan.as_ref().map(|(p, _)| {
         (
-            replay_standalone(&trace, geom, p.mode, p.policy_a, p.seed_a, window_insts),
-            replay_standalone(&trace, geom, p.mode, p.policy_b, p.seed_b, window_insts),
+            replay_standalone(trace, geom, p.mode, p.policy_a, p.seed_a, window_insts),
+            replay_standalone(trace, geom, p.mode, p.policy_b, p.seed_b, window_insts),
         )
     });
 
     // Differential consistency: the offline twins must reproduce the
-    // online shadow directories bit-exactly (totals and per set).
-    let shadow_consistency = match (&plan, &comps, &online) {
-        (Some((_, true)), Some((a, b)), Some(counts)) => {
-            let ok = (a.hits, a.misses) == counts.shadow_a
-                && (b.hits, b.misses) == counts.shadow_b
-                && a.per_set_hits == counts.set_shadow_a_hits
-                && b.per_set_hits == counts.set_shadow_b_hits;
+    // online shadow directories bit-exactly, set by set.
+    let shadow_consistency = match (&plan, &comps, &shadow_hits) {
+        (Some((_, true)), Some((a, b)), Some((online_a, online_b))) => {
+            let ok = a.per_set_hits == *online_a && b.per_set_hits == *online_b;
             if !ok {
+                // `audit.json` holds both sides: `comp_*` and `per_set`.
                 ac_telemetry::warn!(
-                    "audit: offline component replays diverged from the online shadow \
-                     directories (offline A {:?} vs online {:?}; offline B {:?} vs online {:?})",
-                    (a.hits, a.misses),
-                    counts.shadow_a,
-                    (b.hits, b.misses),
-                    counts.shadow_b,
+                    "audit: offline component replays diverged from the online shadow directories"
                 );
             }
             Some(ok)
@@ -368,39 +504,20 @@ fn audit_run(cfg: &RunRequest, window_insts: u64) -> Result<AuditReport, String>
         achieved.hits as f64 / opt.hits as f64
     };
 
-    let per_set = match &online {
-        Some(counts) => {
-            let regret_best: Vec<i64> = counts
-                .set_shadow_a_hits
-                .iter()
-                .zip(&counts.set_shadow_b_hits)
-                .zip(&counts.set_hits)
-                .map(|((&a, &b), &h)| a.max(b) as i64 - h as i64)
-                .collect();
-            PerSetAudit {
-                hits: counts.set_hits.clone(),
-                shadow_a_hits: counts.set_shadow_a_hits.clone(),
-                shadow_b_hits: counts.set_shadow_b_hits.clone(),
-                opt_hits: opt.per_set_hits.clone(),
-                regret_best,
-            }
-        }
-        None => PerSetAudit {
-            hits: achieved.per_set_hits.clone(),
-            shadow_a_hits: Vec::new(),
-            shadow_b_hits: Vec::new(),
-            opt_hits: opt.per_set_hits.clone(),
-            regret_best: Vec::new(),
-        },
+    let (shadow_a_hits, shadow_b_hits) = shadow_hits.unwrap_or_default();
+    let regret_best = shadow_a_hits
+        .iter()
+        .zip(&shadow_b_hits)
+        .zip(&achieved.per_set_hits)
+        .map(|((&a, &b), &h)| a.max(b) as i64 - h as i64)
+        .collect();
+    let per_set = PerSetAudit {
+        hits: achieved.per_set_hits.clone(),
+        shadow_a_hits,
+        shadow_b_hits,
+        opt_hits: opt.per_set_hits.clone(),
+        regret_best,
     };
-
-    let switch_lag = online.as_ref().map(|counts| SwitchLagSummary {
-        window_accesses: counts.switch.window_accesses,
-        winner_flips: counts.switch.winner_flips,
-        followed: counts.switch.followed,
-        mean_lag_windows: counts.switch.mean_lag_windows().unwrap_or(0.0),
-        max_lag_windows: counts.switch.max_lag_windows,
-    });
 
     Ok(AuditReport {
         schema_version: AUDIT_SCHEMA_VERSION,
@@ -593,8 +710,8 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptive_cache::AdaptiveConfig;
-    use cpu_model::CpuConfig;
+    use adaptive_cache::{AdaptiveConfig, DipCache, DipConfig, MultiConfig, SbarCache, SbarConfig};
+    use cpu_model::{replay_l2, CpuConfig, L2TraceBuilder};
 
     fn small_cfg(l2: L2Kind) -> RunRequest {
         RunRequest {
@@ -645,10 +762,7 @@ mod tests {
         }
         // The switch-lag accounting came through.
         let lag = r.switch_lag.expect("adaptive reports switch stats");
-        assert_eq!(
-            lag.window_accesses,
-            adaptive_cache::SWITCH_LAG_WINDOW_ACCESSES
-        );
+        assert_eq!(lag.window_accesses, SWITCH_LAG_WINDOW_ACCESSES);
     }
 
     #[test]
@@ -678,5 +792,216 @@ mod tests {
         assert_eq!(back.achieved_hits, r.achieved_hits);
         assert_eq!(back.windows.len(), r.windows.len());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+    /// The L2 stream of `blocks`: one demand fill per instruction.
+    fn trace_of(blocks: impl Iterator<Item = u64>) -> L2Trace {
+        let mut trace = L2TraceBuilder::new();
+        for (i, block) in blocks.enumerate() {
+            trace.push(block * 64, false, i as u64 + 1);
+        }
+        trace.finish(Default::default())
+    }
+
+    /// An LFU-favourable phase, hot blocks in bursts of three between
+    /// the blocks of a long scan, then an LRU-favourable shifting window.
+    fn phase_change() -> L2Trace {
+        let hot_scan = (0..150_000u64).map(|i| {
+            let group = i / 4;
+            if i % 4 < 3 {
+                group % 768
+            } else {
+                768 + group % 8192
+            }
+        });
+        let shifting = (0..150_000u64).map(|i| 20_000 + (i / 16_000) * 2048 + (i * 7919) % 4096);
+        trace_of(hot_scan.chain(shifting))
+    }
+
+    /// A 64 KB 8-way L2.
+    fn small_l2() -> Geometry {
+        Geometry::new(64 * 1024, 64, 8).unwrap()
+    }
+
+    /// The audit of `l2`, as a 64 KB 8-way L2, on `trace`.
+    fn audit_small(l2: L2Kind, trace: &L2Trace) -> AuditReport {
+        let mut cfg = small_cfg(l2);
+        cfg.cpu.l2.size_bytes = small_l2().size_bytes();
+        audit_trace(&cfg, "synthetic".to_string(), trace, 0).expect("audit runs")
+    }
+
+    #[test]
+    fn switch_lag_follows_a_phase_change() {
+        let adaptive = L2Kind::Adaptive(AdaptiveConfig::paper_full_tags());
+        let lag = audit_small(adaptive, &phase_change())
+            .switch_lag
+            .expect("the adaptive cache reports switch lag");
+        assert_eq!(lag.window_accesses, SWITCH_LAG_WINDOW_ACCESSES);
+        // The winner flips once, at the phase change, and imitation
+        // follows it one window later.
+        assert_eq!((lag.winner_flips, lag.followed), (1, 1), "{lag:?}");
+        assert_eq!((lag.mean_lag_windows, lag.max_lag_windows), (1.0, 1));
+    }
+
+    /// The switch lag of the paper's cache when window `w` of
+    /// [`SWITCH_LAG_WINDOW_ACCESSES`] accesses brings `windows[w]`:
+    /// `(shadow A hits, shadow B hits)` on its first access and
+    /// `(imitations of A, of B)` on its last. One more access closes the
+    /// last window, and what it brings belongs to a window that never
+    /// closes.
+    fn windowed_lag(windows: &[[u64; 4]]) -> SwitchLagSummary {
+        let mut books = Books::default();
+        let mut p = TimelineProbe::default();
+        for [sa, sb, ia, ib] in windows {
+            for i in 0..SWITCH_LAG_WINDOW_ACCESSES {
+                p.accesses += 1;
+                if i == 0 {
+                    p.shadow_a_hits += sa;
+                    p.shadow_b_hits += sb;
+                }
+                if i == SWITCH_LAG_WINDOW_ACCESSES - 1 {
+                    p.imitations_a += ia;
+                    p.imitations_b += ib;
+                }
+                books.record(0, p);
+            }
+        }
+        p.accesses += 1;
+        p.shadow_b_hits += 9;
+        p.imitations_b += 9;
+        books.record(0, p);
+        books.switch_lag()
+    }
+
+    #[test]
+    fn the_window_rule_keeps_ties_and_measures_to_the_latest_flip() {
+        let summary = |lag: SwitchLagSummary| {
+            (
+                lag.winner_flips,
+                lag.followed,
+                lag.mean_lag_windows,
+                lag.max_lag_windows,
+            )
+        };
+        // Window 0 ties, so nothing flips before window 1 (the first
+        // access after window 0), which A wins and imitates at once.
+        assert_eq!(
+            summary(windowed_lag(&[[0, 0, 0, 0], [1, 0, 1, 0]])),
+            (1, 1, 0.0, 0)
+        );
+        // A wins window 0 unimitated, B wins window 1, window 2 ties and
+        // keeps B, and B's imitation in window 3 follows the flip of
+        // window 1, two windows late. The flip to A is never followed.
+        assert_eq!(
+            summary(windowed_lag(&[
+                [1, 0, 0, 0],
+                [0, 1, 0, 0],
+                [0, 0, 0, 0],
+                [0, 0, 0, 1],
+            ])),
+            (2, 1, 2.0, 2)
+        );
+    }
+
+    #[test]
+    fn selector_switches_are_the_policy_switches() {
+        let trace = phase_change();
+        let mut sbar = SbarCache::new(small_l2(), SbarConfig::paper_default(), CACHE_SEED);
+        replay_l2(&trace, &mut sbar);
+        let mut dip = DipCache::new(small_l2(), DipConfig::paper_default(), CACHE_SEED);
+        replay_l2(&trace, &mut dip);
+        for (l2, switches) in [
+            (
+                L2Kind::Sbar(SbarConfig::paper_default()),
+                sbar.policy_switches(),
+            ),
+            (
+                L2Kind::Dip(DipConfig::paper_default()),
+                dip.policy_switches(),
+            ),
+        ] {
+            assert!(switches >= 1, "{l2:?} must switch on this stream");
+            let lag = audit_small(l2, &trace).switch_lag.expect("switch lag");
+            assert_eq!(lag.window_accesses, 0, "selector-driven");
+            assert_eq!((lag.winner_flips, lag.followed), (switches, switches));
+            assert_eq!(lag.max_lag_windows, 0);
+        }
+    }
+
+    #[test]
+    fn sbar_shadow_hits_land_in_leader_sets_only() {
+        let trace = phase_change();
+        let mut sbar = SbarCache::new(small_l2(), SbarConfig::paper_default(), CACHE_SEED);
+        replay_l2(&trace, &mut sbar);
+        let r = audit_small(L2Kind::Sbar(SbarConfig::paper_default()), &trace);
+        let (a, b) = (&r.per_set.shadow_a_hits, &r.per_set.shadow_b_hits);
+        assert_eq!((a.len(), b.len()), (128, 128));
+        for set in (0..128).filter(|&set| !sbar.is_leader(set)) {
+            assert_eq!((a[set], b[set]), (0, 0), "follower set {set}");
+        }
+        let sums = (a.iter().sum::<u64>(), b.iter().sum::<u64>());
+        assert!(sums.0 > 0 && sums.1 > 0, "the leaders must hit: {sums:?}");
+        assert_eq!(
+            sums,
+            (
+                sbar.shadow_stats(Component::A).0,
+                sbar.shadow_stats(Component::B).0
+            )
+        );
+    }
+
+    /// FNV-1a over `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn audit_reports_are_pinned() {
+        // Digests of the serialised report on `ammp` at 200 000
+        // instructions in `cachesim audit`'s default windows.
+        let pinned = [
+            (
+                L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
+                0xb8f4_df32_11e7_87d1,
+            ),
+            (
+                L2Kind::Adaptive(AdaptiveConfig::paper_default()),
+                0x6b9c_c26c_9fcc_e5b5,
+            ),
+            (
+                L2Kind::Sbar(SbarConfig::paper_default()),
+                0xa05b_bf17_4b97_8c4b,
+            ),
+            (
+                L2Kind::Sbar(SbarConfig::paper_partial_tags()),
+                0xa05b_bf17_4b97_8c4b,
+            ),
+            (
+                L2Kind::Dip(DipConfig::paper_default()),
+                0xd989_e8e2_ce02_3890,
+            ),
+            (
+                L2Kind::Plain(cache_sim::PolicyKind::Lru),
+                0xd91e_b77b_52fd_50ea,
+            ),
+            (
+                L2Kind::Multi(MultiConfig::paper_five_policy()),
+                0x2ecb_450c_18cb_c1fb,
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for (l2, want) in pinned {
+            let cfg = RunRequest {
+                insts: 200_000,
+                ..small_cfg(l2)
+            };
+            let r = audit_run(&cfg, cfg.insts / DEFAULT_WINDOWS).expect("audit runs");
+            let got = fnv1a(serde_json::to_string(&r).unwrap().as_bytes());
+            if got != want {
+                wrong.push(format!("{}: 0x{got:016x}", cfg.l2.label()));
+            }
+        }
+        assert!(wrong.is_empty(), "audit reports drifted: {wrong:?}");
     }
 }

@@ -1675,7 +1675,7 @@ mod tests {
 
     #[test]
     fn heatmap_buckets_events_by_position_and_set() {
-        let map = heatmap_of(&[
+        let events = event_lines(&[
             (0, imitation(3, Comp::A)),
             (5, imitation(3, Comp::B)),
             (
@@ -1703,25 +1703,18 @@ mod tests {
                     psel: 100,
                 },
             ),
-            // No set: adds nothing, and opens no column.
-            (
-                40,
-                DecisionEvent::SwitchLag {
-                    window: 1,
-                    lag: 2,
-                    to: Comp::B,
-                },
-            ),
-            (
-                5 * 4096,
-                DecisionEvent::SwitchLag {
-                    window: 2,
-                    lag: 1,
-                    to: Comp::A,
-                },
-            ),
-            (4096 + 12, imitation(7, Comp::B)),
         ]);
+        // Runs from earlier builds also wrote `switch_lag` lines. They
+        // name no set: each adds nothing, and opens no column.
+        let old_kind = |seq: u64| {
+            format!(
+                "{{\"schema_version\":2,\"seq\":{seq},\"t_us\":0,\"kind\":\"switch_lag\",\
+                 \"window\":1,\"lag\":2,\"to\":\"B\"}}\n"
+            )
+        };
+        let tail = event_lines(&[(4096 + 12, imitation(7, Comp::B))]);
+        let input = events + &old_kind(40) + &old_kind(5 * 4096) + &tail;
+        let map = Heatmap::from_events(input.as_bytes()).expect("the fixture parses");
         assert_eq!((map.window, map.stride), (4096, 1));
         assert_eq!(
             cells(&map),

@@ -384,7 +384,7 @@ fn inline_spec_cells_share_the_replay_cache() {
         "inline",
         &cells(&format!(r#""spec":{spec}"#)),
         &["--telemetry", tele.to_str().unwrap()],
-        &[("AC_REPLAY", "1")],
+        &[],
     );
     let prom = std::fs::read_to_string(tele.join("metrics.prom")).unwrap();
     let lines: Vec<&str> = prom.lines().collect();

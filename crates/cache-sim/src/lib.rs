@@ -55,7 +55,7 @@ pub use addr::{Address, BlockAddr};
 pub use cache::{AccessOutcome, Cache, Eviction};
 pub use geometry::{Geometry, GeometryError};
 pub use meta::{MetaTable, SetMeta};
-pub use model::{AuditCounts, CacheModel, SwitchLagStats};
+pub use model::CacheModel;
 pub use partial::{StoredTag, TagMode};
 pub use policy::{Fifo, Lfu, Lru, Mru, PolicyKind, Rand, ReplacementPolicy};
 pub use stats::CacheStats;

@@ -7,52 +7,6 @@ use crate::geometry::Geometry;
 use crate::stats::CacheStats;
 use std::fmt;
 
-/// Switch-lag summary of an adaptive organisation: how many times the
-/// better-performing component flipped (judged over fixed internal
-/// windows of shadow-hit deltas) and how long imitation took to follow.
-/// Lags are measured in those internal windows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SwitchLagStats {
-    /// Accesses per internal comparison window.
-    pub window_accesses: u64,
-    /// Times the windowed shadow-hit winner changed component.
-    pub winner_flips: u64,
-    /// Flips that the imitation majority subsequently followed.
-    pub followed: u64,
-    /// Sum of follow lags (windows) over all followed flips.
-    pub total_lag_windows: u64,
-    /// Largest single follow lag (windows).
-    pub max_lag_windows: u64,
-}
-
-impl SwitchLagStats {
-    /// Mean follow lag in windows (`None` until a flip was followed).
-    pub fn mean_lag_windows(&self) -> Option<f64> {
-        (self.followed > 0).then(|| self.total_lag_windows as f64 / self.followed as f64)
-    }
-}
-
-/// Per-set audit counters of a cache organisation: achieved hits per
-/// set, plus — for adaptive organisations — each shadow directory's
-/// hypothetical hits per set and the switch-lag summary. The regret
-/// accounting of `cachesim audit` is computed from these.
-#[derive(Debug, Clone, Default)]
-pub struct AuditCounts {
-    /// Achieved (real directory) hits per set.
-    pub set_hits: Vec<u64>,
-    /// Shadow-A hypothetical hits per set (empty when the organisation
-    /// keeps no shadow directories, or they cover no sets).
-    pub set_shadow_a_hits: Vec<u64>,
-    /// Shadow-B hypothetical hits per set (empty like the above).
-    pub set_shadow_b_hits: Vec<u64>,
-    /// Total shadow-A `(hits, misses)`.
-    pub shadow_a: (u64, u64),
-    /// Total shadow-B `(hits, misses)`.
-    pub shadow_b: (u64, u64),
-    /// Switch-lag attribution summary.
-    pub switch: SwitchLagStats,
-}
-
 /// A cache organisation as seen by a memory hierarchy.
 ///
 /// The paper's point is that replacement is a *policy* choice orthogonal to
@@ -102,7 +56,7 @@ pub trait CacheModel: fmt::Debug + Send {
     /// hit/miss statistics; adaptive organisations override it to add
     /// shadow/exclusive-miss, imitation and selector state. Must be
     /// cheap and allocation-free: the drivers call it at every window
-    /// boundary.
+    /// boundary, and `cachesim audit` after every access.
     fn timeline_probe(&self) -> ac_telemetry::TimelineProbe {
         let s = self.stats();
         ac_telemetry::TimelineProbe {
@@ -111,15 +65,6 @@ pub trait CacheModel: fmt::Debug + Send {
             misses: s.misses,
             ..ac_telemetry::TimelineProbe::default()
         }
-    }
-
-    /// Per-set audit counters for the adaptivity-audit layer, when the
-    /// organisation tracks them. Unlike [`CacheModel::timeline_probe`]
-    /// this allocates (it clones per-set vectors) and is called once per
-    /// audit, not per window. `None` (the default) means the
-    /// organisation keeps no per-set accounting.
-    fn audit_counts(&self) -> Option<AuditCounts> {
-        None
     }
 }
 
@@ -145,9 +90,6 @@ impl<T: CacheModel + ?Sized> CacheModel for &mut T {
     fn timeline_probe(&self) -> ac_telemetry::TimelineProbe {
         (**self).timeline_probe()
     }
-    fn audit_counts(&self) -> Option<AuditCounts> {
-        (**self).audit_counts()
-    }
 }
 
 impl<T: CacheModel + ?Sized> CacheModel for Box<T> {
@@ -171,9 +113,6 @@ impl<T: CacheModel + ?Sized> CacheModel for Box<T> {
     }
     fn timeline_probe(&self) -> ac_telemetry::TimelineProbe {
         (**self).timeline_probe()
-    }
-    fn audit_counts(&self) -> Option<AuditCounts> {
-        (**self).audit_counts()
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::engine::{AdaptiveEngine, Selector};
 use crate::history::{HistoryKind, MissHistory};
 use ac_telemetry::DecisionEvent;
-use cache_sim::{Geometry, PolicyKind, ReplacementPolicy, SwitchLagStats, TagMode};
+use cache_sim::{Geometry, PolicyKind, ReplacementPolicy, TagMode};
 use serde::{Deserialize, Serialize};
 
 /// One of the two component policies of an [`AdaptiveCache`].
@@ -111,12 +111,6 @@ impl AdaptiveConfig {
     }
 }
 
-/// Accesses per internal switch-lag comparison window. Each window the
-/// cache compares the two shadow arrays' windowed hit counts; when the
-/// winner flips and the imitation majority later follows, the lag (in
-/// windows) is attributed via [`ac_telemetry::DecisionEvent::SwitchLag`].
-pub const SWITCH_LAG_WINDOW_ACCESSES: u64 = 4096;
-
 /// A per-set sample of imitation decisions, for the paper's Figure 7
 /// phase maps ("white dots correspond to LFU-favorable regions, black to
 /// LRU-favorable").
@@ -209,7 +203,6 @@ impl<A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveCache<A, B> {
             history: (0..geom.num_sets())
                 .map(|_| MissHistory::new(history))
                 .collect(),
-            ..PerSetHistory::default()
         };
         AdaptiveEngine::build(geom, selector, policy_a, policy_b, shadow_tags, seed)
     }
@@ -223,84 +216,12 @@ impl<A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveCache<A, B> {
     pub fn set_winner(&self, set: usize) -> Component {
         self.selector.history[set].winner()
     }
-
-    /// Switch-lag attribution accumulated so far: how often the windowed
-    /// shadow-hit winner flipped, and how many comparison windows the
-    /// imitation majority took to follow each flip it did follow.
-    pub fn switch_lag_stats(&self) -> SwitchLagStats {
-        self.selector.switch_lag()
-    }
 }
 
 /// The paper's selector: every set probes both shadow directories and
-/// keeps its own miss history. It also attributes switch lag over fixed
-/// comparison windows of [`SWITCH_LAG_WINDOW_ACCESSES`].
-#[derive(Default)]
+/// keeps its own miss history.
 pub struct PerSetHistory {
     history: Vec<MissHistory>,
-    switch: SwitchLagStats,
-    /// Index of the current comparison window.
-    win_idx: u64,
-    /// Accesses, shadow hits and imitations inside the current window.
-    win_accesses: u64,
-    win_sa_hits: u64,
-    win_sb_hits: u64,
-    win_imit_a: u64,
-    win_imit_b: u64,
-    /// The windowed shadow-hit winner as of the last closed window.
-    cur_winner: Option<Component>,
-    /// A winner flip the imitation majority has not yet followed:
-    /// `(window index of the flip, component that became better)`.
-    pending_flip: Option<(u64, Component)>,
-}
-
-impl PerSetHistory {
-    /// Closes the current switch-lag comparison window: re-evaluates the
-    /// windowed shadow-hit winner, records a flip when it changes, and —
-    /// when the window's imitation majority agrees with a pending flip —
-    /// attributes the lag and emits a `SwitchLag` decision event.
-    fn close_switch_window(&mut self) {
-        let w = self.win_idx;
-        // The component with more of `(a, b)`, if either has more.
-        let more = |a: u64, b: u64| match a.cmp(&b) {
-            std::cmp::Ordering::Greater => Some(Component::A),
-            std::cmp::Ordering::Less => Some(Component::B),
-            std::cmp::Ordering::Equal => None,
-        };
-        // Windowed shadow-hit winner; a tie keeps the previous winner so
-        // quiet windows do not register as flips.
-        let winner = more(self.win_sa_hits, self.win_sb_hits).or(self.cur_winner);
-        if winner != self.cur_winner {
-            if let Some(to) = winner {
-                self.switch.winner_flips += 1;
-                // A newer flip supersedes any unfollowed older one; the
-                // lag is always measured against the latest flip.
-                self.pending_flip = Some((w, to));
-            }
-            self.cur_winner = winner;
-        }
-        let majority = more(self.win_imit_a, self.win_imit_b);
-        if let Some((flip_w, to)) = self.pending_flip {
-            if majority == Some(to) {
-                let lag = w - flip_w;
-                self.switch.followed += 1;
-                self.switch.total_lag_windows += lag;
-                self.switch.max_lag_windows = self.switch.max_lag_windows.max(lag);
-                ac_telemetry::decision(|| DecisionEvent::SwitchLag {
-                    window: flip_w,
-                    lag,
-                    to: to.telemetry(),
-                });
-                self.pending_flip = None;
-            }
-        }
-        self.win_idx += 1;
-        self.win_accesses = 0;
-        self.win_sa_hits = 0;
-        self.win_sb_hits = 0;
-        self.win_imit_a = 0;
-        self.win_imit_b = 0;
-    }
 }
 
 impl Selector for PerSetHistory {
@@ -313,24 +234,7 @@ impl Selector for PerSetHistory {
     }
 
     #[inline]
-    fn begin_access(&mut self) {
-        // Lazily close the comparison window so every update of this
-        // access — including imitations on the miss path — lands in the
-        // window the access belongs to.
-        if self.win_accesses >= SWITCH_LAG_WINDOW_ACCESSES {
-            self.close_switch_window();
-        }
-        self.win_accesses += 1;
-    }
-
-    #[inline]
     fn train(&mut self, set: usize, _slot: usize, a_hit: bool, b_hit: bool) {
-        if a_hit {
-            self.win_sa_hits += 1;
-        }
-        if b_hit {
-            self.win_sb_hits += 1;
-        }
         self.history[set].record(!a_hit, !b_hit);
         if a_hit != b_hit {
             ac_telemetry::decision(|| DecisionEvent::HistoryUpdate {
@@ -343,24 +247,12 @@ impl Selector for PerSetHistory {
 
     #[inline]
     fn winner(&mut self, set: usize, _slot: Option<usize>) -> Component {
-        let winner = self.history[set].winner();
-        match winner {
-            Component::A => self.win_imit_a += 1,
-            Component::B => self.win_imit_b += 1,
-        }
-        winner
+        self.history[set].winner()
     }
 
     #[inline]
     fn prefetch(&self, set: usize) {
         cache_sim::simd::prefetch_read(&self.history[set] as *const _);
-    }
-
-    fn switch_lag(&self) -> SwitchLagStats {
-        SwitchLagStats {
-            window_accesses: SWITCH_LAG_WINDOW_ACCESSES,
-            ..self.switch
-        }
     }
 
     fn label_detail(&self, shadow_tags: TagMode) -> String {
@@ -639,51 +531,6 @@ mod tests {
         assert_eq!(c.label(), "Adaptive LRU/LFU (512KB, 8-way, 8-bit tags)");
         let c = AdaptiveCache::new(g, AdaptiveConfig::paper_full_tags(), 0);
         assert_eq!(c.label(), "Adaptive LRU/LFU (512KB, 8-way, full tags)");
-    }
-
-    #[test]
-    fn per_set_audit_counts_conserve_totals() {
-        let g = Geometry::new(64 * 1024, 64, 8).unwrap();
-        let mut c = lru_lfu(g);
-        for i in 0..100_000u64 {
-            c.access(hot_scan_block(i, 768, 8192), false);
-        }
-        let audit = c.audit_counts().expect("adaptive reports audit counts");
-        assert_eq!(audit.set_hits.len(), g.num_sets());
-        assert_eq!(audit.set_hits.iter().sum::<u64>(), c.stats().hits);
-        assert_eq!(
-            audit.set_shadow_a_hits.iter().sum::<u64>(),
-            c.shadow_stats(Component::A).0
-        );
-        assert_eq!(
-            audit.set_shadow_b_hits.iter().sum::<u64>(),
-            c.shadow_stats(Component::B).0
-        );
-        assert_eq!(audit.shadow_a, c.shadow_stats(Component::A));
-        assert_eq!(audit.shadow_b, c.shadow_stats(Component::B));
-        assert_eq!(audit.switch.window_accesses, SWITCH_LAG_WINDOW_ACCESSES);
-    }
-
-    #[test]
-    fn switch_lag_attributes_phase_changes() {
-        let g = Geometry::new(64 * 1024, 64, 8).unwrap();
-        let mut c = lru_lfu(g);
-        // LFU-favourable hot+scan phase, then an LRU-favourable shifting
-        // phase: the windowed shadow-hit winner must flip and the
-        // imitation majority must follow with a finite lag.
-        for i in 0..150_000u64 {
-            c.access(hot_scan_block(i, 768, 8192), false);
-        }
-        for i in 0..150_000u64 {
-            let b = 20_000 + (i / 16_000) * 2048 + (i * 7919) % 4096;
-            c.access(BlockAddr::new(b), false);
-        }
-        let s = c.switch_lag_stats();
-        assert!(s.winner_flips >= 1, "winner must flip across phases: {s:?}");
-        assert!(s.followed >= 1, "imitation must follow a flip: {s:?}");
-        let mean = s.mean_lag_windows().expect("followed > 0");
-        assert!(mean.is_finite() && mean >= 0.0, "mean lag: {mean}");
-        assert!(s.max_lag_windows as f64 >= mean, "max bounds mean: {s:?}");
     }
 
     #[test]

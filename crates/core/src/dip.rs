@@ -23,8 +23,8 @@ use crate::adaptive::Component;
 use crate::engine::install;
 use crate::psel::{SharedPsel, Votes};
 use cache_sim::{
-    AccessOutcome, AuditCounts, BlockAddr, CacheModel, CacheStats, Directory, Geometry, MetaTable,
-    PolicyKind, TagMode,
+    AccessOutcome, BlockAddr, CacheModel, CacheStats, Directory, Geometry, MetaTable, PolicyKind,
+    TagMode,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -91,9 +91,6 @@ pub struct DipCache {
     votes: Votes,
     /// Fill counter driving BIP's deterministic 1-in-epsilon promotion.
     fills: u64,
-    /// Per-set achieved hits (DIP keeps no shadow structures, so this is
-    /// the only per-set audit signal it can report).
-    set_hits: Vec<u64>,
     /// Seeded RNG for the policy victim call (LRU never consults it, so
     /// DIP remains fully deterministic).
     rng: SmallRng,
@@ -132,7 +129,6 @@ impl DipCache {
             votes: Votes::new(&psel),
             psel,
             fills: 0,
-            set_hits: vec![0; sets],
             rng: SmallRng::seed_from_u64(seed),
             stats: CacheStats::default(),
             config,
@@ -195,7 +191,6 @@ impl CacheModel for DipCache {
         let (set, stored) = self.real.locate(block);
         if let Some(way) = self.real.find(set, stored) {
             self.stats.record(true, write);
-            self.set_hits[set] += 1;
             // Writes reaching an L2 are L1 writebacks, not demand reuse;
             // promoting on them would let every dirty scan block rotate
             // the BIP-retained set out. Real DIP deployments leave
@@ -278,20 +273,6 @@ impl CacheModel for DipCache {
             ..ac_telemetry::TimelineProbe::default()
         }
     }
-
-    fn audit_counts(&self) -> Option<AuditCounts> {
-        Some(AuditCounts {
-            set_hits: self.set_hits.clone(),
-            // DIP duels two insertion behaviours of one recency order and
-            // keeps no shadow tags, so no hypothetical per-component hit
-            // counts exist; the empty vectors make that explicit.
-            set_shadow_a_hits: Vec::new(),
-            set_shadow_b_hits: Vec::new(),
-            shadow_a: (0, 0),
-            shadow_b: (0, 0),
-            switch: self.votes.switch_lag(),
-        })
-    }
 }
 
 impl fmt::Debug for DipCache {
@@ -372,18 +353,6 @@ mod tests {
             },
             0,
         );
-    }
-
-    #[test]
-    fn audit_counts_conserve_hits() {
-        let mut dip = DipCache::new(geom(), DipConfig::paper_default(), 0);
-        for i in 0..100_000u64 {
-            dip.access(BlockAddr::new((i / 8) % 800), false);
-        }
-        let audit = dip.audit_counts().expect("dip reports audit counts");
-        assert_eq!(audit.set_hits.iter().sum::<u64>(), dip.stats().hits);
-        assert!(audit.set_shadow_a_hits.is_empty(), "DIP has no shadows");
-        assert_eq!(audit.switch.winner_flips, dip.policy_switches());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use crate::adaptive::{Component, ImitationSample};
 use ac_telemetry::{DecisionEvent, EvictionCase};
 use cache_sim::{
-    AccessOutcome, AuditCounts, BlockAddr, CacheModel, CacheStats, Directory, Eviction, Geometry,
-    MetaTable, PolicyKind, ReplacementPolicy, StoredTag, SwitchLagStats, TagArray, TagMode, Way,
+    AccessOutcome, BlockAddr, CacheModel, CacheStats, Directory, Eviction, Geometry, MetaTable,
+    PolicyKind, ReplacementPolicy, StoredTag, TagArray, TagMode, Way,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,9 +30,6 @@ pub trait Selector: Send {
     /// directories, `None` for a follower set.
     fn slot(&self, set: usize) -> Option<usize>;
 
-    /// Runs first on every access.
-    fn begin_access(&mut self) {}
-
     /// Trains `slot` (the history slot of `set`) with one shadow-probed
     /// reference.
     fn train(&mut self, set: usize, slot: usize, a_hit: bool, b_hit: bool);
@@ -48,9 +45,6 @@ pub trait Selector: Send {
     fn votes(&self) -> (u64, Option<u32>) {
         (0, None)
     }
-
-    /// The switch-lag summary for [`CacheModel::audit_counts`].
-    fn switch_lag(&self) -> SwitchLagStats;
 
     /// The label's last field.
     fn label_detail(&self, shadow_tags: TagMode) -> String;
@@ -82,12 +76,6 @@ pub struct AdaptiveEngine<S, A: ReplacementPolicy = PolicyKind, B: ReplacementPo
     imitations_b: u64,
     excl_a_misses: u64,
     excl_b_misses: u64,
-    /// Per-set achieved hits in the real cache.
-    set_hits: Vec<u64>,
-    /// Per-set hypothetical hits in shadow A / shadow B (zero in sets
-    /// that keep no shadow state).
-    set_shadow_a_hits: Vec<u64>,
-    set_shadow_b_hits: Vec<u64>,
 }
 
 impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveEngine<S, A, B> {
@@ -116,9 +104,6 @@ impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveEngine<S, 
             imitations_b: 0,
             excl_a_misses: 0,
             excl_b_misses: 0,
-            set_hits: vec![0; sets],
-            set_shadow_a_hits: vec![0; sets],
-            set_shadow_b_hits: vec![0; sets],
         }
     }
 
@@ -273,7 +258,6 @@ impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> CacheModel
     for AdaptiveEngine<S, A, B>
 {
     fn access(&mut self, block: BlockAddr, write: bool) -> AccessOutcome {
-        self.selector.begin_access();
         // Decompose the address once: the real directory keeps full tags,
         // so `stored.raw()` *is* the geometry tag, and the shadows reduce
         // it through their own tag mode without re-deriving the set index.
@@ -298,14 +282,10 @@ impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> CacheModel
             );
             let a = self.shadow_a.access_with_mask(set, shadow_stored, mask_a);
             let b = self.shadow_b.access_with_mask(set, shadow_stored, mask_b);
-            if a.hit {
-                self.set_shadow_a_hits[set] += 1;
-            } else {
+            if !a.hit {
                 victim_a = a.evicted;
             }
-            if b.hit {
-                self.set_shadow_b_hits[set] += 1;
-            } else {
+            if !b.hit {
                 victim_b = b.evicted;
             }
             // Exclusive miss: the only kind of reference that moves the
@@ -323,7 +303,6 @@ impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> CacheModel
         if real_mask != 0 {
             let way = real_mask.trailing_zeros() as usize;
             self.stats.record(true, write);
-            self.set_hits[set] += 1;
             if let Some((a, b)) = &mut self.resident {
                 a.on_hit(set, way);
                 b.on_hit(set, way);
@@ -412,17 +391,6 @@ impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> CacheModel
             leader_votes,
             psel,
         }
-    }
-
-    fn audit_counts(&self) -> Option<AuditCounts> {
-        Some(AuditCounts {
-            set_hits: self.set_hits.clone(),
-            set_shadow_a_hits: self.set_shadow_a_hits.clone(),
-            set_shadow_b_hits: self.set_shadow_b_hits.clone(),
-            shadow_a: self.shadow_stats(Component::A),
-            shadow_b: self.shadow_stats(Component::B),
-            switch: self.selector.switch_lag(),
-        })
     }
 }
 

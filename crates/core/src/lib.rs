@@ -66,10 +66,7 @@ mod psel;
 mod sbar;
 pub mod theory;
 
-pub use adaptive::{
-    AdaptiveCache, AdaptiveConfig, Component, ImitationSample, PerSetHistory,
-    SWITCH_LAG_WINDOW_ACCESSES,
-};
+pub use adaptive::{AdaptiveCache, AdaptiveConfig, Component, ImitationSample, PerSetHistory};
 pub use dip::{DipCache, DipConfig};
 pub use engine::{AdaptiveEngine, Selector};
 pub use history::{HistoryKind, MissHistory};

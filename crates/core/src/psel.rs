@@ -23,7 +23,6 @@
 //! votes can never push the counter outside `0..=max`.
 
 use crate::adaptive::Component;
-use cache_sim::SwitchLagStats;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A saturating policy-selection counter shareable across threads.
@@ -137,18 +136,6 @@ impl Votes {
             self.last = now;
         }
         (value, now)
-    }
-
-    /// Followers imitate the counter the instant it crosses the midpoint,
-    /// so every switch is a flip that is followed with zero lag;
-    /// `window_accesses: 0` marks the accounting as selector-driven
-    /// rather than windowed.
-    pub(crate) fn switch_lag(&self) -> SwitchLagStats {
-        SwitchLagStats {
-            winner_flips: self.switches,
-            followed: self.switches,
-            ..SwitchLagStats::default()
-        }
     }
 }
 

@@ -21,7 +21,7 @@ use crate::engine::{AdaptiveEngine, Selector};
 use crate::history::{HistoryKind, MissHistory};
 use crate::psel::{SharedPsel, Votes};
 use ac_telemetry::DecisionEvent;
-use cache_sim::{Geometry, PolicyKind, SwitchLagStats, TagMode};
+use cache_sim::{Geometry, PolicyKind, TagMode};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -259,10 +259,6 @@ impl Selector for SetSampling {
         (self.votes.count, Some(self.psel.load()))
     }
 
-    fn switch_lag(&self) -> SwitchLagStats {
-        self.votes.switch_lag()
-    }
-
     fn label_detail(&self, _shadow_tags: TagMode) -> String {
         format!("{} leaders", self.config.leader_sets)
     }
@@ -387,40 +383,6 @@ mod tests {
             }
         }
         assert!(c.policy_switches() >= 1);
-    }
-
-    #[test]
-    fn audit_counts_conserve_totals() {
-        let geom = Geometry::new(64 * 1024, 64, 8).unwrap();
-        let mut c = SbarCache::new(geom, SbarConfig::paper_default(), 5);
-        for i in 0..200_000u64 {
-            c.access(hot_scan_block(i), false);
-        }
-        let audit = c.audit_counts().expect("sbar reports audit counts");
-        assert_eq!(audit.set_hits.iter().sum::<u64>(), c.stats().hits);
-        assert_eq!(
-            audit.set_shadow_a_hits.iter().sum::<u64>(),
-            c.shadow_stats(Component::A).0
-        );
-        assert_eq!(
-            audit.set_shadow_b_hits.iter().sum::<u64>(),
-            c.shadow_stats(Component::B).0
-        );
-        // Shadow hits can only land in leader sets (followers keep none).
-        for (set, (&a, &b)) in audit
-            .set_shadow_a_hits
-            .iter()
-            .zip(&audit.set_shadow_b_hits)
-            .enumerate()
-        {
-            if !c.is_leader(set) {
-                assert_eq!((a, b), (0, 0), "non-leader set {set} has shadow hits");
-            }
-        }
-        let (ea, eb) = c.exclusive_miss_totals();
-        assert!(ea + eb > 0, "leader sets must observe exclusive misses");
-        assert_eq!(audit.switch.winner_flips, c.policy_switches());
-        assert_eq!(audit.switch.followed, c.policy_switches());
     }
 
     #[test]

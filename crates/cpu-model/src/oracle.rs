@@ -18,7 +18,8 @@
 //! * [`replay_model_windows`] — any [`CacheModel`] driven by the trace
 //!   with the same event dispatch as `replay_l2` (writeback ⇒ write
 //!   access, fill ⇒ read access), with per-window and per-set hit
-//!   accounting attached.
+//!   accounting attached and the model shown to a caller's observer
+//!   after every access.
 //!
 //! All three bucket hits into **instruction windows** (`window_insts`
 //! instructions per window, keyed by each event's 1-based instruction
@@ -250,11 +251,13 @@ pub fn replay_standalone(
 /// per-set hit accounting. Event dispatch matches `replay_l2`: a
 /// writeback is a write access, a demand fill a read access, in trace
 /// order — so the model finishes in the same state a replayed run would
-/// leave it in.
+/// leave it in. `observe` sees the model after every access, with the
+/// set that access touched.
 pub fn replay_model_windows(
     trace: &L2Trace,
     l2: &mut dyn CacheModel,
     window_insts: u64,
+    mut observe: impl FnMut(usize, &dyn CacheModel),
 ) -> PolicyReplay {
     let _span = ac_telemetry::span("oracle", || format!("replay_model {}", l2.label()));
     let geom = *l2.geometry();
@@ -263,14 +266,16 @@ pub fn replay_model_windows(
     let (mut hits, mut misses) = (0u64, 0u64);
     for ev in trace.events() {
         let block = geom.block_of(Address::new(ev.addr));
+        let set = geom.set_index(block);
         let hit = l2.access(block, ev.writeback).hit;
         if hit {
             hits += 1;
-            per_set_hits[geom.set_index(block)] += 1;
+            per_set_hits[set] += 1;
         } else {
             misses += 1;
         }
         acc.record(ev.inst, hit);
+        observe(set, l2);
     }
     PolicyReplay {
         label: l2.label(),
@@ -380,7 +385,9 @@ mod tests {
         let blocks: Vec<u64> = (0..8000).map(|i| (i * 31) % 900).collect();
         let trace = fill_trace(&blocks);
         let mut replayed = Cache::new(geom, PolicyKind::Lru, 5);
-        let r = replay_model_windows(&trace, &mut replayed, 0);
+        let mut observed = 0;
+        let r = replay_model_windows(&trace, &mut replayed, 0, |_, _| observed += 1);
+        assert_eq!(observed, blocks.len(), "the observer sees every access");
         let mut direct = Cache::new(geom, PolicyKind::Lru, 5);
         for ev in trace.events() {
             direct.access(geom.block_of(Address::new(ev.addr)), ev.writeback);

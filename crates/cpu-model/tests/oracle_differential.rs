@@ -81,17 +81,42 @@ fn offline_component_replays_match_online_shadows_all_tag_modes() {
             adaptive.shadow_stats(Component::B),
             "shadow B diverged offline ({mode:?})"
         );
+    }
+}
 
-        // Per-set hit vectors must agree too, not just the totals.
-        let audit = adaptive.audit_counts().expect("adaptive audit counts");
-        assert_eq!(
-            off_a.per_set_hits, audit.set_shadow_a_hits,
-            "per-set shadow A hits diverged ({mode:?})"
-        );
-        assert_eq!(
-            off_b.per_set_hits, audit.set_shadow_b_hits,
-            "per-set shadow B hits diverged ({mode:?})"
-        );
+#[test]
+fn each_shadow_hits_exactly_when_its_twin_does() {
+    // Per access, which is stronger than any per-set sum: after every
+    // event, each online shadow's hit counter has advanced by one
+    // exactly when its standalone twin hit that event.
+    let trace = captured();
+    let geom = l2_geom();
+    for mode in all_tag_modes() {
+        let config = AdaptiveConfig::paper_default().shadow_tag_mode(mode);
+        let mut adaptive = AdaptiveCache::new(geom, config, SEED);
+        let mut twin_a = TagArray::new(geom, mode, config.policy_a, SEED ^ 0xA);
+        let mut twin_b = TagArray::new(geom, mode, config.policy_b, SEED ^ 0xB);
+        let shadow_hits = |c: &AdaptiveCache| {
+            (
+                c.shadow_stats(Component::A).0,
+                c.shadow_stats(Component::B).0,
+            )
+        };
+        for (i, ev) in trace.events().enumerate() {
+            let block = geom.block_of(Address::new(ev.addr));
+            let (set, tag) = (geom.set_index(block), geom.tag(block));
+            let (a, b) = shadow_hits(&adaptive);
+            adaptive.access(block, ev.writeback);
+            let want = (
+                a + u64::from(twin_a.access_tag(set, tag).hit),
+                b + u64::from(twin_b.access_tag(set, tag).hit),
+            );
+            assert_eq!(
+                shadow_hits(&adaptive),
+                want,
+                "event {i}: a shadow and its twin disagreed ({mode:?})"
+            );
+        }
     }
 }
 

@@ -199,9 +199,9 @@ fn bad_geometry(e: impl std::fmt::Display) -> ExperimentError {
 
 /// Executes one validated request end to end. Generated workloads go
 /// through the experiment runner, which streams the generator: a
-/// functional cell shares the process-wide replay cache (`AC_REPLAY`),
-/// so the front end runs at most once per (workload spec, L1 config,
-/// budget) key. Trace files are read whole and run directly.
+/// functional cell shares the process-wide replay cache, so the front
+/// end runs at most once per (workload spec, L1 config, budget) key.
+/// Trace files are read whole and run directly.
 pub fn run(req: &RunRequest, workload: &Workload) -> Result<RunReply, ExperimentError> {
     let functional = req.mode == "functional";
     match workload {

@@ -8,15 +8,11 @@
 //! an in-flight capture block on that key's latch only, so unrelated
 //! cells (other workloads, other budgets) are never serialised.
 //!
-//! * `AC_REPLAY=0` opts out (cells run the front-end directly);
-//! * `AC_REPLAY_CACHE_MB` caps resident captured bytes (default 512MB),
-//!   evicting least-recently-used entries past the cap.
-//!
-//! **Convention:** every `AC_*` variable in this module is re-read on
-//! each call, never latched in a `OnceLock` — a single process, and in
-//! particular a single test binary, must be able to flip replay
-//! behaviour between sweeps. Cache derived *state*, not environment
-//! *configuration*.
+//! `AC_REPLAY_CACHE_MB` caps resident captured bytes (default 512MB),
+//! evicting least-recently-used entries past the cap. It is re-read on
+//! each publish, never latched in a `OnceLock`, so a single process, and
+//! in particular a single test binary, can change the cap between
+//! sweeps. Cache derived *state*, not environment *configuration*.
 //!
 //! Telemetry: `replay_cache_hits_total` / `replay_cache_captures_total`
 //! / `replay_cache_evictions_total` counters and a `replay_cache_bytes`
@@ -27,16 +23,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use workloads::Benchmark;
 
-/// Whether memoised replay is enabled (default yes; `AC_REPLAY=0` opts
-/// out). Read per call — not cached — so tests can exercise both paths
-/// in one process.
-pub fn replay_enabled() -> bool {
-    !matches!(std::env::var("AC_REPLAY").as_deref(), Ok("0"))
-}
-
 /// Resident-byte cap for captured traces (`AC_REPLAY_CACHE_MB`,
-/// default 512). Read once per publish, like every other knob here —
-/// see the module header.
+/// default 512). Read once per publish — see the module header.
 fn cap_bytes() -> usize {
     let mb = match std::env::var("AC_REPLAY_CACHE_MB") {
         Ok(v) => v.trim().parse().unwrap_or_else(|_| {

@@ -7,9 +7,7 @@ use adaptive_cache::{
     SbarConfig,
 };
 use cache_sim::{Cache, CacheModel, Geometry, PolicyKind};
-use cpu_model::{
-    run_functional, CpuConfig, FunctionalStats, Hierarchy, L2Complex, L2Trace, Pipeline, RunStats,
-};
+use cpu_model::{CpuConfig, FunctionalStats, L2Complex, L2Trace, Pipeline, RunStats};
 use serde::{Deserialize, Serialize};
 use workloads::Benchmark;
 
@@ -205,12 +203,11 @@ pub fn run_functional_l2(
 /// [`run_functional_l2`] with an explicit CPU configuration (the L1
 /// parameters key the replay cache; the rest is unused functionally).
 ///
-/// Unless `AC_REPLAY=0`, the front-end runs at most once per
-/// `(workload spec, L1 config, insts)` key process-wide: the first cell
-/// captures the L2-visible reference stream, every cell (including the
-/// first) replays it against its own L2 — see [`crate::replay_cache`].
-/// The replay runs on the organisation's concrete type
-/// (`L2Kind::build_with`); the direct path drives a boxed one.
+/// The front-end runs at most once per `(workload spec, L1 config,
+/// insts)` key process-wide: the first cell captures the L2-visible
+/// reference stream, every cell (including the first) replays it
+/// against its own L2 — see [`crate::replay_cache`]. The replay runs on
+/// the organisation's concrete type (`L2Kind::build_with`).
 pub fn run_functional_l2_cfg(
     bench: &Benchmark,
     kind: &L2Kind,
@@ -222,16 +219,9 @@ pub fn run_functional_l2_cfg(
         format!("functional {} x {}", bench.name, kind.label())
     });
     let geom = Geometry::new(l2_geom.0, l2_geom.1, l2_geom.2)?;
-    let stats = if crate::replay_cache::replay_enabled() {
-        let (trace, captured_here) = crate::replay_cache::get_or_capture(bench, config, insts);
-        span.set_attr("frontend_skipped", || (!captured_here).to_string());
-        kind.build_with(geom, Replay(&trace))
-    } else {
-        span.set_attr("frontend_skipped", || "false".to_string());
-        let l2 = kind.build(geom);
-        let mut hierarchy = Hierarchy::new(config, l2);
-        run_functional(&mut hierarchy, bench.spec.generator(), insts)
-    };
+    let (trace, captured_here) = crate::replay_cache::get_or_capture(bench, config, insts);
+    span.set_attr("frontend_skipped", || (!captured_here).to_string());
+    let stats = kind.build_with(geom, Replay(&trace));
     Ok(MpkiResult {
         benchmark: bench.name.to_string(),
         l2: kind.label(),

@@ -8,6 +8,9 @@ use crate::json::push_str_escaped;
 
 /// Schema version stamped on every `events.jsonl` line. Bumped to 2
 /// when the field itself was introduced (version-1 lines carry none).
+/// Dropping the `switch_lag` kind kept it at 2: every line still
+/// written has the shape it had, and a reader of older runs skips the
+/// kinds it does not know.
 pub const EVENTS_SCHEMA_VERSION: u32 = 2;
 
 /// One of the two component policies of an adaptive organisation
@@ -107,17 +110,6 @@ pub enum DecisionEvent {
         /// The duel counter after the update.
         psel: u32,
     },
-    /// Switch-lag attribution: component `to` became the windowed
-    /// shadow-hit winner at internal window `window`, and the imitation
-    /// majority followed `lag` windows later.
-    SwitchLag {
-        /// Internal comparison window at which the winner flipped.
-        window: u64,
-        /// Windows between the flip and the imitation majority following.
-        lag: u64,
-        /// The component that became better (and was eventually imitated).
-        to: Comp,
-    },
 }
 
 impl DecisionEvent {
@@ -128,7 +120,6 @@ impl DecisionEvent {
             DecisionEvent::HistoryUpdate { .. } => "history_update",
             DecisionEvent::LeaderVote { .. } => "leader_vote",
             DecisionEvent::DuelVote { .. } => "duel_vote",
-            DecisionEvent::SwitchLag { .. } => "switch_lag",
         }
     }
 }
@@ -198,12 +189,6 @@ impl EventRecord {
                     ",\"set\":{set},\"bip_leader\":{bip_leader},\"psel\":{psel}"
                 ));
             }
-            DecisionEvent::SwitchLag { window, lag, to } => {
-                s.push_str(&format!(
-                    ",\"window\":{window},\"lag\":{lag},\"to\":\"{}\"",
-                    to.as_str()
-                ));
-            }
         }
         s.push('}');
         s
@@ -245,32 +230,5 @@ mod tests {
         );
         assert_eq!(EvictionCase::AliasFallback.as_str(), "alias_fallback");
         assert_eq!(Comp::A.as_str(), "A");
-        assert_eq!(
-            DecisionEvent::SwitchLag {
-                window: 4,
-                lag: 2,
-                to: Comp::B
-            }
-            .kind(),
-            "switch_lag"
-        );
-    }
-
-    #[test]
-    fn switch_lag_serialises() {
-        let r = EventRecord {
-            seq: 1,
-            t_us: 5,
-            event: DecisionEvent::SwitchLag {
-                window: 12,
-                lag: 3,
-                to: Comp::A,
-            },
-        };
-        assert_eq!(
-            r.to_json_line(),
-            "{\"schema_version\":2,\"seq\":1,\"t_us\":5,\"kind\":\"switch_lag\",\
-             \"window\":12,\"lag\":3,\"to\":\"A\"}"
-        );
     }
 }

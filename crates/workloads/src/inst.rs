@@ -79,22 +79,6 @@ pub enum InstKind {
     },
 }
 
-impl InstKind {
-    /// Short mnemonic for debugging output.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            InstKind::IntAlu => "alu",
-            InstKind::IntMul => "mul",
-            InstKind::IntDiv => "div",
-            InstKind::FpAdd => "fadd",
-            InstKind::FpDiv => "fdiv",
-            InstKind::Load { .. } => "ld",
-            InstKind::Store { .. } => "st",
-            InstKind::Branch { .. } => "br",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,26 +105,6 @@ mod tests {
             Some(123)
         );
         assert_eq!(Inst::free(0, InstKind::FpAdd).mem_addr(), None);
-    }
-
-    #[test]
-    fn mnemonics_are_distinct() {
-        use std::collections::HashSet;
-        let kinds = [
-            InstKind::IntAlu,
-            InstKind::IntMul,
-            InstKind::IntDiv,
-            InstKind::FpAdd,
-            InstKind::FpDiv,
-            InstKind::Load { addr: 0 },
-            InstKind::Store { addr: 0 },
-            InstKind::Branch {
-                taken: false,
-                target: 0,
-            },
-        ];
-        let set: HashSet<_> = kinds.iter().map(|k| k.mnemonic()).collect();
-        assert_eq!(set.len(), kinds.len());
     }
 
     #[test]

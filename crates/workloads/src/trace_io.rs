@@ -4,8 +4,7 @@
 //! synthetic generators are pure functions of their spec, but downstream
 //! users often want to (a) capture a stream once and replay it against
 //! many configurations bit-identically, or (b) import externally captured
-//! traces. This module provides a compact binary format plus a
-//! line-oriented text format for interchange.
+//! traces. This module provides a compact binary format for both.
 //!
 //! Binary layout (little-endian): the magic `ACTR` + format version +
 //! (since version 2) a `u64` record count, then one record per
@@ -31,7 +30,7 @@
 use crate::inst::{Inst, InstKind};
 use crate::packed::crc32;
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"ACTR";
 /// Current write version (count header + trailing CRC-32).
@@ -87,13 +86,6 @@ pub enum TraceError {
         /// Checksum of the content as read.
         actual: u32,
     },
-    /// Malformed text-format line.
-    BadLine {
-        /// 1-based line number.
-        line: usize,
-        /// Offending content.
-        text: String,
-    },
 }
 
 impl fmt::Display for TraceError {
@@ -118,9 +110,6 @@ impl fmt::Display for TraceError {
                 "trace checksum mismatch (recorded {expected:#010x}, computed {actual:#010x}) \
                  — the file was corrupted after it was written"
             ),
-            TraceError::BadLine { line, text } => {
-                write!(f, "malformed trace line {line}: {text:?}")
-            }
         }
     }
 }
@@ -316,108 +305,6 @@ fn read_records(body: &[u8], expected: Option<u64>) -> Result<Vec<Inst>, TraceEr
     Ok(out)
 }
 
-/// Writes instructions in the human-readable text format, one per line:
-/// `pc kind [operand] deps=d1,d2`.
-pub fn write_text<W: Write, I: IntoIterator<Item = Inst>>(
-    mut w: W,
-    insts: I,
-) -> Result<u64, TraceError> {
-    let mut n = 0u64;
-    for inst in insts {
-        match inst.kind {
-            InstKind::Load { addr } => writeln!(
-                w,
-                "{:#x} ld {:#x} deps={},{}",
-                inst.pc, addr, inst.deps[0], inst.deps[1]
-            )?,
-            InstKind::Store { addr } => writeln!(
-                w,
-                "{:#x} st {:#x} deps={},{}",
-                inst.pc, addr, inst.deps[0], inst.deps[1]
-            )?,
-            InstKind::Branch { taken, target } => writeln!(
-                w,
-                "{:#x} br {:#x} {} deps={},{}",
-                inst.pc,
-                target,
-                if taken { "t" } else { "n" },
-                inst.deps[0],
-                inst.deps[1]
-            )?,
-            other => writeln!(
-                w,
-                "{:#x} {} deps={},{}",
-                inst.pc,
-                other.mnemonic(),
-                inst.deps[0],
-                inst.deps[1]
-            )?,
-        }
-        n += 1;
-    }
-    Ok(n)
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
-
-/// Reads a text-format trace.
-pub fn read_text<R: BufRead>(r: R) -> Result<Vec<Inst>, TraceError> {
-    let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let bad = || TraceError::BadLine {
-            line: i + 1,
-            text: text.to_string(),
-        };
-        let mut parts = text.split_whitespace();
-        let pc = parse_u64(parts.next().ok_or_else(bad)?).ok_or_else(bad)?;
-        let mnemonic = parts.next().ok_or_else(bad)?;
-        let mut rest: Vec<&str> = parts.collect();
-        let deps = match rest.last().and_then(|s| s.strip_prefix("deps=")) {
-            Some(d) => {
-                rest.pop();
-                let (a, b) = d.split_once(',').ok_or_else(bad)?;
-                [a.parse().map_err(|_| bad())?, b.parse().map_err(|_| bad())?]
-            }
-            None => [0, 0],
-        };
-        let kind = match mnemonic {
-            "alu" => InstKind::IntAlu,
-            "mul" => InstKind::IntMul,
-            "div" => InstKind::IntDiv,
-            "fadd" => InstKind::FpAdd,
-            "fdiv" => InstKind::FpDiv,
-            "ld" => InstKind::Load {
-                addr: rest.first().and_then(|s| parse_u64(s)).ok_or_else(bad)?,
-            },
-            "st" => InstKind::Store {
-                addr: rest.first().and_then(|s| parse_u64(s)).ok_or_else(bad)?,
-            },
-            "br" => InstKind::Branch {
-                target: rest.first().and_then(|s| parse_u64(s)).ok_or_else(bad)?,
-                taken: match rest.get(1) {
-                    Some(&"t") => true,
-                    Some(&"n") => false,
-                    _ => return Err(bad()),
-                },
-            },
-            _ => return Err(bad()),
-        };
-        out.push(Inst { pc, kind, deps });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,42 +322,6 @@ mod tests {
         assert_eq!(written, 5000);
         let back = read_binary(buf.as_slice()).unwrap();
         assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let trace = sample_trace(2000);
-        let mut buf = Vec::new();
-        write_text(&mut buf, trace.iter().copied()).unwrap();
-        let back = read_text(buf.as_slice()).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn text_format_is_readable() {
-        let trace = vec![
-            Inst::free(0x400000, InstKind::Load { addr: 0x1000 }),
-            Inst::free(
-                0x400004,
-                InstKind::Branch {
-                    taken: true,
-                    target: 0x400000,
-                },
-            ),
-        ];
-        let mut buf = Vec::new();
-        write_text(&mut buf, trace).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("0x400000 ld 0x1000"));
-        assert!(text.contains("br 0x400000 t"));
-    }
-
-    #[test]
-    fn text_ignores_comments_and_blanks() {
-        let src = "# a comment\n\n0x10 alu deps=1,0\n";
-        let trace = read_text(src.as_bytes()).unwrap();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].pc, 0x10);
     }
 
     #[test]
@@ -493,15 +344,6 @@ mod tests {
         buf.extend_from_slice(&0u64.to_le_bytes());
         let err = read_binary(buf.as_slice()).unwrap_err();
         assert!(matches!(err, TraceError::BadKind(200)), "{err}");
-    }
-
-    #[test]
-    fn malformed_line_reports_position() {
-        let err = read_text("0x10 alu deps=1,0\nwhat is this\n".as_bytes()).unwrap_err();
-        match err {
-            TraceError::BadLine { line, .. } => assert_eq!(line, 2),
-            other => panic!("wrong error: {other}"),
-        }
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //!
 //! - `access`: every access's hit flag, evicted block and dirty bit;
 //! - `state`: the end state — statistics, shadow statistics, imitation,
-//!   exclusive-miss and aliasing totals, Figure-7 samples, switch-lag
-//!   statistics, `audit_counts()`, `timeline_probe()`, the label and the
-//!   selector accessors;
+//!   exclusive-miss and aliasing totals, Figure-7 samples,
+//!   `timeline_probe()`, the label and the selector accessors;
 //! - `events`: the decision-event sequence, every event recorded.
 //!
 //! A refactor of the engines that is meant to keep their behaviour must
@@ -21,8 +20,8 @@ use adaptive_cache::{
     MultiConfig, SbarCache, SbarConfig, SharedPsel,
 };
 use cache_sim::{
-    AccessOutcome, AuditCounts, BlockAddr, CacheModel, Geometry, Lfu, Lru, PolicyKind,
-    ReplacementPolicy, SwitchLagStats, TagMode,
+    AccessOutcome, BlockAddr, CacheModel, Geometry, Lfu, Lru, PolicyKind, ReplacementPolicy,
+    TagMode,
 };
 use std::cell::Cell;
 use std::sync::{Arc, Once};
@@ -67,16 +66,6 @@ impl Digest {
         }
     }
 
-    fn switch(&mut self, s: SwitchLagStats) {
-        self.words([
-            s.window_accesses,
-            s.winner_flips,
-            s.followed,
-            s.total_lag_windows,
-            s.max_lag_windows,
-        ]);
-    }
-
     fn probe(&mut self, p: TimelineProbe) {
         self.words([
             p.accesses,
@@ -96,19 +85,6 @@ impl Digest {
         ]);
     }
 
-    fn audit(&mut self, a: Option<AuditCounts>) {
-        let Some(a) = a else {
-            return self.word(0);
-        };
-        self.word(1);
-        for v in [&a.set_hits, &a.set_shadow_a_hits, &a.set_shadow_b_hits] {
-            self.word(v.len() as u64);
-            self.words(v.iter().copied());
-        }
-        self.words([a.shadow_a.0, a.shadow_a.1, a.shadow_b.0, a.shadow_b.1]);
-        self.switch(a.switch);
-    }
-
     /// What every organisation reports through [`CacheModel`].
     fn model(&mut self, m: &dyn CacheModel) {
         let s = m.stats();
@@ -123,7 +99,6 @@ impl Digest {
         ]);
         self.text(&m.label());
         self.probe(m.timeline_probe());
-        self.audit(m.audit_counts());
     }
 
     fn pair(&mut self, (a, b): (u64, u64)) {
@@ -171,10 +146,6 @@ fn event_digest(h: u64, e: DecisionEvent) -> u64 {
             bip_leader,
             psel,
         } => d.words([set.into(), bip_leader.into(), psel.into()]),
-        DecisionEvent::SwitchLag { window, lag, to } => {
-            d.words([window, lag]);
-            d.text(to.as_str());
-        }
     }
     d.0
 }
@@ -288,7 +259,6 @@ fn adaptive_state<A: ReplacementPolicy, B: ReplacementPolicy>(
     h.pair(c.imitation_totals());
     h.pair(c.exclusive_miss_totals());
     h.word(c.aliasing_fallbacks());
-    h.switch(c.switch_lag_stats());
     for set in 0..c.geometry().num_sets() {
         h.word(comp(c.set_winner(set)));
     }
@@ -500,40 +470,40 @@ fn multi_and_dip_are_pinned() {
 
 #[rustfmt::skip]
 const ADAPTIVE: &[(&str, Digests)] = &[
-    ("adaptive/full/l2", (0xb2a20873b08a9ebd, 0x34209d0d3a3e4780, 0x4cbdb9d3c9e30a96)),
-    ("adaptive/8bit/l2", (0xb2a20873b08a9ebd, 0xeac29262c7675748, 0x4cbdb9d3c9e30a96)),
-    ("adaptive/xor8/l2", (0xb2a20873b08a9ebd, 0xeac29262c7675748, 0x4cbdb9d3c9e30a96)),
-    ("adaptive/1bit/l2", (0x3d2da77c736c6548, 0x540c2645b7fdf31c, 0x42e10f0b67c960c7)),
-    ("adaptive/lru_shortcut/l2", (0x87ca13affd0a4f17, 0x91d9ef776b47570b, 0xd17ffc490f6a4715)),
-    ("adaptive/counters/l2", (0xb3acf43a24535482, 0xfe32ffed55d8ffce, 0xcab99aa7c33481b9)),
-    ("adaptive/saturating4/l2", (0x7eb08b81c6e7e488, 0xac93af58515b1309, 0x1740ebdf481cba6d)),
-    ("adaptive/custom/l2", (0xb2a20873b08a9ebd, 0x34209d0d3a3e4780, 0x4cbdb9d3c9e30a96)),
-    ("adaptive/full/small", (0x25c5f4bbb70debce, 0x2a9725b18c57dbe6, 0x9a5f914ea9dbbea4)),
-    ("adaptive/8bit/small", (0x25c5f4bbb70debce, 0x47d96c9468cf82ce, 0x9a5f914ea9dbbea4)),
-    ("adaptive/xor8/small", (0x25c5f4bbb70debce, 0x47d96c9468cf82ce, 0x9a5f914ea9dbbea4)),
-    ("adaptive/1bit/small", (0xe39f99606a3c041d, 0x01c07b0964d27f44, 0x61a553123440e326)),
-    ("adaptive/lru_shortcut/small", (0xf718a3db8f10fc0e, 0x2a9725b18c57dbe6, 0xdc28ea3fb20d2a44)),
-    ("adaptive/counters/small", (0x2053f0b4bddc0917, 0x5b7c665b7d4fe357, 0xead6c7540d5460a7)),
-    ("adaptive/saturating4/small", (0x898163e8296d4693, 0x281adb657b889d30, 0xcb94f2d117e58467)),
-    ("adaptive/custom/small", (0x25c5f4bbb70debce, 0x2a9725b18c57dbe6, 0x9a5f914ea9dbbea4)),
+    ("adaptive/full/l2", (0xb2a20873b08a9ebd, 0x7c801966d489a675, 0xc87ed93ee496a4b8)),
+    ("adaptive/8bit/l2", (0xb2a20873b08a9ebd, 0x461ec95352754ded, 0xc87ed93ee496a4b8)),
+    ("adaptive/xor8/l2", (0xb2a20873b08a9ebd, 0x461ec95352754ded, 0xc87ed93ee496a4b8)),
+    ("adaptive/1bit/l2", (0x3d2da77c736c6548, 0xb60799bfeb541081, 0x42e10f0b67c960c7)),
+    ("adaptive/lru_shortcut/l2", (0x87ca13affd0a4f17, 0x36c31cb3d89b1af0, 0x5981934570e364fb)),
+    ("adaptive/counters/l2", (0xb3acf43a24535482, 0x582b415a106ef018, 0x39f105e6e0c7dd6f)),
+    ("adaptive/saturating4/l2", (0x7eb08b81c6e7e488, 0xf61abf1920a893c9, 0xe0763e10d4f4abe7)),
+    ("adaptive/custom/l2", (0xb2a20873b08a9ebd, 0x7c801966d489a675, 0xc87ed93ee496a4b8)),
+    ("adaptive/full/small", (0x25c5f4bbb70debce, 0x01bf2f3fb1335fed, 0x88c91c35351003a2)),
+    ("adaptive/8bit/small", (0x25c5f4bbb70debce, 0x0ab6d36d19f529e5, 0x88c91c35351003a2)),
+    ("adaptive/xor8/small", (0x25c5f4bbb70debce, 0x0ab6d36d19f529e5, 0x88c91c35351003a2)),
+    ("adaptive/1bit/small", (0xe39f99606a3c041d, 0xe1853685c4a02a81, 0x61a553123440e326)),
+    ("adaptive/lru_shortcut/small", (0xf718a3db8f10fc0e, 0x01bf2f3fb1335fed, 0xbc9a36094faeeec2)),
+    ("adaptive/counters/small", (0x2053f0b4bddc0917, 0x385429a6840d81d8, 0xa353b9a3c4ec0129)),
+    ("adaptive/saturating4/small", (0x898163e8296d4693, 0xc17d8ac3e7a9e3b8, 0x0c3f9cf6fe96ed41)),
+    ("adaptive/custom/small", (0x25c5f4bbb70debce, 0x01bf2f3fb1335fed, 0x88c91c35351003a2)),
 ];
 
 #[rustfmt::skip]
 const SBAR: &[(&str, Digests)] = &[
-    ("sbar/paper/l2", (0xe8b98a388de8af1b, 0x257c9e2226795e69, 0xd0bd534335159497)),
-    ("sbar/partial/l2", (0xe8b98a388de8af1b, 0x257c9e2226795e69, 0xd0bd534335159497)),
-    ("sbar/shards/l2", (0xe469faa8887b9ebc, 0x628c568dbdf8107a, 0x2c0d471915ea03d7)),
-    ("sbar/paper/small", (0x25c5f4bbb70debce, 0x4a10429710ebc888, 0x8458239c434d11e4)),
-    ("sbar/partial/small", (0x25c5f4bbb70debce, 0x4a10429710ebc888, 0x8458239c434d11e4)),
-    ("sbar/shards/small", (0xbecd56544111da6f, 0xd930f91243c6775e, 0xab26e0a5e1487a0d)),
+    ("sbar/paper/l2", (0xe8b98a388de8af1b, 0x0a9a7aad4c0d0f6e, 0xd0bd534335159497)),
+    ("sbar/partial/l2", (0xe8b98a388de8af1b, 0x0a9a7aad4c0d0f6e, 0xd0bd534335159497)),
+    ("sbar/shards/l2", (0xe469faa8887b9ebc, 0xd019c416e1d98a60, 0x2c0d471915ea03d7)),
+    ("sbar/paper/small", (0x25c5f4bbb70debce, 0x198ca431444b89cf, 0x8458239c434d11e4)),
+    ("sbar/partial/small", (0x25c5f4bbb70debce, 0x198ca431444b89cf, 0x8458239c434d11e4)),
+    ("sbar/shards/small", (0xbecd56544111da6f, 0x88dcd24c5c9fc5aa, 0xab26e0a5e1487a0d)),
 ];
 
 #[rustfmt::skip]
 const MULTI_DIP: &[(&str, Digests)] = &[
-    ("multi/five/l2", (0x80cba085f2c27b3e, 0x1a2d294e12ff9edb, 0xcbf29ce484222325)),
-    ("multi/lru_lfu/l2", (0xb3acf43a24535482, 0x2a4113599eefa8da, 0xcbf29ce484222325)),
-    ("dip/l2", (0x762a9a789735729b, 0x53fa936a3d53d306, 0x93ff2ed02403034b)),
-    ("multi/five/small", (0x6a8c093402e8aff6, 0x09cbda6712333712, 0xcbf29ce484222325)),
-    ("multi/lru_lfu/small", (0x5ff15945252f3251, 0xc3e76879cea12a27, 0xcbf29ce484222325)),
-    ("dip/small", (0x8f99975fc61f9258, 0xac2eedd9f8f02ed0, 0xc34abd6e950b80eb)),
+    ("multi/five/l2", (0x80cba085f2c27b3e, 0xe2aca14ca871c53b, 0xcbf29ce484222325)),
+    ("multi/lru_lfu/l2", (0xb3acf43a24535482, 0xe4874eab0c32409a, 0xcbf29ce484222325)),
+    ("dip/l2", (0x762a9a789735729b, 0x6a8823e9dd9d248c, 0x93ff2ed02403034b)),
+    ("multi/five/small", (0x6a8c093402e8aff6, 0x4b01fefb3eedb7b2, 0xcbf29ce484222325)),
+    ("multi/lru_lfu/small", (0x5ff15945252f3251, 0x4eff8ebf49c4fc47, 0xcbf29ce484222325)),
+    ("dip/small", (0x8f99975fc61f9258, 0x925d31e829ae3af1, 0xc34abd6e950b80eb)),
 ];

@@ -1,19 +1,19 @@
 //! End-to-end check of front-end memoisation: a fig03-style sweep run
-//! with `AC_REPLAY=0` (front-end re-simulated in every cell) and with
-//! `AC_REPLAY=1` (captured once per benchmark, replayed per cell) must
-//! produce byte-identical results — same serialised `MpkiResult`s and
-//! the same telemetry timeline windows (wall-clock fields excluded).
-//! The same sweep stays identical under a zero `AC_REPLAY_CACHE_MB`
-//! cap. (What the cache keys a capture by is checked in
-//! `tests/replay_key.rs`.)
+//! directly (the front end driving each organisation behind a
+//! `Hierarchy`, `cpu_model::run_functional`) and through the replay
+//! cache (captured once per benchmark, replayed per cell) must produce
+//! byte-identical results — same serialised `MpkiResult`s and the same
+//! telemetry timeline windows (wall-clock fields excluded). The same
+//! sweep stays identical under a zero `AC_REPLAY_CACHE_MB` cap. (What
+//! the cache keys a capture by is checked in `tests/replay_key.rs`.)
 //!
-//! The global telemetry recorder is install-once per process and the
-//! `AC_REPLAY*` environment variables are process-global too, so the
-//! whole scenario lives in ONE `#[test]` function running cells
-//! sequentially.
+//! The global telemetry recorder is install-once per process and
+//! `AC_REPLAY_CACHE_MB` is process-global too, so the whole scenario
+//! lives in ONE `#[test]` function running cells sequentially.
 
 use adaptive_cache::{AdaptiveConfig, DipConfig, MultiConfig, SbarConfig};
-use cache_sim::PolicyKind;
+use cache_sim::{Geometry, PolicyKind};
+use cpu_model::{run_functional, CpuConfig, Hierarchy};
 use experiments::runner::MpkiResult;
 use experiments::{replay_cache, run_functional_l2, FaultSpec, L2Kind, PAPER_L2};
 use workloads::primary_suite;
@@ -62,6 +62,24 @@ fn run_sweep() -> Vec<MpkiResult> {
     out
 }
 
+/// The sweep's cells with the front end run in each of them.
+fn run_direct() -> Vec<MpkiResult> {
+    let config = CpuConfig::paper_default();
+    let geom = Geometry::new(PAPER_L2.0, PAPER_L2.1, PAPER_L2.2).unwrap();
+    let mut out = Vec::new();
+    for b in primary_suite().iter().take(2) {
+        for k in kinds() {
+            let mut hierarchy = Hierarchy::new(&config, k.build(geom));
+            out.push(MpkiResult {
+                benchmark: b.name.to_string(),
+                l2: k.label(),
+                stats: run_functional(&mut hierarchy, b.spec.generator(), INSTS),
+            });
+        }
+    }
+    out
+}
+
 #[test]
 fn sweep_is_byte_identical_with_and_without_replay() {
     // Timelines on, with a window small enough that the ring closes
@@ -70,16 +88,12 @@ fn sweep_is_byte_identical_with_and_without_replay() {
     let hub = ac_telemetry::Telemetry::install(cfg)
         .expect("this test binary must be the only global installer");
 
-    std::env::set_var("AC_REPLAY", "0");
-    replay_cache::clear();
-    let direct = run_sweep();
+    let direct = run_direct();
     let direct_timelines = hub.timelines();
 
-    std::env::set_var("AC_REPLAY", "1");
     replay_cache::clear();
     let replayed = run_sweep();
     let all_timelines = hub.timelines();
-    std::env::remove_var("AC_REPLAY");
 
     // Results must serialise to the same bytes.
     let direct_json = serde_json::to_string(&direct).unwrap();

@@ -3,12 +3,11 @@
 //! instruction budget — and not by the benchmark's name. Each cell
 //! below differs from `mcf` in one part of that key while keeping its
 //! name; run through the cache right after `mcf` was captured, it must
-//! match a direct run of the front-end (`AC_REPLAY=0`).
-//!
-//! `AC_REPLAY` is process-global, so this binary holds one `#[test]`.
+//! match a direct run of the front-end (`cpu_model::run_functional` on
+//! a `Hierarchy`).
 
-use cache_sim::PolicyKind;
-use cpu_model::CpuConfig;
+use cache_sim::{Geometry, PolicyKind};
+use cpu_model::{run_functional, CpuConfig, Hierarchy};
 use experiments::{replay_cache, run_functional_l2_cfg, L2Kind, PAPER_L2};
 use workloads::{primary_suite, Benchmark, CodeSpec, MixSpec};
 
@@ -44,13 +43,16 @@ fn a_cell_differing_in_any_part_of_the_key_replays_its_own_stream() {
             .expect("paper geometry is valid")
             .stats
     };
-    std::env::set_var("AC_REPLAY", "0");
-    let original = run(&mcf, &paper, INSTS);
+    let geom = Geometry::new(PAPER_L2.0, PAPER_L2.1, PAPER_L2.2).unwrap();
+    let run_direct = |b: &Benchmark, cfg: &CpuConfig, insts: u64| {
+        let mut hierarchy = Hierarchy::new(cfg, lru.build(geom));
+        run_functional(&mut hierarchy, b.spec.generator(), insts)
+    };
+    let original = run_direct(&mcf, &paper, INSTS);
     let direct: Vec<_> = cells
         .iter()
-        .map(|(_, b, cfg, insts)| run(b, cfg, *insts))
+        .map(|(_, b, cfg, insts)| run_direct(b, cfg, *insts))
         .collect();
-    std::env::remove_var("AC_REPLAY");
 
     for ((part, b, cfg, insts), direct) in cells.iter().zip(&direct) {
         assert_ne!(*direct, original, "changing the {part} changes the stream");
