@@ -37,10 +37,8 @@ use crate::report::EXIT_INVALID_INPUT;
 use ac_telemetry::TimelineProbe;
 use adaptive_cache::Component;
 use cache_sim::{CacheModel, Geometry};
-use cpu_model::{
-    belady, capture_functional, replay_model_windows, replay_standalone, L2Trace, PolicyReplay,
-};
-use experiments::cell::{self, RunRequest, Workload};
+use cpu_model::{belady, replay_model_windows, replay_standalone, L2Trace, PolicyReplay};
+use experiments::cell::{self, RunRequest};
 use experiments::{L2Kind, CACHE_SEED};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -130,7 +128,7 @@ pub struct PerSetAudit {
 pub struct AuditReport {
     /// Schema version of this document ([`AUDIT_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Workload identity (benchmark name or trace path).
+    /// Workload identity (benchmark name, or `"inline spec"`).
     pub workload: String,
     /// L2 organisation label.
     pub l2: String,
@@ -398,19 +396,9 @@ impl Books {
 /// the run config describes, once `cell::validate` has resolved its
 /// workload.
 fn capture_stream(cfg: &RunRequest) -> Result<(String, std::sync::Arc<L2Trace>), String> {
-    match cell::validate(cfg).map_err(|e| e.to_string())? {
-        Workload::Generated(bench) => {
-            let (trace, _captured) =
-                experiments::replay_cache::get_or_capture(&bench, &cfg.cpu, cfg.insts);
-            Ok((bench.name, trace))
-        }
-        Workload::TraceFile(path) => {
-            let insts = cell::load_trace(&path).map_err(|e| e.to_string())?;
-            let n = insts.len() as u64;
-            let trace = capture_functional(&cfg.cpu, insts.into_iter(), n);
-            Ok((path, std::sync::Arc::new(trace)))
-        }
-    }
+    let bench = cell::validate(cfg).map_err(|e| e.to_string())?;
+    let (trace, _captured) = experiments::replay_cache::get_or_capture(&bench, &cfg.cpu, cfg.insts);
+    Ok((bench.name, trace))
 }
 
 /// Computes the full audit of one run config.
@@ -717,7 +705,6 @@ mod tests {
         RunRequest {
             benchmark: Some("ammp".to_string()),
             spec: None,
-            trace_file: None,
             l2,
             mode: "functional".to_string(),
             insts: 60_000,

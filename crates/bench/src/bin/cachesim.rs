@@ -7,9 +7,9 @@
 //!   cargo run --release -p bench --bin cachesim -- figure all
 //!
 //! The JSON file describes either **one run** — a workload (a suite
-//! benchmark by name, an inline `WorkloadSpec`, or a recorded trace
-//! file), an L2 organisation, the mode (functional or timed) and the
-//! instruction budget — or a **sweep**: `{"sweep": [<run>, ...]}`.
+//! benchmark by name or an inline `WorkloadSpec`), an L2 organisation,
+//! the mode (functional or timed) and the instruction budget — or a
+//! **sweep**: `{"sweep": [<run>, ...]}`.
 //! Results are printed as JSON on stdout.
 //!
 //! `figure {all|<stem>...}` regenerates the paper's tables and figures
@@ -39,7 +39,7 @@
 //! results, `3` invalid input.
 
 use cpu_model::CpuConfig;
-use experiments::cell::{self, RunReply, RunRequest, Workload};
+use experiments::cell::{self, RunReply, RunRequest};
 use experiments::resilience::{self, SupervisorConfig, EXIT_INVALID_INPUT, EXIT_PARTIAL};
 use experiments::L2Kind;
 use serde::{Deserialize, Serialize};
@@ -73,7 +73,6 @@ fn template() -> RunRequest {
     RunRequest {
         benchmark: Some("art-1".to_string()),
         spec: None,
-        trace_file: None,
         l2: L2Kind::Adaptive(adaptive_cache::AdaptiveConfig::paper_default()),
         mode: "timed".to_string(),
         insts: 2_000_000,
@@ -116,7 +115,7 @@ fn run_sweep_request(req: SweepRequest, config_path: &Path) -> i32 {
             )),
         }
     });
-    let cells: Vec<(String, RunRequest, Workload)> = req
+    let cells: Vec<_> = req
         .sweep
         .into_iter()
         .enumerate()

@@ -155,37 +155,43 @@ fn poisoned_sweep_exits_partial_then_resumes_only_the_failed_cell() {
 
 #[test]
 fn missing_workload_source_exits_invalid() {
-    let dir = tmp_dir("nosource");
-    let cfg = dir.join("bad.json");
-    std::fs::write(
-        &cfg,
+    // A field that names no workload source, such as a stale
+    // `trace_file`, is ignored like any unknown field.
+    for bad in [
         r#"{"l2":{"Plain":"Lru"},"mode":"functional","insts":1000}"#,
-    )
-    .unwrap();
-    let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
-    assert_eq!(out.status.code(), Some(3));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("benchmark"),
-        "error names the fields: {stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        r#"{"trace_file":"x.actr","l2":{"Plain":"Lru"},"mode":"functional","insts":1000}"#,
+    ] {
+        let dir = tmp_dir("nosource");
+        let cfg = dir.join("bad.json");
+        std::fs::write(&cfg, bad).unwrap();
+        let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
+        assert_eq!(out.status.code(), Some(3), "{bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("`benchmark`"),
+            "error names the fields: {stderr}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn conflicting_workload_sources_exit_invalid_naming_both_fields() {
     let dir = tmp_dir("conflict");
     let cfg = dir.join("bad.json");
+    let spec = mcf_spec_with(|_| {});
     std::fs::write(
         &cfg,
-        r#"{"benchmark":"mcf","trace_file":"x.actr","l2":{"Plain":"Lru"},"mode":"functional","insts":1000}"#,
+        format!(
+            r#"{{"benchmark":"mcf","spec":{spec},"l2":{{"Plain":"Lru"}},"mode":"functional","insts":1000}}"#
+        ),
     )
     .unwrap();
     let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
     assert_eq!(out.status.code(), Some(3));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("`benchmark`") && stderr.contains("`trace_file`"),
+        stderr.contains("`benchmark`") && stderr.contains("`spec`"),
         "both offending fields are named: {stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -204,6 +210,17 @@ fn mcf_spec_with(edit: fn(&mut workloads::MixSpec)) -> String {
 /// A functional 20 000-instruction cell running `spec` inline.
 fn spec_cell(spec: &str) -> String {
     format!(r#"{{"spec":{spec},"l2":{{"Plain":"Lru"}},"mode":"functional","insts":20000}}"#)
+}
+
+/// A timed 20 000-instruction `mcf` cell on the paper's processor after
+/// `edit`.
+fn cpu_cell(edit: fn(&mut cpu_model::CpuConfig)) -> String {
+    let mut cpu = cpu_model::CpuConfig::paper_default();
+    edit(&mut cpu);
+    let cpu = serde_json::to_string(&cpu).unwrap();
+    format!(
+        r#"{{"benchmark":"mcf","l2":{{"Plain":"Lru"}},"mode":"timed","insts":20000,"cpu":{cpu}}}"#
+    )
 }
 
 #[test]
@@ -229,6 +246,9 @@ fn bad_sweep_cell_is_rejected_before_anything_runs() {
             spec_cell(&mcf_spec_with(|m| m.line_burst = 0)),
             "`spec.mix.line_burst`",
         ),
+        (cpu_cell(|c| c.l1d.size_bytes = 1000), "`cpu.l1d`"),
+        (cpu_cell(|c| c.l2.associativity = 7), "`cpu.l2`"),
+        (cpu_cell(|c| c.bus_bytes = 0), "`cpu.bus_bytes`"),
     ];
     for (bad, field) in bad_cells {
         let dir = tmp_dir("badcell");
@@ -623,6 +643,11 @@ fn unknown_mode_and_unknown_benchmark_exit_invalid() {
     let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
     assert_eq!(out.status.code(), Some(3));
     assert!(String::from_utf8_lossy(&out.stderr).contains("no-such-bench"));
+
+    std::fs::write(&cfg, cpu_cell(|c| c.l1d.size_bytes = 1000)).unwrap();
+    let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
+    assert_eq!(out.status.code(), Some(3));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`cpu.l1d`"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,34 +1,30 @@
 //! One simulation cell: the request a `cachesim` run or sweep takes and
 //! a figure declares, its validation, its run and its resume key.
 //!
-//! A [`RunRequest`] names a workload (a suite benchmark, an inline
-//! [`WorkloadSpec`] or a recorded trace file), an L2 organisation, the
-//! mode and the instruction budget on a processor configuration.
-//! [`validate`] resolves its workload before anything runs, [`run`]
-//! executes it, and [`key`] identifies it in a sweep journal: one cell
-//! has one key in every sweep and every figure.
+//! A [`RunRequest`] names a workload (a suite benchmark or an inline
+//! [`WorkloadSpec`]), an L2 organisation, the mode and the instruction
+//! budget on a processor configuration. [`validate`] checks it and
+//! resolves its workload to one [`Benchmark`] before anything runs,
+//! [`run`] executes it, and [`key`] identifies it in a sweep journal:
+//! one cell has one key in every sweep and every figure.
 
 use crate::resilience::ExperimentError;
 use crate::runner::{run_functional_l2_cfg, run_timed, L2Kind};
 use cache_sim::Geometry;
-use cpu_model::{run_functional, CpuConfig, FunctionalStats, Hierarchy, Pipeline, RunStats};
+use cpu_model::{CpuConfig, FunctionalStats, RunStats};
 use serde::{Deserialize, Serialize};
-use workloads::{extended_suite, trace_io, Benchmark, Inst, Suite, WorkloadSpec};
+use workloads::{extended_suite, Benchmark, Suite, WorkloadSpec};
 
 /// One simulation request.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunRequest {
     /// Benchmark name from the built-in suite (see
-    /// `policy_explorer -- --list`). Mutually exclusive with `spec` and
-    /// `trace_file`.
+    /// `policy_explorer -- --list`). Mutually exclusive with `spec`.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub benchmark: Option<String>,
     /// Inline workload specification.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub spec: Option<WorkloadSpec>,
-    /// Path to a recorded `.actr` binary trace.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub trace_file: Option<String>,
     /// The L2 organisation under test.
     pub l2: L2Kind,
     /// `"functional"` (miss rates only, fast) or `"timed"` (full CPI).
@@ -56,7 +52,6 @@ impl RunRequest {
         RunRequest {
             benchmark: Some(b.name.clone()),
             spec: None,
-            trace_file: None,
             l2: kind.clone(),
             mode: "timed".to_string(),
             insts,
@@ -68,7 +63,7 @@ impl RunRequest {
 /// The outcome of one request.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunReply {
-    /// Benchmark name, `"inline spec"`, or the trace file's path.
+    /// Benchmark name, or `"inline spec"`.
     pub workload: String,
     /// The L2 organisation's label.
     pub l2: String,
@@ -116,132 +111,68 @@ impl RunReply {
     }
 }
 
-/// A request's workload, resolved once while validating.
-#[derive(Debug, Clone)]
-pub enum Workload {
-    /// A suite benchmark or an inline spec, streamed from its generator.
-    Generated(Benchmark),
-    /// A recorded `.actr` trace file.
-    TraceFile(String),
-}
-
 /// Checks a request before anything runs — exactly one workload source,
 /// a known mode, a benchmark name the suite has, an inline spec the
-/// generator accepts (`WorkloadSpec::check`) — and resolves its
-/// workload. The error names the offending field.
-pub fn validate(req: &RunRequest) -> Result<Workload, ExperimentError> {
-    let workload = match (&req.benchmark, &req.spec, &req.trace_file) {
-        (Some(name), None, None) => {
-            let b = extended_suite()
-                .into_iter()
-                .find(|b| &b.name == name)
-                .ok_or_else(|| {
-                    ExperimentError::InvalidInput(format!(
-                        "field `benchmark`: unknown benchmark {name:?} (try policy_explorer -- --list)"
-                    ))
-                })?;
-            Workload::Generated(b)
-        }
-        (None, Some(spec), None) => {
-            spec.check().map_err(|e| {
-                ExperimentError::InvalidInput(format!("field `spec.{}`: {}", e.field, e.message))
-            })?;
+/// generator accepts (`WorkloadSpec::check`), cache geometries the model
+/// can build and a nonzero bus width — and resolves its workload to the
+/// benchmark [`run`] streams. The error names the offending field.
+pub fn validate(req: &RunRequest) -> Result<Benchmark, ExperimentError> {
+    let invalid = ExperimentError::InvalidInput;
+    let bench = match (&req.benchmark, &req.spec) {
+        (Some(name), None) => extended_suite()
+            .into_iter()
+            .find(|b| &b.name == name)
+            .ok_or_else(|| {
+                invalid(format!(
+                    "field `benchmark`: unknown benchmark {name:?} (try policy_explorer -- --list)"
+                ))
+            })?,
+        (None, Some(spec)) => {
+            spec.check()
+                .map_err(|e| invalid(format!("field `spec.{}`: {}", e.field, e.message)))?;
             // The experiment runner reads only a benchmark's name and spec.
-            Workload::Generated(Benchmark {
+            Benchmark {
                 name: "inline spec".to_string(),
                 suite: Suite::SpecInt,
                 spec: spec.clone(),
-            })
+            }
         }
-        (None, None, Some(path)) => Workload::TraceFile(path.clone()),
         _ => {
-            let set: Vec<String> = [
-                ("benchmark", req.benchmark.is_some()),
-                ("spec", req.spec.is_some()),
-                ("trace_file", req.trace_file.is_some()),
-            ]
-            .iter()
-            .filter(|(_, s)| *s)
-            .map(|(n, _)| format!("`{n}`"))
-            .collect();
-            return Err(ExperimentError::InvalidInput(if set.is_empty() {
-                "one of the fields `benchmark`, `spec`, `trace_file` is required".into()
-            } else {
-                format!(
-                    "fields {} are mutually exclusive — set exactly one",
-                    set.join(", ")
-                )
-            }));
+            return Err(invalid(
+                "set exactly one of the fields `benchmark`, `spec`".into(),
+            ))
         }
     };
     if !matches!(req.mode.as_str(), "functional" | "timed") {
-        return Err(ExperimentError::InvalidInput(format!(
+        return Err(invalid(format!(
             "field `mode`: unknown mode {:?} (functional|timed)",
             req.mode
         )));
     }
-    Ok(workload)
+    let cpu = &req.cpu;
+    for (field, p) in [("l1i", cpu.l1i), ("l1d", cpu.l1d), ("l2", cpu.l2)] {
+        Geometry::new(p.size_bytes, p.line_bytes, p.associativity)
+            .map_err(|e| invalid(format!("field `cpu.{field}`: bad geometry: {e}")))?;
+    }
+    if cpu.bus_bytes == 0 {
+        return Err(invalid("field `cpu.bus_bytes`: must be at least 1".into()));
+    }
+    Ok(bench)
 }
 
-/// Reads the recorded trace a request's `trace_file` names.
-pub fn load_trace(path: &str) -> Result<Vec<Inst>, ExperimentError> {
-    let file = std::fs::File::open(path).map_err(|e| {
-        ExperimentError::InvalidInput(format!("field `trace_file`: cannot open {path}: {e}"))
-    })?;
-    trace_io::read_binary(std::io::BufReader::new(file)).map_err(|e| {
-        ExperimentError::Trace(format!("field `trace_file`: cannot parse {path}: {e}"))
-    })
-}
-
-fn bad_geometry(e: impl std::fmt::Display) -> ExperimentError {
-    ExperimentError::InvalidInput(format!("field `cpu.l2`: bad geometry: {e}"))
-}
-
-/// Executes one validated request end to end. Generated workloads go
-/// through the experiment runner, which streams the generator: a
-/// functional cell shares the process-wide replay cache, so the front
-/// end runs at most once per (workload spec, L1 config, budget) key.
-/// Trace files are read whole and run directly.
-pub fn run(req: &RunRequest, workload: &Workload) -> Result<RunReply, ExperimentError> {
-    let functional = req.mode == "functional";
-    match workload {
-        Workload::Generated(b) => {
-            let geometry_is_input = |e| match e {
-                ExperimentError::Geometry(g) => bad_geometry(g),
-                other => other,
-            };
-            if functional {
-                let l2 = &req.cpu.l2;
-                let r = run_functional_l2_cfg(
-                    b,
-                    &req.l2,
-                    (l2.size_bytes, l2.line_bytes, l2.associativity),
-                    req.insts,
-                    &req.cpu,
-                )
-                .map_err(geometry_is_input)?;
-                Ok(RunReply::functional(b.name.clone(), req, &r.stats))
-            } else {
-                let s = run_timed(b, &req.l2, req.cpu, req.insts).map_err(geometry_is_input)?;
-                Ok(RunReply::timed(b.name.clone(), req, &s))
-            }
-        }
-        Workload::TraceFile(path) => {
-            let trace = load_trace(path)?;
-            let l2 = &req.cpu.l2;
-            let geom = Geometry::new(l2.size_bytes, l2.line_bytes, l2.associativity)
-                .map_err(bad_geometry)?;
-            let l2 = req.l2.build(geom);
-            let n = trace.len() as u64;
-            if functional {
-                let mut h = Hierarchy::new(&req.cpu, l2);
-                let s = run_functional(&mut h, trace.into_iter(), n);
-                Ok(RunReply::functional(path.clone(), req, &s))
-            } else {
-                let s = Pipeline::new(req.cpu, l2).run(trace.into_iter(), n);
-                Ok(RunReply::timed(path.clone(), req, &s))
-            }
-        }
+/// Executes one validated request end to end through the experiment
+/// runner, which streams the benchmark's generator: a functional cell
+/// shares the process-wide replay cache, so the front end runs at most
+/// once per (workload spec, L1 config, budget) key.
+pub fn run(req: &RunRequest, b: &Benchmark) -> Result<RunReply, ExperimentError> {
+    if req.mode == "functional" {
+        let l2 = &req.cpu.l2;
+        let geom = (l2.size_bytes, l2.line_bytes, l2.associativity);
+        let r = run_functional_l2_cfg(b, &req.l2, geom, req.insts, &req.cpu)?;
+        Ok(RunReply::functional(b.name.clone(), req, &r.stats))
+    } else {
+        let s = run_timed(b, &req.l2, req.cpu, req.insts)?;
+        Ok(RunReply::timed(b.name.clone(), req, &s))
     }
 }
 
@@ -250,11 +181,7 @@ pub fn run(req: &RunRequest, workload: &Workload) -> Result<RunReply, Experiment
 /// a cell invalidates that cell's checkpoint and no other, and the same
 /// request has the same key wherever it appears.
 pub fn key(req: &RunRequest) -> String {
-    let workload = req
-        .benchmark
-        .as_deref()
-        .or(req.trace_file.as_deref())
-        .unwrap_or("spec");
+    let workload = req.benchmark.as_deref().unwrap_or("spec");
     // FNV-1a: stable across builds, unlike `DefaultHasher`, so journals
     // written by one build resume under the next.
     let json = serde_json::to_string(req).expect("a request serialises");

@@ -1,22 +1,16 @@
 //! Deterministic fault injection, so the resilience layer's degradation
 //! paths are tested rather than assumed.
 //!
-//! Two wrappers cover the pipeline's failure surfaces:
+//! [`FaultyCache`] wraps any [`CacheModel`] and injects panics, stalls
+//! and bit-flipped tags at exact access counts — reachable from run
+//! configs via [`crate::L2Kind::Faulty`], so a sweep cell can be made
+//! hostile from pure JSON.
 //!
-//! * [`FaultyCache`] wraps any [`CacheModel`] and injects panics, stalls
-//!   and bit-flipped tags at exact access counts — reachable from run
-//!   configs via [`crate::L2Kind::Faulty`], so a sweep cell can be made
-//!   hostile from pure JSON.
-//! * [`FaultyRead`] wraps any [`Read`] and injects short reads, I/O
-//!   errors and bit flips at exact byte offsets — for exercising
-//!   `workloads::trace_io` against corrupt/truncated `.actr` input.
-//!
-//! Everything is a pure function of the spec and the access/byte count:
+//! Everything is a pure function of the spec and the access count:
 //! rerunning a faulty configuration reproduces the identical failure.
 
 use cache_sim::{AccessOutcome, BlockAddr, CacheModel, CacheStats, Geometry};
 use serde::{Deserialize, Serialize};
-use std::io::{self, Read};
 use std::time::Duration;
 
 /// Deterministic fault plan for a [`FaultyCache`].
@@ -121,76 +115,6 @@ impl<C: CacheModel> CacheModel for FaultyCache<C> {
     }
 }
 
-/// A [`Read`] adapter that corrupts the byte stream on schedule:
-/// truncation (premature EOF), a hard I/O error, or a single flipped bit.
-#[derive(Debug)]
-pub struct FaultyRead<R: Read> {
-    inner: R,
-    pos: u64,
-    truncate_at: Option<u64>,
-    error_at: Option<u64>,
-    flip: Option<(u64, u8)>,
-}
-
-impl<R: Read> FaultyRead<R> {
-    /// Wraps `inner` with no faults armed.
-    pub fn new(inner: R) -> Self {
-        FaultyRead {
-            inner,
-            pos: 0,
-            truncate_at: None,
-            error_at: None,
-            flip: None,
-        }
-    }
-
-    /// EOF after `n` bytes (a short read / truncated file).
-    pub fn truncate_at(mut self, n: u64) -> Self {
-        self.truncate_at = Some(n);
-        self
-    }
-
-    /// Hard `io::Error` once `n` bytes have been delivered.
-    pub fn error_at(mut self, n: u64) -> Self {
-        self.error_at = Some(n);
-        self
-    }
-
-    /// XOR `mask` into the byte at offset `at`.
-    pub fn flip_bit(mut self, at: u64, mask: u8) -> Self {
-        self.flip = Some((at, mask));
-        self
-    }
-}
-
-impl<R: Read> Read for FaultyRead<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut limit = buf.len() as u64;
-        if let Some(t) = self.truncate_at {
-            limit = limit.min(t.saturating_sub(self.pos));
-            if limit == 0 {
-                return Ok(0); // injected EOF
-            }
-        }
-        if let Some(e) = self.error_at {
-            if self.pos >= e {
-                return Err(io::Error::other(format!(
-                    "injected fault: I/O error at byte {e}"
-                )));
-            }
-            limit = limit.min(e - self.pos);
-        }
-        let n = self.inner.read(&mut buf[..limit as usize])?;
-        if let Some((at, mask)) = self.flip {
-            if at >= self.pos && at < self.pos + n as u64 {
-                buf[(at - self.pos) as usize] ^= mask;
-            }
-        }
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,40 +157,5 @@ mod tests {
         }
         assert_eq!(faulty.accesses(), 100);
         assert!(faulty.label().starts_with("Faulty("));
-    }
-
-    #[test]
-    fn short_read_truncates() {
-        let data = [7u8; 64];
-        let mut out = Vec::new();
-        FaultyRead::new(&data[..])
-            .truncate_at(10)
-            .read_to_end(&mut out)
-            .unwrap();
-        assert_eq!(out.len(), 10);
-    }
-
-    #[test]
-    fn io_error_fires_at_offset() {
-        let data = [7u8; 64];
-        let mut out = Vec::new();
-        let err = FaultyRead::new(&data[..])
-            .error_at(16)
-            .read_to_end(&mut out)
-            .unwrap_err();
-        assert!(err.to_string().contains("byte 16"), "{err}");
-        assert_eq!(out.len(), 16, "bytes before the fault are delivered");
-    }
-
-    #[test]
-    fn bit_flip_corrupts_one_byte() {
-        let data = [0u8; 32];
-        let mut out = Vec::new();
-        FaultyRead::new(&data[..])
-            .flip_bit(5, 0x80)
-            .read_to_end(&mut out)
-            .unwrap();
-        assert_eq!(out[5], 0x80);
-        assert!(out.iter().enumerate().all(|(i, &b)| (i == 5) ^ (b == 0)));
     }
 }

@@ -3,7 +3,7 @@
 //! cell once, however many figures read it.
 
 use super::Figure;
-use crate::cell::{self, RunReply, RunRequest, Workload};
+use crate::cell::{self, RunReply, RunRequest};
 use crate::report::Table;
 use crate::resilience::{run_sweep, CellOutcome, ExperimentError, SupervisorConfig, SweepReport};
 use crate::runner::L2Kind;
@@ -66,7 +66,7 @@ enum Job {
     /// A whole figure: computes and stores its own table.
     Whole(&'static str, fn(u64) -> Table),
     /// A cell that plan figures read.
-    Cell(Box<(RunRequest, Workload)>),
+    Cell(Box<(RunRequest, Benchmark)>),
 }
 
 /// What a cell of a plan's sweep settles with, journalled bare.

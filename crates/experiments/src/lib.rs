@@ -35,7 +35,7 @@ pub mod report;
 pub mod resilience;
 pub mod runner;
 
-pub use faultinject::{FaultSpec, FaultyCache, FaultyRead};
+pub use faultinject::{FaultSpec, FaultyCache};
 pub use report::Table;
 pub use resilience::{
     run_sweep, CellOutcome, ExperimentError, SupervisorConfig, SweepReport, EXIT_INVALID_INPUT,

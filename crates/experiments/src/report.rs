@@ -72,17 +72,24 @@ impl Table {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// Renders the table as CSV.
+    /// Renders the table as CSV (RFC 4180: a name or label holding a
+    /// comma, a quote or a line break is quoted, its quotes doubled).
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.row_key);
+        let field = |s: &str| {
+            if s.contains([',', '"', '\r', '\n']) {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.to_string()
+            }
+        };
+        let mut out = field(&self.row_key);
         for c in &self.columns {
             out.push(',');
-            out.push_str(c);
+            out.push_str(&field(c));
         }
         out.push('\n');
         for (label, values) in &self.rows {
-            out.push_str(label);
+            out.push_str(&field(label));
             for v in values {
                 out.push(',');
                 out.push_str(&format!("{v:.6}"));
@@ -196,6 +203,13 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "bench,LRU,LFU");
         assert!(lines[1].starts_with("art,10.0"));
+
+        let mut t = Table::new("Fig Y", "a,b", vec![r#"say "hi", twice"#.into()]);
+        t.push_row("x", vec![1.0]);
+        assert_eq!(
+            t.to_csv().lines().next(),
+            Some(r#""a,b","say ""hi"", twice""#)
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub const EXIT_OK: i32 = 0;
 /// out — the artifacts on disk are partial.
 pub const EXIT_PARTIAL: i32 = 2;
 /// Process exit code: the request itself was malformed (bad config, bad
-/// geometry, unknown benchmark, unreadable trace).
+/// geometry, unknown benchmark, invalid inline spec).
 pub const EXIT_INVALID_INPUT: i32 = 3;
 
 /// A typed error for the experiment pipeline, replacing ad-hoc
@@ -42,8 +42,6 @@ pub enum ExperimentError {
     InvalidInput(String),
     /// An impossible cache geometry was requested.
     Geometry(String),
-    /// A trace file could not be read or parsed.
-    Trace(String),
     /// A worker panicked; carries the panic message.
     Panic(String),
     /// A cell exceeded its deadline.
@@ -61,7 +59,6 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Io(m) => write!(f, "I/O error: {m}"),
             ExperimentError::InvalidInput(m) => write!(f, "invalid input: {m}"),
             ExperimentError::Geometry(m) => write!(f, "bad cache geometry: {m}"),
-            ExperimentError::Trace(m) => write!(f, "trace error: {m}"),
             ExperimentError::Panic(m) => write!(f, "worker panicked: {m}"),
             ExperimentError::Timeout { secs } => {
                 write!(f, "cell exceeded its {secs}s deadline")
@@ -82,12 +79,6 @@ impl From<io::Error> for ExperimentError {
 impl From<cache_sim::GeometryError> for ExperimentError {
     fn from(e: cache_sim::GeometryError) -> Self {
         ExperimentError::Geometry(e.to_string())
-    }
-}
-
-impl From<workloads::trace_io::TraceError> for ExperimentError {
-    fn from(e: workloads::trace_io::TraceError) -> Self {
-        ExperimentError::Trace(e.to_string())
     }
 }
 

@@ -44,7 +44,6 @@ mod pattern;
 mod stack;
 mod suite;
 mod threshold;
-pub mod trace_io;
 mod zipf;
 
 pub use inst::{Inst, InstKind};

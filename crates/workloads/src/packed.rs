@@ -8,46 +8,6 @@
 //! stream into a few bytes per event, structure-of-arrays style, so a
 //! whole suite of captured streams fits comfortably in a process-wide
 //! cache.
-//!
-//! The module also provides [`crc32`] (IEEE, the zlib/PNG polynomial),
-//! which checksums the `.actr` trace format.
-
-/// The IEEE CRC-32 lookup table (reflected polynomial `0xEDB88320`),
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// IEEE CRC-32 (the zlib/PNG/gzip checksum) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_update(0, bytes)
-}
-
-/// Continues an IEEE CRC-32 computation: `crc32_update(crc32(a), b) ==
-/// crc32(a ‖ b)`. Feed `0` to start.
-pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
-    let mut c = !crc;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// Appends `v` to `out` as an unsigned LEB128 varint (1–10 bytes).
 fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
@@ -298,15 +258,6 @@ mod tests {
         // the first.
         assert!(seq.byte_len() <= 2 * 10_000 + 8, "{}", seq.byte_len());
         assert_eq!(seq.iter().nth(9_999), Some(0x40_0000 + 9_999 * 64));
-    }
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        // Incremental == one-shot.
-        assert_eq!(crc32_update(crc32(b"1234"), b"56789"), crc32(b"123456789"));
     }
 
     #[test]

@@ -24,17 +24,17 @@ const PINNED: [(&str, u64); 23] = [
     ("ablation_lfu", 0xc813_217d_27d0_11bc),
     ("ablation_sbar", 0x0c18_3911_2a6c_2b32),
     ("ablation_xor_tags", 0x99b6_b4ec_9904_c92e),
-    ("fig03_mpki", 0x1d47_8bf7_d859_6166),
-    ("fig04_cpi", 0x3acb_2187_3bc7_2c55),
+    ("fig03_mpki", 0x05d2_157a_5f2e_6916),
+    ("fig04_cpi", 0x4e0b_eafb_4dd1_77c5),
     ("fig05_partial_tags", 0x8b17_3531_8f4a_d27f),
-    ("fig06_vs_bigger", 0x82c5_14aa_e64c_445b),
+    ("fig06_vs_bigger", 0xee1d_0fce_8600_98f7),
     ("fig07_ammp", 0x2307_fed5_a026_8e0b),
     ("fig07_mgrid", 0x31af_7dba_dfca_2656),
-    ("fig08_fifo_mru", 0x4dfd_5c0f_bc5a_d812),
+    ("fig08_fifo_mru", 0x3c91_dc09_227e_7616),
     ("fig09_associativity", 0xb7df_fd1e_ab53_133e),
     ("fig10_store_buffer", 0x38fd_354f_69a7_e4d0),
     ("headline", 0x696f_31ae_15a3_9000),
-    ("multicore_shared_l2", 0xe43d_9a6a_8105_aa34),
+    ("multicore_shared_l2", 0x4848_0c6e_e2ad_c3f4),
     ("prefetch_adaptivity", 0x85f2_21ae_e616_9087),
     ("related_dip", 0xe259_5763_0206_d44d),
     ("sec44_five_policy", 0xb9fd_99c9_e13b_103b),
@@ -49,6 +49,24 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+/// The number of RFC 4180 fields on each line of `csv`: commas outside
+/// quotes separate fields, and a doubled quote toggles twice.
+fn field_counts(csv: &str) -> Vec<usize> {
+    let (mut counts, mut fields, mut quoted) = (Vec::new(), 1, false);
+    for c in csv.chars() {
+        match c {
+            '"' => quoted = !quoted,
+            ',' if !quoted => fields += 1,
+            '\n' if !quoted => {
+                counts.push(fields);
+                fields = 1;
+            }
+            _ => {}
+        }
+    }
+    counts
 }
 
 #[test]
@@ -75,7 +93,12 @@ fn every_table_keeps_its_digest() {
             Some(benchmark) => fig07_phase_map(benchmark, FIG07_INSTS, 100_000, 32).to_table(),
             None => figure(INSTS),
         };
-        let digest = fnv1a(table.to_csv().as_bytes());
+        let csv = table.to_csv();
+        let fields = field_counts(&csv);
+        if fields.iter().any(|&n| n != fields[0]) {
+            mismatches.push(format!("{stem}: RFC 4180 fields per line {fields:?}"));
+        }
+        let digest = fnv1a(csv.as_bytes());
         println!("    (\"{stem}\", {digest:#018x}),");
         match PINNED.iter().find(|(s, _)| *s == stem) {
             Some((_, pinned)) if *pinned == digest => {}
