@@ -5,9 +5,10 @@
 //!
 //! 1. the **online** behaviour of the cache, recovered bit-exactly by
 //!    replaying the same captured L2 stream through the same seeded
-//!    organisation: its per-set achieved and shadow hits and its switch
-//!    lag, which the audit's [`Books`] derive from the organisation's
-//!    cumulative [`TimelineProbe`] after every access, and
+//!    organisation: its per-set achieved and shadow hits, its per-set
+//!    decisions over time ([`DecisionGrid`]) and its switch lag, which
+//!    the audit's [`Books`] derive from the organisation's cumulative
+//!    [`TimelineProbe`] after every access, and
 //! 2. the **offline** hindsight baselines of [`cpu_model::oracle`]: a
 //!    Belady/OPT replay and each component policy standalone (seeded as
 //!    the online shadow directories were, so the differential suite can
@@ -20,6 +21,9 @@
 //!   adaptivity beat both fixed policies inside the window);
 //! * **regret vs OPT** per window — `opt_hits − achieved_hits`;
 //! * per-set regret — the same delta on the per-set hit vectors;
+//! * the **per-set decision heatmap** of the paper's Figure 7 — which
+//!   component each group of sets imitated, and which component's
+//!   exclusive misses trained it, in each window;
 //! * **adaptivity efficiency** — `achieved / best-fixed` and
 //!   `achieved / OPT` hit ratios (the first may exceed 1: shaping
 //!   behaviour per set can beat every fixed global policy);
@@ -45,12 +49,15 @@ use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Schema version stamped on `audit.json`.
-pub const AUDIT_SCHEMA_VERSION: u32 = 1;
+/// Schema version stamped on `audit.json`. Version 2 adds `decisions`.
+pub const AUDIT_SCHEMA_VERSION: u32 = 2;
 
-/// Default number of instruction windows the run is split into when
-/// `--window` is not given.
+/// Instruction windows a run is split into: `max(insts / 64, 1)`
+/// instructions each, so at most 127 windows at any budget.
 pub const DEFAULT_WINDOWS: u64 = 64;
+
+/// Most rows a [`DecisionGrid`] keeps.
+pub const MAX_GRID_ROWS: usize = 256;
 
 /// Accesses per switch-lag comparison window of the paper's cache.
 pub const SWITCH_LAG_WINDOW_ACCESSES: u64 = 4096;
@@ -123,6 +130,62 @@ pub struct PerSetAudit {
     pub regret_best: Vec<i64>,
 }
 
+/// The per-set decision heatmap of the paper's Figure 7: per group of
+/// adjacent sets (a row) and per audit window (a column), the
+/// replacements that imitated each component and the exclusive misses
+/// that trained the selector. A row holds the fewest sets, a power of
+/// two, that leave at most [`MAX_GRID_ROWS`] rows. Each count is a
+/// flat, window-major vector: the cell of window `w` and row `r` is
+/// at `w * rows + r`, and window `w` is `windows[w]` of the report.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DecisionGrid {
+    /// Adjacent sets per row.
+    pub sets_per_row: u64,
+    /// Rows per window.
+    pub rows: u64,
+    /// Replacements that imitated component A.
+    pub imitations_a: Vec<u64>,
+    /// Replacements that imitated component B.
+    pub imitations_b: Vec<u64>,
+    /// References that only component A missed.
+    pub excl_a_misses: Vec<u64>,
+    /// References that only component B missed.
+    pub excl_b_misses: Vec<u64>,
+}
+
+impl DecisionGrid {
+    /// An empty grid over `sets` cache sets.
+    fn new(sets: usize) -> DecisionGrid {
+        let mut sets_per_row = 1;
+        while sets.div_ceil(sets_per_row) > MAX_GRID_ROWS {
+            sets_per_row *= 2;
+        }
+        DecisionGrid {
+            sets_per_row: sets_per_row as u64,
+            rows: sets.div_ceil(sets_per_row) as u64,
+            ..DecisionGrid::default()
+        }
+    }
+
+    /// Charges `d`, one access's probe delta, to the cell of `window`
+    /// and the row of `set`.
+    fn add(&mut self, window: usize, set: usize, d: &TimelineProbe) {
+        let rows = self.rows as usize;
+        let cell = window * rows + set / self.sets_per_row as usize;
+        for (counts, delta) in [
+            (&mut self.imitations_a, d.imitations_a),
+            (&mut self.imitations_b, d.imitations_b),
+            (&mut self.excl_a_misses, d.excl_a_misses),
+            (&mut self.excl_b_misses, d.excl_b_misses),
+        ] {
+            if counts.len() <= cell {
+                counts.resize((window + 1) * rows, 0);
+            }
+            counts[cell] += delta;
+        }
+    }
+}
+
 /// The full `audit.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AuditReport {
@@ -171,6 +234,9 @@ pub struct AuditReport {
     pub windows: Vec<AuditWindow>,
     /// Joined per-set vectors.
     pub per_set: PerSetAudit,
+    /// Per-set decisions per window (adaptive and SBAR organisations).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub decisions: Option<DecisionGrid>,
 }
 
 impl AuditReport {
@@ -277,6 +343,9 @@ struct ComponentPlan {
 /// * **per-set shadow hits** (adaptive and SBAR): each access's increase
 ///   in `shadow_a_hits` and `shadow_b_hits`, charged to the set it
 ///   touched, so SBAR's land on its leader sets only;
+/// * **the decision grid** (adaptive and SBAR): each access's increase in
+///   imitations and exclusive misses, charged to its window and the row
+///   of the set it touched;
 /// * **windowed switch lag** (the paper's cache): see
 ///   [`Books::close_window`];
 /// * **selector switches** (SBAR and DIP): each time the selector counter
@@ -287,6 +356,8 @@ struct ComponentPlan {
 struct Books {
     /// Shadow A and B hits per set (`None` without shadow directories).
     shadow_hits: Option<(Vec<u64>, Vec<u64>)>,
+    /// The decision grid (`None` without shadow directories).
+    grid: Option<DecisionGrid>,
     /// SBAR's and DIP's selector: its start value, and whether it is
     /// above that now. `None` for windowed switch lag.
     selector: Option<(u32, bool)>,
@@ -317,6 +388,7 @@ impl Books {
         };
         Some(Books {
             shadow_hits: shadows.then(|| (vec![0; sets], vec![0; sets])),
+            grid: shadows.then(|| DecisionGrid::new(sets)),
             selector: selector.map(|psel| (psel, false)),
             last: start,
             window_start: start,
@@ -324,11 +396,15 @@ impl Books {
         })
     }
 
-    /// Books one access to `set`, after which the probe reads `now`.
-    fn record(&mut self, set: usize, now: TimelineProbe) {
+    /// Books one access to `set` in audit window `window`, after which
+    /// the probe reads `now`.
+    fn record(&mut self, set: usize, window: usize, now: TimelineProbe) {
         if let Some((a, b)) = &mut self.shadow_hits {
             a[set] += now.shadow_a_hits - self.last.shadow_a_hits;
             b[set] += now.shadow_b_hits - self.last.shadow_b_hits;
+        }
+        if let Some(grid) = &mut self.grid {
+            grid.add(window, set, &now.delta_from(&self.last));
         }
         let before = self.last.accesses;
         if let Some((start, above)) = &mut self.selector {
@@ -427,13 +503,16 @@ fn audit_trace(
     // kept on it are the online accounting.
     let mut l2 = cfg.l2.build(geom);
     let mut books = Books::open(&cfg.l2, &*l2);
-    let achieved = replay_model_windows(trace, l2.as_mut(), window_insts, |set, l2| {
+    let achieved = replay_model_windows(trace, l2.as_mut(), window_insts, |set, window, l2| {
         if let Some(books) = &mut books {
-            books.record(set, l2.timeline_probe());
+            books.record(set, window, l2.timeline_probe());
         }
     });
     let switch_lag = books.as_ref().map(Books::switch_lag);
-    let shadow_hits = books.and_then(|books| books.shadow_hits);
+    let (shadow_hits, decisions) = match books {
+        Some(books) => (books.shadow_hits, books.grid),
+        None => (None, None),
+    };
 
     // Offline baselines.
     let opt = belady(trace, geom, window_insts);
@@ -527,6 +606,7 @@ fn audit_trace(
         shadow_consistency,
         windows,
         per_set,
+        decisions,
     })
 }
 
@@ -597,13 +677,12 @@ fn print_summary(report: &AuditReport) {
     crate::print_stdout(&out);
 }
 
-/// Runs `cachesim audit <run-dir> [--config <run.json>] [--window <insts>]
-/// [--out <file>]`; returns the process exit code.
+/// Runs `cachesim audit <run-dir> [--config <run.json>] [--out <file>]`;
+/// returns the process exit code.
 pub fn run_audit_subcommand(rest: &[String]) -> i32 {
     let mut run_dir: Option<PathBuf> = None;
     let mut config_path: Option<PathBuf> = None;
     let mut out_path: Option<PathBuf> = None;
-    let mut window: Option<u64> = None;
 
     let mut i = 0;
     while i < rest.len() {
@@ -627,13 +706,6 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
                     return EXIT_INVALID_INPUT;
                 }
             },
-            "--window" => match take(&mut i).and_then(|v| v.parse::<u64>().ok()) {
-                Some(w) => window = Some(w),
-                None => {
-                    eprintln!("error: `--window` wants an instruction count");
-                    return EXIT_INVALID_INPUT;
-                }
-            },
             _ if arg.starts_with("--") => {
                 eprintln!("error: unknown audit flag `{arg}`");
                 return EXIT_INVALID_INPUT;
@@ -650,8 +722,8 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
     }
     let Some(run_dir) = run_dir else {
         eprintln!(
-            "error: usage: cachesim audit <run-dir> [--config <run.json>] [--window <insts>] \
-             [--out <file>] (a --config file is a cachesim run request, `mode` included)"
+            "error: usage: cachesim audit <run-dir> [--config <run.json>] [--out <file>] \
+             (a --config file is a cachesim run request, `mode` included)"
         );
         return EXIT_INVALID_INPUT;
     };
@@ -675,7 +747,7 @@ pub fn run_audit_subcommand(rest: &[String]) -> i32 {
             return EXIT_INVALID_INPUT;
         }
     };
-    let window_insts = window.unwrap_or_else(|| (cfg.insts / DEFAULT_WINDOWS).max(1));
+    let window_insts = (cfg.insts / DEFAULT_WINDOWS).max(1);
 
     let report = match audit_run(&cfg, window_insts) {
         Ok(r) => r,
@@ -849,13 +921,13 @@ mod tests {
                     p.imitations_a += ia;
                     p.imitations_b += ib;
                 }
-                books.record(0, p);
+                books.record(0, 0, p);
             }
         }
         p.accesses += 1;
         p.shadow_b_hits += 9;
         p.imitations_b += 9;
-        books.record(0, p);
+        books.record(0, 0, p);
         books.switch_lag()
     }
 
@@ -914,6 +986,76 @@ mod tests {
         }
     }
 
+    /// The grid's counts summed per row over every window, as
+    /// `[imitations A, imitations B, exclusive misses A, B]`.
+    fn row_sums(grid: &DecisionGrid) -> Vec<[u64; 4]> {
+        let mut rows = vec![[0; 4]; grid.rows as usize];
+        for (i, cell) in grid.imitations_a.iter().enumerate() {
+            let row = &mut rows[i % grid.rows as usize];
+            row[0] += cell;
+            row[1] += grid.imitations_b[i];
+            row[2] += grid.excl_a_misses[i];
+            row[3] += grid.excl_b_misses[i];
+        }
+        rows
+    }
+
+    /// The grid's four counts summed over every cell.
+    fn grid_totals(grid: &DecisionGrid) -> [u64; 4] {
+        row_sums(grid).iter().fold([0; 4], |mut t, row| {
+            for (t, r) in t.iter_mut().zip(row) {
+                *t += r;
+            }
+            t
+        })
+    }
+
+    #[test]
+    fn the_decision_grid_adds_up_to_the_engine_totals() {
+        // A 256 KB 4-way L2 has 1024 sets, so four to a row.
+        let geom = Geometry::new(256 * 1024, 64, 4).unwrap();
+        let mut cfg = small_cfg(L2Kind::Adaptive(AdaptiveConfig::paper_default()));
+        cfg.cpu.l2.size_bytes = geom.size_bytes();
+        cfg.cpu.l2.associativity = geom.associativity();
+        let trace = phase_change();
+        let r = audit_trace(&cfg, "synthetic".to_string(), &trace, 10_000).expect("audit runs");
+        let grid = r.decisions.expect("the adaptive cache has a grid");
+        assert_eq!((grid.sets_per_row, grid.rows), (4, 256));
+        assert_eq!(r.windows.len(), 30);
+        let cells = r.windows.len() * 256;
+        for counts in [
+            &grid.imitations_a,
+            &grid.imitations_b,
+            &grid.excl_a_misses,
+            &grid.excl_b_misses,
+        ] {
+            assert_eq!(counts.len(), cells, "one cell per row and window");
+        }
+        let mut direct =
+            adaptive_cache::AdaptiveCache::new(geom, AdaptiveConfig::paper_default(), CACHE_SEED);
+        replay_l2(&trace, &mut direct);
+        let (ia, ib) = direct.imitation_totals();
+        let (ea, eb) = direct.exclusive_miss_totals();
+        assert!(
+            ia > 0 && ib > 0 && ea > 0 && eb > 0,
+            "both components must win"
+        );
+        assert_eq!(grid_totals(&grid), [ia, ib, ea, eb]);
+
+        // Organisations without shadow directories get none.
+        for l2 in [
+            L2Kind::Plain(cache_sim::PolicyKind::Lru),
+            L2Kind::Dip(DipConfig::paper_default()),
+            L2Kind::Multi(MultiConfig::paper_five_policy()),
+        ] {
+            let cfg = RunRequest {
+                insts: 20_000,
+                ..small_cfg(l2)
+            };
+            assert!(audit_run(&cfg, 0).unwrap().decisions.is_none());
+        }
+    }
+
     #[test]
     fn sbar_shadow_hits_land_in_leader_sets_only() {
         let trace = phase_change();
@@ -934,6 +1076,25 @@ mod tests {
                 sbar.shadow_stats(Component::B).0
             )
         );
+
+        // The grid has one set per row: exclusive misses train only the
+        // leaders, while the followers replace too.
+        let grid = r.decisions.expect("SBAR has a grid");
+        assert_eq!((grid.sets_per_row, grid.rows), (1, 128));
+        let rows = row_sums(&grid);
+        for set in (0..128).filter(|&set| !sbar.is_leader(set)) {
+            assert_eq!(rows[set][2..], [0, 0], "follower set {set}");
+        }
+        assert!(
+            (0..128).any(|set| !sbar.is_leader(set) && rows[set][0] + rows[set][1] > 0),
+            "follower rows must imitate"
+        );
+        let (ea, eb) = sbar.exclusive_miss_totals();
+        assert_eq!(ea + eb, sbar.leader_votes(), "each exclusive miss votes");
+        assert_eq!(
+            grid_totals(&grid),
+            [sbar.imitation_totals().0, sbar.imitation_totals().1, ea, eb]
+        );
     }
 
     /// FNV-1a over `bytes`.
@@ -946,35 +1107,35 @@ mod tests {
     #[test]
     fn audit_reports_are_pinned() {
         // Digests of the serialised report on `ammp` at 200 000
-        // instructions in `cachesim audit`'s default windows.
+        // instructions in `cachesim audit`'s windows.
         let pinned = [
             (
                 L2Kind::Adaptive(AdaptiveConfig::paper_full_tags()),
-                0xb8f4_df32_11e7_87d1,
+                0xf881_b847_f8bd_3f97,
             ),
             (
                 L2Kind::Adaptive(AdaptiveConfig::paper_default()),
-                0x6b9c_c26c_9fcc_e5b5,
+                0xc865_6ca1_6a6b_bbc5,
             ),
             (
                 L2Kind::Sbar(SbarConfig::paper_default()),
-                0xa05b_bf17_4b97_8c4b,
+                0x00fe_6899_b957_37e9,
             ),
             (
                 L2Kind::Sbar(SbarConfig::paper_partial_tags()),
-                0xa05b_bf17_4b97_8c4b,
+                0x00fe_6899_b957_37e9,
             ),
             (
                 L2Kind::Dip(DipConfig::paper_default()),
-                0xd989_e8e2_ce02_3890,
+                0x4231_da22_6a96_824f,
             ),
             (
                 L2Kind::Plain(cache_sim::PolicyKind::Lru),
-                0xd91e_b77b_52fd_50ea,
+                0xe88b_edd9_aac5_6ccd,
             ),
             (
                 L2Kind::Multi(MultiConfig::paper_five_policy()),
-                0x2ecb_450c_18cb_c1fb,
+                0x3bfa_2469_e388_7134,
             ),
         ];
         let mut wrong = Vec::new();

@@ -23,9 +23,12 @@
 //!
 //! Telemetry: `--telemetry <dir>` (or `--metrics` for `results/`, or the
 //! `AC_TELEMETRY` environment variable) enables the `ac-telemetry`
-//! observability layer — `metrics.prom`, a Chrome `trace.json`, a
-//! sampled `events.jsonl` decision stream and `telemetry-summary.json`
-//! are written to the chosen directory on exit.
+//! observability layer — `metrics.prom`, a Chrome `trace.json`,
+//! `timeline.jsonl` and `telemetry-summary.json` are written to the
+//! chosen directory on exit (single runs also write `run.json`).
+//! `cachesim audit <dir>` re-runs the request against hindsight
+//! baselines and writes `audit.json`, which holds the per-set decision
+//! heatmap; `cachesim report <dir>` renders the directory as HTML.
 //!
 //! Watching a long run: with `AC_TELEMETRY_FLUSH_MS=<ms>` every artifact
 //! is rewritten atomically each interval, so the directory is the live
@@ -216,7 +219,7 @@ fn dispatch(mut args: Vec<String>) -> i32 {
     }
     if arg.is_empty() || arg.starts_with("--") {
         die_invalid(
-            "usage: cachesim [--telemetry <dir> | --metrics] [run] <run.json> | cachesim --template | cachesim figure {all|<stem>...} | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--window <insts>] [--out <file>]",
+            "usage: cachesim [--telemetry <dir> | --metrics] [run] <run.json> | cachesim --template | cachesim figure {all|<stem>...} | cachesim report <run-dir> [--compare <old-run-dir>] [--out <file>] [--threshold <pct>] | cachesim audit <run-dir> [--config <run.json>] [--out <file>]",
         );
     }
 

@@ -1,8 +1,8 @@
 //! `cachesim report` — renders the telemetry artifacts of one run
-//! (`telemetry-summary.json`, `timeline.jsonl`, `events.jsonl`,
-//! `audit.json`) into a single self-contained HTML file, and optionally
-//! diffs two runs. The per-set decision heatmap is bucketed here from
-//! the complete decision-event stream ([`Heatmap`]).
+//! (`telemetry-summary.json`, `timeline.jsonl`, `audit.json`) into a
+//! single self-contained HTML file, and optionally diffs two runs. The
+//! per-set decision heatmap is drawn from the audit's decision grid
+//! (`cachesim audit`).
 //!
 //! The HTML embeds inline CSS and inline SVG only: no JavaScript, no
 //! external fonts, no network fetches. A report can be attached to a CI
@@ -10,17 +10,17 @@
 //!
 //! Compare mode (`--compare <old-run-dir>`) extracts a flat metric map
 //! from both runs, computes per-metric percentage deltas, and classifies
-//! each metric as lower-is-better (miss-like counters, MPKI),
-//! higher-is-better (throughput) or neutral. A directional metric that
+//! each metric as lower-is-better (miss-like counters, MPKI, regret),
+//! higher-is-better (audit efficiencies) or neutral. Wall-clock rates
+//! are neutral: they are shown but never flagged, because throughput is
+//! the benchmark's to measure. A directional metric that
 //! moves the wrong way by more than the threshold (`--threshold <pct>`,
 //! default 10%) makes the subcommand exit with [`EXIT_REGRESSION`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
-use serde::Deserialize;
 use serde_json::Value;
 
 /// Exit code when `--compare` finds a regression beyond the threshold.
@@ -47,16 +47,15 @@ pub struct RunArtifacts {
     pub summary: Option<Value>,
     /// Parsed lines of `timeline.jsonl`, when present.
     pub timeline: Vec<Value>,
-    /// The heatmap bucketed from `events.jsonl`, when present.
-    pub heatmap: Option<Heatmap>,
     /// Parsed `audit.json` (`cachesim audit`), when present.
     pub audit: Option<Value>,
 }
 
 impl RunArtifacts {
     /// Loads whatever artifacts exist under `dir`. Missing files are
-    /// tolerated (a run without decisions has no `events.jsonl`);
-    /// present-but-unparsable files are an error.
+    /// tolerated (a run not yet audited has no `audit.json`);
+    /// present-but-unparsable files are an error. Any other file, such as
+    /// an `events.jsonl` from an older build, is not read.
     pub fn load(dir: &Path) -> Result<Self, String> {
         let mut out = RunArtifacts {
             dir: dir.to_path_buf(),
@@ -82,14 +81,6 @@ impl RunArtifacts {
                     .map_err(|e| format!("{} line {}: {e}", timeline_path.display(), i + 1))?;
                 out.timeline.push(v);
             }
-        }
-        let events_path = dir.join("events.jsonl");
-        if events_path.is_file() {
-            let events = std::fs::File::open(&events_path)
-                .map_err(|e| format!("{}: {e}", events_path.display()))?;
-            let heatmap = Heatmap::from_events(std::io::BufReader::new(events))
-                .map_err(|e| format!("{} {e}", events_path.display()))?;
-            out.heatmap = Some(heatmap);
         }
         let audit_path = dir.join("audit.json");
         if audit_path.is_file() {
@@ -135,160 +126,6 @@ impl RunArtifacts {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-set decision heatmap
-// ---------------------------------------------------------------------------
-
-/// Most columns, and most rows, the heatmap keeps.
-const HEAT_MAX: u64 = 256;
-
-/// Width of a heatmap column before any widening, in event-stream
-/// positions.
-const HEAT_MIN_WINDOW: u64 = 4096;
-
-/// The decisions of one `(column, set)` cell of the heatmap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct HeatCell {
-    /// Evictions that imitated component policy A.
-    imit_a: u64,
-    /// Evictions that imitated component policy B.
-    imit_b: u64,
-    /// Exclusive-miss history updates charged to policy A.
-    miss_a: u64,
-    /// Exclusive-miss history updates charged to policy B.
-    miss_b: u64,
-}
-
-impl HeatCell {
-    fn add(&mut self, other: HeatCell) {
-        self.imit_a += other.imit_a;
-        self.imit_b += other.imit_b;
-        self.miss_a += other.miss_a;
-        self.miss_b += other.miss_b;
-    }
-}
-
-/// The per-set decision heatmap (set × window → imitation split and
-/// exclusive-miss density), bucketed from a run's `events.jsonl`.
-///
-/// Column `i` covers event-stream positions `[i·window, (i+1)·window)`.
-/// The window starts at 4096 and doubles until at most 256 columns
-/// cover every event the grid keeps. Rows are the sets `0, stride,
-/// 2·stride, …`, with the smallest power-of-two stride that leaves at
-/// most 256 rows. Both axes widen while the stream is read, and neither
-/// loses a count of what stays: doubling the window adds aligned column
-/// pairs, and doubling the stride drops only rows that no later stride
-/// keeps.
-#[derive(Debug)]
-pub struct Heatmap {
-    /// Event-stream positions per column.
-    window: u64,
-    /// Sets between two rows.
-    stride: u64,
-    /// Cells by column index, then by set.
-    columns: Vec<BTreeMap<u64, HeatCell>>,
-}
-
-/// The fields of an `events.jsonl` line that the heatmap reads.
-#[derive(Deserialize)]
-struct EventLine {
-    seq: u64,
-    kind: String,
-    #[serde(default)]
-    set: Option<u64>,
-    #[serde(default)]
-    component: Option<String>,
-    #[serde(default)]
-    a_missed: bool,
-    #[serde(default)]
-    b_missed: bool,
-}
-
-impl Heatmap {
-    /// Buckets an `events.jsonl` stream, one line at a time. A last line
-    /// without its newline is still being written and is skipped; any
-    /// other line that does not parse is an error naming its number.
-    fn from_events(mut events: impl BufRead) -> Result<Heatmap, String> {
-        let mut map = Heatmap {
-            window: HEAT_MIN_WINDOW,
-            stride: 1,
-            columns: vec![BTreeMap::new(); HEAT_MAX as usize],
-        };
-        let mut line = Vec::new();
-        for number in 1.. {
-            line.clear();
-            let read = events
-                .read_until(b'\n', &mut line)
-                .map_err(|e| format!("line {number}: {e}"))?;
-            if read == 0 || line.last() != Some(&b'\n') {
-                break;
-            }
-            if line.trim_ascii().is_empty() {
-                continue;
-            }
-            let event: EventLine =
-                serde_json::from_slice(&line).map_err(|e| format!("line {number}: {e}"))?;
-            map.add(&event);
-        }
-        Ok(map)
-    }
-
-    /// Counts one event: imitations by component, exclusive misses from
-    /// history updates, and an empty cell for a vote, so the voting set
-    /// keeps its row. Events without a set add nothing.
-    fn add(&mut self, event: &EventLine) {
-        let Some(set) = event.set else {
-            return;
-        };
-        let cell = match (event.kind.as_str(), event.component.as_deref()) {
-            ("imitation", Some("A")) => HeatCell {
-                imit_a: 1,
-                ..HeatCell::default()
-            },
-            ("imitation", Some("B")) => HeatCell {
-                imit_b: 1,
-                ..HeatCell::default()
-            },
-            ("history_update", _) => HeatCell {
-                miss_a: u64::from(event.a_missed),
-                miss_b: u64::from(event.b_missed),
-                ..HeatCell::default()
-            },
-            ("leader_vote" | "duel_vote", _) => HeatCell::default(),
-            _ => return,
-        };
-        while set / self.stride >= HEAT_MAX {
-            self.stride *= 2;
-            let stride = self.stride;
-            for column in &mut self.columns {
-                column.retain(|&row, _| row % stride == 0);
-            }
-        }
-        if set % self.stride != 0 {
-            return;
-        }
-        while event.seq / self.window >= HEAT_MAX {
-            self.window *= 2;
-            for i in 0..self.columns.len() / 2 {
-                let mut pair = std::mem::take(&mut self.columns[2 * i]);
-                for (set, later) in std::mem::take(&mut self.columns[2 * i + 1]) {
-                    pair.entry(set).or_default().add(later);
-                }
-                self.columns[i] = pair;
-            }
-        }
-        let column = (event.seq / self.window) as usize;
-        self.columns[column].entry(set).or_default().add(cell);
-    }
-
-    /// The columns that hold a cell, oldest first, with their indices.
-    fn filled(&self) -> impl Iterator<Item = (u64, &BTreeMap<u64, HeatCell>)> {
-        (0u64..)
-            .zip(&self.columns)
-            .filter(|(_, cells)| !cells.is_empty())
-    }
-}
-
 fn num(v: Option<&Value>) -> f64 {
     v.and_then(Value::as_f64).unwrap_or(0.0)
 }
@@ -302,7 +139,7 @@ fn num(v: Option<&Value>) -> f64 {
 pub enum Direction {
     /// Smaller is better (misses, MPKI, retries, stalls).
     LowerBetter,
-    /// Larger is better (throughput).
+    /// Larger is better (audit efficiencies).
     HigherBetter,
     /// Informational only; never flags a regression.
     Neutral,
@@ -337,17 +174,10 @@ fn counter_direction(name: &str) -> Direction {
     }
 }
 
-fn gauge_direction(name: &str) -> Direction {
-    if name.contains("per_sec") {
-        Direction::HigherBetter
-    } else {
-        Direction::Neutral
-    }
-}
-
 /// Flattens a run's artifacts into a keyed metric list: every summary
 /// counter and gauge (per label), plus per-timeline overall MPKI and
-/// mean throughput.
+/// mean throughput. Gauges and throughput are neutral: wall-clock rates
+/// move from run to run on identical work.
 pub fn extract_metrics(run: &RunArtifacts) -> Vec<Metric> {
     let mut out = Vec::new();
     if let Some(summary) = &run.summary {
@@ -367,13 +197,12 @@ pub fn extract_metrics(run: &RunArtifacts) -> Vec<Metric> {
         }
         if let Some(gauges) = summary.get("gauges").and_then(Value::as_object) {
             for (name, by_label) in gauges.iter() {
-                let dir = gauge_direction(name);
                 if let Some(map) = by_label.as_object() {
                     for (label, value) in map.iter() {
                         out.push(Metric {
                             key: format!("gauge:{name}{{{label}}}"),
                             value: num(Some(value)),
-                            direction: dir,
+                            direction: Direction::Neutral,
                         });
                     }
                 }
@@ -399,7 +228,7 @@ pub fn extract_metrics(run: &RunArtifacts) -> Vec<Metric> {
             out.push(Metric {
                 key: format!("timeline:{label}:ticks_per_sec"),
                 value: rates.iter().sum::<f64>() / rates.len() as f64,
-                direction: Direction::HigherBetter,
+                direction: Direction::Neutral,
             });
         }
     }
@@ -835,72 +664,90 @@ fn heat_color(imit_a: f64, imit_b: f64, misses: f64, max_misses: f64) -> String 
     )
 }
 
-fn render_heatmap(out: &mut String, heatmap: &Heatmap) {
-    let windows: Vec<(u64, &BTreeMap<u64, HeatCell>)> = heatmap.filled().collect();
-    // The sampled set ids (rows) across every window.
-    let sets: Vec<u64> = windows
-        .iter()
-        .flat_map(|(_, cells)| cells.keys().copied())
-        .collect::<BTreeSet<u64>>()
-        .into_iter()
-        .collect();
-    if sets.is_empty() {
+/// The per-set decision heatmap of the paper's Figure 7, from the
+/// audit's `decisions` grid: one row per group of adjacent sets, one
+/// column per audit window, and a cell wherever a replacement or an
+/// exclusive miss happened.
+fn render_decision_heatmap(out: &mut String, audit: &Value) {
+    let Some(grid) = audit.get("decisions") else {
+        return;
+    };
+    let counts = |name: &str| -> Vec<f64> {
+        grid.get(name)
+            .and_then(Value::as_array)
+            .map(|cells| cells.iter().map(|c| num(Some(c))).collect())
+            .unwrap_or_default()
+    };
+    let [imit_a, imit_b, miss_a, miss_b] = [
+        "imitations_a",
+        "imitations_b",
+        "excl_a_misses",
+        "excl_b_misses",
+    ]
+    .map(counts);
+    let rows = num(grid.get("rows")) as usize;
+    let per_row = num(grid.get("sets_per_row")) as usize;
+    let ends: Vec<f64> = audit
+        .get("windows")
+        .and_then(Value::as_array)
+        .map(|ws| ws.iter().map(|w| num(w.get("end_inst"))).collect())
+        .unwrap_or_default();
+    if rows == 0 || rows > crate::audit::MAX_GRID_ROWS || ends.is_empty() {
         return;
     }
-    let max_misses = windows
-        .iter()
-        .flat_map(|(_, cells)| cells.values())
-        .map(|c| (c.miss_a + c.miss_b) as f64)
+    let at = |v: &[f64], i: usize| v.get(i).copied().unwrap_or(0.0);
+    let max_misses = (0..ends.len() * rows)
+        .map(|i| at(&miss_a, i) + at(&miss_b, i))
         .fold(0.0_f64, f64::max);
 
-    out.push_str("<h2>Per-set decision heatmap</h2>");
+    out.push_str("<h3>Per-set decision heatmap</h3>");
     let _ = write!(
         out,
-        "<p class=\"note\">{} sampled sets × {} windows (stride {}, {} events/window). \
-         Blue = imitates A, orange = imitates B; opacity tracks windowed miss density.</p>",
-        sets.len(),
-        windows.len(),
-        heatmap.stride,
-        heatmap.window,
+        "<p class=\"note\">{rows} rows of {per_row} adjacent sets × {} windows. \
+         Blue = imitates A, orange = imitates B; opacity tracks exclusive misses.</p>",
+        ends.len(),
     );
 
     const CELL: f64 = 9.0;
     const GAP: f64 = 1.0;
     const LABEL_W: f64 = 44.0;
-    let w = LABEL_W + windows.len() as f64 * (CELL + GAP) + 8.0;
-    let h = sets.len() as f64 * (CELL + GAP) + 24.0;
+    let w = LABEL_W + ends.len() as f64 * (CELL + GAP) + 8.0;
+    let h = rows as f64 * (CELL + GAP) + 24.0;
     let _ = write!(
         out,
         "<svg viewBox=\"0 0 {w:.0} {h:.0}\" width=\"{w:.0}\" height=\"{h:.0}\" \
          xmlns=\"http://www.w3.org/2000/svg\" role=\"img\" aria-label=\"per-set heatmap\">"
     );
-    for (row, set) in sets.iter().enumerate() {
+    for row in 0..rows {
         let y = row as f64 * (CELL + GAP);
         let _ = write!(
             out,
             "<text x=\"{:.0}\" y=\"{:.1}\" font-size=\"8\" text-anchor=\"end\" \
-             fill=\"#555\">set {set}</text>",
+             fill=\"#555\">set {}</text>",
             LABEL_W - 4.0,
             y + CELL - 1.0,
+            row * per_row,
         );
     }
-    for (col, (index, cells)) in windows.iter().enumerate() {
+    for (col, &end) in ends.iter().enumerate() {
         let x = LABEL_W + col as f64 * (CELL + GAP);
-        let start = (index * heatmap.window) as f64;
-        let end = start + heatmap.window as f64;
-        for (set, c) in cells.iter() {
-            let Ok(row) = sets.binary_search(set) else {
+        let start = if col == 0 { 0.0 } else { ends[col - 1] };
+        for row in 0..rows {
+            let i = col * rows + row;
+            let (ia, ib) = (at(&imit_a, i), at(&imit_b, i));
+            let (ma, mb) = (at(&miss_a, i), at(&miss_b, i));
+            if ia + ib + ma + mb == 0.0 {
                 continue;
-            };
+            }
             let y = row as f64 * (CELL + GAP);
-            let (ia, ib) = (c.imit_a as f64, c.imit_b as f64);
-            let (ma, mb) = (c.miss_a as f64, c.miss_b as f64);
             let fill = heat_color(ia, ib, ma + mb, max_misses);
             let _ = write!(
                 out,
                 "<rect x=\"{x:.1}\" y=\"{y:.1}\" width=\"{CELL}\" height=\"{CELL}\" \
-                 fill=\"{fill}\"><title>set {set}, events {}..{}: imit A={}, B={}, \
+                 fill=\"{fill}\"><title>sets {}..{}, instructions {}..{}: imit A={}, B={}, \
                  misses A={}, B={}</title></rect>",
+                row * per_row,
+                (row + 1) * per_row,
                 fmt_val(start),
                 fmt_val(end),
                 fmt_val(ia),
@@ -915,7 +762,8 @@ fn render_heatmap(out: &mut String, heatmap: &Heatmap) {
 
 /// Renders the adaptivity-audit section from a parsed `audit.json`:
 /// regret timelines, the achieved-vs-baseline hit series, an efficiency
-/// table, the switch-lag attribution and the per-set regret heatmap.
+/// table, the switch-lag attribution, the per-set decision heatmap and
+/// the per-set regret heatmap.
 fn render_audit_section(out: &mut String, audit: &Value) {
     out.push_str("<h2>Adaptivity audit</h2>");
     let _ = write!(
@@ -1054,6 +902,7 @@ fn render_audit_section(out: &mut String, audit: &Value) {
             }
         );
     }
+    render_decision_heatmap(out, audit);
     render_per_set_regret(out, audit);
 }
 
@@ -1155,15 +1004,6 @@ fn render_summary_tables(out: &mut String, summary: &Value) {
         }
         out.push_str("</table>");
     }
-    if let Some(events) = summary.get("events") {
-        let _ = write!(
-            out,
-            "<p class=\"note\">Decision events: {} seen, {} recorded (sample rate {}).</p>",
-            fmt_val(num(events.get("seen"))),
-            fmt_val(num(events.get("recorded"))),
-            fmt_val(num(events.get("sample_rate"))),
-        );
-    }
 }
 
 fn render_compare_table(out: &mut String, baseline: &Path, deltas: &[MetricDelta], threshold: f64) {
@@ -1255,11 +1095,17 @@ pub fn render_html(
         render_compare_table(&mut out, &baseline.dir, deltas, threshold);
     }
     render_timeline_charts(&mut out, run);
-    if let Some(heatmap) = &run.heatmap {
-        render_heatmap(&mut out, heatmap);
-    }
-    if let Some(audit) = &run.audit {
-        render_audit_section(&mut out, audit);
+    match &run.audit {
+        Some(audit) => render_audit_section(&mut out, audit),
+        None => {
+            let _ = write!(
+                out,
+                "<h2>Adaptivity audit</h2><p class=\"note\">No <code>audit.json</code> here: \
+                 run <code>cachesim audit {}</code> for the audit and the per-set decision \
+                 heatmap.</p>",
+                escaped(&run.dir.display().to_string())
+            );
+        }
     }
     if let Some(summary) = &run.summary {
         out.push_str("<h2>Run summary</h2>");
@@ -1412,7 +1258,6 @@ pub fn run_report_subcommand(rest: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ac_telemetry::{Comp, DecisionEvent, EventRecord, EvictionCase};
 
     fn v(s: &str) -> Value {
         serde_json::from_str(s).expect("test JSON parses")
@@ -1437,14 +1282,12 @@ mod tests {
                                  "l2_hits":{{"policy=adaptive":900}}}},
                     "gauges":{{"accesses_per_sec":{{"run=x":{rate}}}}},
                     "histograms":{{}},"spans":{{}},
-                    "log":{{"error":0,"warn":0,"info":0,"debug":0}},
-                    "events":{{"seen":10,"recorded":10,"sample_rate":1}}}}"#
+                    "log":{{"error":0,"warn":0,"info":0,"debug":0}}}}"#
             ))),
             timeline: vec![
                 timeline_row("functional x", 100, misses / 2, 1000, rate),
                 timeline_row("functional x", 200, misses / 2, 1000, rate),
             ],
-            heatmap: None,
             audit: None,
         }
     }
@@ -1467,9 +1310,14 @@ mod tests {
             find("counter:l2_hits{policy=adaptive}").direction,
             Direction::Neutral
         );
+        // Wall-clock rates are shown, never flagged.
         assert_eq!(
             find("gauge:accesses_per_sec{run=x}").direction,
-            Direction::HigherBetter
+            Direction::Neutral
+        );
+        assert_eq!(
+            find("timeline:functional x:ticks_per_sec").direction,
+            Direction::Neutral
         );
         let mpki = find("timeline:functional x:mpki");
         assert_eq!(mpki.direction, Direction::LowerBetter);
@@ -1499,15 +1347,19 @@ mod tests {
         assert!(find("counter:l2_misses{policy=adaptive}").regressed);
         assert!(find("timeline:functional x:mpki").regressed);
         assert!(!find("gauge:accesses_per_sec{run=x}").regressed);
-        // Reverse the comparison: throughput drops 33% → regression.
+        // Reverse the comparison: misses fall (good), and a 33%
+        // throughput drop is wall-clock noise, not a regression.
         let deltas = compare_metrics(&new, &old, 10.0);
-        assert!(
-            deltas
-                .iter()
-                .find(|d| d.key == "gauge:accesses_per_sec{run=x}")
-                .expect("throughput metric")
-                .regressed
-        );
+        let find = |key: &str| deltas.iter().find(|d| d.key == key).expect(key);
+        for key in [
+            "gauge:accesses_per_sec{run=x}",
+            "timeline:functional x:ticks_per_sec",
+        ] {
+            let d = find(key);
+            assert!((d.delta_pct + 100.0 / 3.0).abs() < 1e-9, "{key}: {d:?}");
+            assert!(!d.regressed, "{key}");
+        }
+        assert!(deltas.iter().all(|d| !d.regressed));
     }
 
     #[test]
@@ -1624,7 +1476,7 @@ mod tests {
         if let Some(Value::Object(_)) = &run.summary {
             // Inject a hostile counter label through the parser.
             run.summary = Some(v(r#"{"counters":{"evil<name>":{"l=\"<script>\"":3}},
-                    "gauges":{},"events":{"seen":0,"recorded":0,"sample_rate":1}}"#));
+                    "gauges":{}}"#));
         }
         let html = render_html(&run, None);
         assert!(!html.contains("<script>"));
@@ -1632,205 +1484,60 @@ mod tests {
         assert!(html.contains("evil&lt;name&gt;"));
     }
 
-    fn imitation(set: u32, component: Comp) -> DecisionEvent {
-        DecisionEvent::Imitation {
-            set,
-            component,
-            case: EvictionCase::SameVictim,
+    /// [`sample_audit`] with a two-row grid over its two windows: row 0
+    /// (sets 0..2) imitates A then B, and row 1 only misses in window 1.
+    fn audit_with_grid() -> Value {
+        let mut audit = sample_audit();
+        if let Value::Object(m) = &mut audit {
+            m.insert(
+                "decisions".into(),
+                v(r#"{"sets_per_row":2,"rows":2,
+                      "imitations_a":[3,0,0,0],"imitations_b":[0,0,4,0],
+                      "excl_a_misses":[1,0,0,2],"excl_b_misses":[0,0,0,5]}"#),
+            );
+        }
+        audit
+    }
+
+    #[test]
+    fn decision_heatmap_renders_from_the_audit_grid() {
+        let mut run = sample_run(10, 1.0);
+        let html = render_html(&run, None);
+        assert!(!html.contains("Per-set decision heatmap"));
+        assert!(html.contains("run <code>cachesim audit /tmp/run</code>"));
+
+        run.audit = Some(audit_with_grid());
+        let html = render_html(&run, None);
+        let heatmap = html
+            .split("<h3>Per-set decision heatmap</h3>")
+            .nth(1)
+            .and_then(|rest| rest.split("</svg>").next())
+            .expect("the audit section draws the heatmap");
+        assert!(heatmap.contains("2 rows of 2 adjacent sets × 2 windows"));
+        assert!(heatmap.contains(">set 0</text>") && heatmap.contains(">set 2</text>"));
+        // Three cells hold a count; row 1 of window 0 is empty.
+        assert_eq!(heatmap.matches("<rect").count(), 3);
+        for title in [
+            "sets 0..2, instructions 0..1000: imit A=3, B=0, misses A=1, B=0",
+            "sets 0..2, instructions 1000..2000: imit A=0, B=4, misses A=0, B=0",
+            "sets 2..4, instructions 1000..2000: imit A=0, B=0, misses A=2, B=5",
+        ] {
+            assert!(heatmap.contains(title), "{title} missing from {heatmap}");
         }
     }
 
-    /// `events` as the hub's sink writes them to `events.jsonl`.
-    fn event_lines(events: &[(u64, DecisionEvent)]) -> String {
-        events
-            .iter()
-            .map(|&(seq, event)| EventRecord {
-                seq,
-                t_us: 0,
-                event,
-            })
-            .map(|record| record.to_json_line() + "\n")
-            .collect()
-    }
-
-    fn heatmap_of(events: &[(u64, DecisionEvent)]) -> Heatmap {
-        Heatmap::from_events(event_lines(events).as_bytes()).expect("the fixture parses")
-    }
-
-    /// Every cell as `(column, set, cell)`, in column then set order.
-    fn cells(map: &Heatmap) -> Vec<(u64, u64, HeatCell)> {
-        map.filled()
-            .flat_map(|(column, cells)| cells.iter().map(move |(&set, &c)| (column, set, c)))
-            .collect()
-    }
-
-    fn cell(imit_a: u64, imit_b: u64, miss_a: u64, miss_b: u64) -> HeatCell {
-        HeatCell {
-            imit_a,
-            imit_b,
-            miss_a,
-            miss_b,
-        }
-    }
-
     #[test]
-    fn heatmap_buckets_events_by_position_and_set() {
-        let events = event_lines(&[
-            (0, imitation(3, Comp::A)),
-            (5, imitation(3, Comp::B)),
-            (
-                20,
-                DecisionEvent::HistoryUpdate {
-                    set: 2,
-                    a_missed: true,
-                    b_missed: false,
-                },
-            ),
-            (
-                30,
-                DecisionEvent::LeaderVote {
-                    set: 8,
-                    slot: 0,
-                    psel: 512,
-                    global: Comp::A,
-                },
-            ),
-            (
-                31,
-                DecisionEvent::DuelVote {
-                    set: 9,
-                    bip_leader: true,
-                    psel: 100,
-                },
-            ),
-        ]);
-        // Runs from earlier builds also wrote `switch_lag` lines. They
-        // name no set: each adds nothing, and opens no column.
-        let old_kind = |seq: u64| {
-            format!(
-                "{{\"schema_version\":2,\"seq\":{seq},\"t_us\":0,\"kind\":\"switch_lag\",\
-                 \"window\":1,\"lag\":2,\"to\":\"B\"}}\n"
-            )
-        };
-        let tail = event_lines(&[(4096 + 12, imitation(7, Comp::B))]);
-        let input = events + &old_kind(40) + &old_kind(5 * 4096) + &tail;
-        let map = Heatmap::from_events(input.as_bytes()).expect("the fixture parses");
-        assert_eq!((map.window, map.stride), (4096, 1));
-        assert_eq!(
-            cells(&map),
-            [
-                (0, 2, cell(0, 0, 1, 0)),
-                (0, 3, cell(1, 1, 0, 0)),
-                // A vote keeps its set's row with an empty cell.
-                (0, 8, cell(0, 0, 0, 0)),
-                (0, 9, cell(0, 0, 0, 0)),
-                (1, 7, cell(0, 1, 0, 0)),
-            ]
-        );
-    }
-
-    #[test]
-    fn heatmap_rows_take_every_stride_th_set() {
-        // Sixteen sets, then set 1023, which needs a stride of 4 to fit
-        // 256 rows: the rows already filled off that stride go.
-        let mut events: Vec<(u64, DecisionEvent)> =
-            (0..16).map(|set| (0, imitation(set, Comp::A))).collect();
-        events.push((1, imitation(1023, Comp::B)));
-        events.push((2, imitation(1020, Comp::B)));
-        events.push((3, imitation(5, Comp::B)));
-        let map = heatmap_of(&events);
-        assert_eq!(map.stride, 4);
-        assert_eq!(
-            cells(&map),
-            [
-                (0, 0, cell(1, 0, 0, 0)),
-                (0, 4, cell(1, 0, 0, 0)),
-                (0, 8, cell(1, 0, 0, 0)),
-                (0, 12, cell(1, 0, 0, 0)),
-                (0, 1020, cell(0, 1, 0, 0)),
-            ]
-        );
-    }
-
-    #[test]
-    fn heatmap_window_doubles_past_256_columns_and_keeps_every_count() {
-        // Column 255 of the narrowest window still fits.
-        let map = heatmap_of(&[
-            (0, imitation(0, Comp::A)),
-            (255 * 4096, imitation(0, Comp::B)),
-        ]);
-        assert_eq!(map.window, 4096);
-        assert_eq!(cells(&map)[1].0, 255);
-        // One position later needs column 256: the window doubles and
-        // each column pair folds into one.
-        let map = heatmap_of(&[
-            (0, imitation(0, Comp::A)),
-            (4096, imitation(0, Comp::A)),
-            (256 * 4096, imitation(0, Comp::B)),
-        ]);
-        assert_eq!(map.window, 8192);
-        assert_eq!(
-            cells(&map),
-            [(0, 0, cell(2, 0, 0, 0)), (128, 0, cell(0, 1, 0, 0))]
-        );
-        // 2048 columns' worth of events fold into 256 columns of eight.
-        let events: Vec<(u64, DecisionEvent)> = (0..2048u64)
-            .map(|i| (i * 4096, imitation((i % 8) as u32, Comp::A)))
-            .collect();
-        let map = heatmap_of(&events);
-        assert_eq!(map.window, 8 * 4096);
-        assert_eq!(map.filled().count(), 256);
-        let total: u64 = cells(&map).iter().map(|(_, _, c)| c.imit_a).sum();
-        assert_eq!(total, 2048, "widening loses no counts");
-    }
-
-    #[test]
-    fn heatmap_skips_a_torn_last_line_and_names_a_malformed_one() {
-        let whole = event_lines(&[(0, imitation(1, Comp::A)), (1, imitation(1, Comp::B))]);
-        // A flush can catch the sink mid-line; the stream so far counts.
-        let torn = format!("{whole}{{\"schema_version\":2,\"seq\":2,\"kind\":\"imitation\"");
-        let map = Heatmap::from_events(torn.as_bytes()).unwrap();
-        assert_eq!(cells(&map), [(0, 1, cell(1, 1, 0, 0))]);
-        // A line without its newline is torn even when it parses.
-        let unterminated = whole.trim_end();
-        let map = Heatmap::from_events(unterminated.as_bytes()).unwrap();
-        assert_eq!(cells(&map), [(0, 1, cell(1, 0, 0, 0))]);
-
-        let (first, rest) = whole.split_at(whole.find('\n').unwrap() + 1);
-        let malformed = format!("{first}not json\n{rest}");
-        let err = Heatmap::from_events(malformed.as_bytes()).unwrap_err();
-        assert!(err.starts_with("line 2: "), "{err}");
-
-        // The loader names the file too.
+    fn a_stale_events_jsonl_is_not_read() {
+        // Older builds wrote a decision-event stream; a malformed one
+        // used to fail the load.
         let dir = std::env::temp_dir().join(format!("ac_report_events_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("timeline.jsonl"), "").unwrap();
-        std::fs::write(dir.join("events.jsonl"), &malformed).unwrap();
-        let err = RunArtifacts::load(&dir).unwrap_err();
+        std::fs::write(dir.join("timeline.jsonl"), "{\"run\":\"x\",\"end\":1}\n").unwrap();
+        std::fs::write(dir.join("events.jsonl"), "not json\n").unwrap();
+        let loaded = RunArtifacts::load(&dir);
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(err.contains("events.jsonl line 2: "), "{err}");
-    }
-
-    #[test]
-    fn heatmap_renders_cells() {
-        let mut run = sample_run(10, 1.0);
-        run.heatmap = Some(heatmap_of(&[
-            (0, imitation(0, Comp::A)),
-            (
-                1,
-                DecisionEvent::HistoryUpdate {
-                    set: 2,
-                    a_missed: false,
-                    b_missed: true,
-                },
-            ),
-        ]));
-        let html = render_html(&run, None);
-        assert!(html.contains("Per-set decision heatmap"));
-        assert!(html.contains("2 sampled sets × 1 windows (stride 1, 4096 events/window)"));
-        assert!(html.contains("set 0"));
-        assert!(html.contains("set 2"));
-        assert!(html.contains("<rect"));
-        assert!(html.contains("set 2, events 0..4096: imit A=0, B=0, misses A=0, B=1"));
+        let run = loaded.expect("events.jsonl is not an artifact the report reads");
+        assert_eq!(run.timeline.len(), 1);
+        assert!(run.summary.is_none() && run.audit.is_none());
     }
 }

@@ -5,8 +5,8 @@
 
 use ac_telemetry::timeline::TIMELINE_SCHEMA_VERSION;
 use ac_telemetry::{
-    Comp, DecisionEvent, EvictionCase, Recorder, SpanRecord, Telemetry, TelemetryConfig, Timeline,
-    TimelineGauges, TimelineProbe, EVENTS_SCHEMA_VERSION, SUMMARY_SCHEMA_VERSION,
+    Recorder, SpanRecord, Telemetry, TelemetryConfig, Timeline, TimelineGauges, TimelineProbe,
+    SUMMARY_SCHEMA_VERSION,
 };
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -56,11 +56,7 @@ fn u64_of(v: &Value, key: &str) -> u64 {
 #[test]
 fn every_artifact_parses_with_its_schema_version() {
     let tmp = TempDir::new("artifacts");
-    let hub = Telemetry::new(
-        TelemetryConfig::default()
-            .with_dir(tmp.0.clone())
-            .with_sample_rate(1),
-    );
+    let hub = Telemetry::new(TelemetryConfig::default().with_dir(tmp.0.clone()));
 
     // One record of every kind the hub accepts.
     hub.counter_add("roundtrip_misses_total", "policy=adaptive", 41);
@@ -74,33 +70,6 @@ fn every_artifact_parses_with_its_schema_version() {
         tid: 1,
         args: vec![("frontend_skipped", "false".to_string())],
     });
-    let decisions = [
-        DecisionEvent::Imitation {
-            set: 3,
-            component: Comp::B,
-            case: EvictionCase::NotInShadow,
-        },
-        DecisionEvent::HistoryUpdate {
-            set: 3,
-            a_missed: true,
-            b_missed: false,
-        },
-        DecisionEvent::LeaderVote {
-            set: 0,
-            slot: 1,
-            psel: 512,
-            global: Comp::A,
-        },
-        DecisionEvent::DuelVote {
-            set: 7,
-            bip_leader: true,
-            psel: 100,
-        },
-    ];
-    for d in decisions {
-        hub.decision(d);
-    }
-
     // A timeline attached the way drivers do it (close + detach).
     let mut tl = Timeline::new("roundtrip run".into(), "accesses", 100, 8);
     let mut probe = TimelineProbe::default();
@@ -121,7 +90,6 @@ fn every_artifact_parses_with_its_schema_version() {
         "metrics.prom",
         "trace.json",
         "telemetry-summary.json",
-        "events.jsonl",
         "timeline.jsonl",
     ] {
         assert!(
@@ -129,6 +97,7 @@ fn every_artifact_parses_with_its_schema_version() {
             "write_artifacts did not produce {expected}; got {names:?}"
         );
     }
+    assert_eq!(names.len(), 4, "{names:?}");
 
     // telemetry-summary.json: schema version + the counters round-trip.
     let summary = parse_json(&tmp.0.join("telemetry-summary.json"));
@@ -142,28 +111,7 @@ fn every_artifact_parses_with_its_schema_version() {
         .and_then(|c| c.get("policy=adaptive"))
         .and_then(Value::as_u64);
     assert_eq!(misses, Some(42));
-    assert_eq!(
-        u64_of(summary.get("events").expect("events"), "recorded"),
-        4
-    );
-
-    // events.jsonl: every line carries the schema version and a known kind.
-    let events = parse_jsonl(&tmp.0.join("events.jsonl"));
-    assert_eq!(events.len(), decisions.len());
-    for e in &events {
-        assert_eq!(
-            u64_of(e, "schema_version"),
-            u64::from(EVENTS_SCHEMA_VERSION)
-        );
-    }
-    let kinds: Vec<&str> = events
-        .iter()
-        .map(|e| e.get("kind").and_then(Value::as_str).expect("kind"))
-        .collect();
-    assert_eq!(
-        kinds,
-        ["imitation", "history_update", "leader_vote", "duel_vote"]
-    );
+    assert!(summary.get("events").is_none(), "{summary:?}");
 
     // timeline.jsonl: per-window schema version, labels, and the
     // derived-rate fields the report consumes.
@@ -253,6 +201,14 @@ fn every_artifact_parses_with_its_schema_version() {
             opt_hits: vec![110, 110],
             regret_best: vec![-5, -5],
         },
+        decisions: Some(bench::audit::DecisionGrid {
+            sets_per_row: 1,
+            rows: 2,
+            imitations_a: vec![0, 4, 0, 0],
+            imitations_b: vec![0, 0, 0, 6],
+            excl_a_misses: vec![0, 1, 0, 0],
+            excl_b_misses: vec![0, 0, 0, 2],
+        }),
     };
     let audit_path = tmp.0.join("audit.json");
     bench::audit::write_audit_json(&audit_path, &report).expect("write audit.json");
@@ -265,6 +221,7 @@ fn every_artifact_parses_with_its_schema_version() {
         serde_json::from_value(audit).expect("audit.json round-trips through AuditReport");
     assert_eq!(parsed.regret_best_total(), Some(-10));
     assert_eq!(parsed.regret_opt_total(), 20);
+    assert_eq!(parsed.decisions, report.decisions);
 
     // The report loader accepts the directory end to end.
     let run = bench::report::RunArtifacts::load(&tmp.0).expect("report loads artifacts");
@@ -273,15 +230,13 @@ fn every_artifact_parses_with_its_schema_version() {
     let html = bench::report::render_html(&run, None);
     assert!(html.contains("<svg"));
     assert!(html.contains("Adaptivity audit"));
-    // The report buckets events.jsonl into its per-set heatmap: set 3
-    // (imitation + history update) has a row there.
+    // The audit section draws the grid as the per-set heatmap: set 1
+    // imitates A in the first window and B in the second.
     let heatmap = html
-        .split("<h2>Per-set decision heatmap</h2>")
+        .split("<h3>Per-set decision heatmap</h3>")
         .nth(1)
-        .and_then(|rest| rest.split("<h2>").next())
-        .expect("the report has a heatmap section");
-    assert!(
-        heatmap.contains(">set 3</text>"),
-        "set 3 missing from the heatmap"
-    );
+        .and_then(|rest| rest.split("</svg>").next())
+        .expect("the audit section has a heatmap");
+    assert!(heatmap.contains(">set 1</text>"), "{heatmap}");
+    assert_eq!(heatmap.matches("<rect").count(), 2, "{heatmap}");
 }

@@ -473,6 +473,26 @@ fn an_inline_spec_run_audits_like_the_same_benchmark_by_name() {
         assert_eq!(inline[comp]["hits"], by_name[comp]["hits"], "{comp}");
     }
     assert_eq!(inline["per_set"], by_name["per_set"]);
+    assert!(by_name["decisions"]["rows"].as_u64().is_some());
+    assert_eq!(inline["decisions"], by_name["decisions"]);
+
+    // The window is the audit's own: `--window` is an unknown flag, and
+    // nothing is rewritten.
+    let audit = dir.join("by_name/audit.json");
+    let before = std::fs::read(&audit).unwrap();
+    let run_dir = dir.join("by_name");
+    let out = run_in(
+        &dir,
+        &["audit", run_dir.to_str().unwrap(), "--window", "1"],
+        &[],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("`--window`"), "{stderr}");
+    assert!(
+        std::fs::read(&audit).unwrap() == before,
+        "audit.json changed"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -819,11 +839,7 @@ fn a_closed_stdout_ends_the_run_with_its_exit_code_and_no_panic() {
     // writing what they write.
     let cfg = dir.join("run.json");
     std::fs::write(&cfg, template_cell(&dir, &[])).unwrap();
-    let out = run_in(
-        &dir,
-        &["--telemetry", "run", cfg.to_str().unwrap()],
-        &[("AC_TELEMETRY_SAMPLE", "1")],
-    );
+    let out = run_in(&dir, &["--telemetry", "run", cfg.to_str().unwrap()], &[]);
     assert_eq!(out.status.code(), Some(0));
     let commands: [&[&str]; 3] = [
         &["audit", "run"],

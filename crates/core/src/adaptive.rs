@@ -2,7 +2,6 @@
 
 use crate::engine::{AdaptiveEngine, Selector};
 use crate::history::{HistoryKind, MissHistory};
-use ac_telemetry::DecisionEvent;
 use cache_sim::{Geometry, PolicyKind, ReplacementPolicy, TagMode};
 use serde::{Deserialize, Serialize};
 
@@ -21,14 +20,6 @@ impl Component {
         match self {
             Component::A => Component::B,
             Component::B => Component::A,
-        }
-    }
-
-    /// The telemetry wire representation of this component.
-    pub fn telemetry(self) -> ac_telemetry::Comp {
-        match self {
-            Component::A => ac_telemetry::Comp::A,
-            Component::B => ac_telemetry::Comp::B,
         }
     }
 }
@@ -234,15 +225,8 @@ impl Selector for PerSetHistory {
     }
 
     #[inline]
-    fn train(&mut self, set: usize, _slot: usize, a_hit: bool, b_hit: bool) {
-        self.history[set].record(!a_hit, !b_hit);
-        if a_hit != b_hit {
-            ac_telemetry::decision(|| DecisionEvent::HistoryUpdate {
-                set: set as u32,
-                a_missed: !a_hit,
-                b_missed: !b_hit,
-            });
-        }
+    fn train(&mut self, slot: usize, a_hit: bool, b_hit: bool) {
+        self.history[slot].record(!a_hit, !b_hit);
     }
 
     #[inline]

@@ -209,12 +209,7 @@ impl CacheModel for DipCache {
         // leader's miss counts towards BIP, a BIP leader's against it.
         if self.roles[set] != SetRole::Follower {
             let bip_leader = self.roles[set] == SetRole::LeaderBip;
-            let (psel, _) = self.votes.cast(&self.psel, !bip_leader);
-            ac_telemetry::decision(|| ac_telemetry::DecisionEvent::DuelVote {
-                set: set as u32,
-                bip_leader,
-                psel,
-            });
+            self.votes.cast(&self.psel, !bip_leader);
         }
 
         let way = match self.real.invalid_way(set) {

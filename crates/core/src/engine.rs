@@ -3,7 +3,6 @@
 //! path that the other organisations reuse.
 
 use crate::adaptive::{Component, ImitationSample};
-use ac_telemetry::{DecisionEvent, EvictionCase};
 use cache_sim::{
     AccessOutcome, BlockAddr, CacheModel, CacheStats, Directory, Eviction, Geometry, MetaTable,
     PolicyKind, ReplacementPolicy, StoredTag, TagArray, TagMode, Way,
@@ -30,9 +29,9 @@ pub trait Selector: Send {
     /// directories, `None` for a follower set.
     fn slot(&self, set: usize) -> Option<usize>;
 
-    /// Trains `slot` (the history slot of `set`) with one shadow-probed
-    /// reference.
-    fn train(&mut self, set: usize, slot: usize, a_hit: bool, b_hit: bool);
+    /// Trains history `slot` (see [`Selector::slot`]) with one
+    /// shadow-probed reference.
+    fn train(&mut self, slot: usize, a_hit: bool, b_hit: bool);
 
     /// The component a replacement in `set` imitates; `slot` is
     /// [`Selector::slot`] of `set`.
@@ -217,9 +216,9 @@ impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveEngine<S, 
                 Component::B => b.victim(set, rng),
             }
         };
-        let (way, case) = match slot {
+        match slot {
             // A follower applies the winner to the blocks it holds.
-            None => (resident(&mut self.rng), EvictionCase::Follower),
+            None => resident(&mut self.rng),
             Some(_) => {
                 let (shadow, victim, policy) = match winner {
                     Component::A => (
@@ -244,13 +243,7 @@ impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> AdaptiveEngine<S, 
                     |rng| shortcut.then(|| resident(rng)),
                 )
             }
-        };
-        ac_telemetry::decision(|| DecisionEvent::Imitation {
-            set: set as u32,
-            component: winner.telemetry(),
-            case,
-        });
-        way
+        }
     }
 }
 
@@ -297,7 +290,7 @@ impl<S: Selector, A: ReplacementPolicy, B: ReplacementPolicy> CacheModel
                     self.excl_a_misses += 1;
                 }
             }
-            self.selector.train(set, slot, a.hit, b.hit);
+            self.selector.train(slot, a.hit, b.hit);
         }
 
         if real_mask != 0 {
@@ -433,7 +426,7 @@ pub(crate) fn algorithm1(
     rng: &mut SmallRng,
     fallbacks: &mut u64,
     shortcut: impl FnOnce(&mut SmallRng) -> Option<usize>,
-) -> (usize, EvictionCase) {
+) -> usize {
     let mut reduced = [StoredTag::default(); cache_sim::MAX_ASSOC];
     let valid = real.reduced_tags(set, shadow.tag_mode(), &mut reduced);
     if let Some(evicted) = victim {
@@ -445,11 +438,11 @@ pub(crate) fn algorithm1(
             same |= u64::from(reduced[w] == evicted.tag) << w;
         }
         if same != 0 {
-            return (same.trailing_zeros() as usize, EvictionCase::SameVictim);
+            return same.trailing_zeros() as usize;
         }
     }
     if let Some(way) = shortcut(rng) {
-        return (way, EvictionCase::LruShortcut);
+        return way;
     }
     // Each membership probe reuses the reduced tags: a single mask
     // compare in the shadow directory.
@@ -458,14 +451,11 @@ pub(crate) fn algorithm1(
         let w = m.trailing_zeros() as usize;
         m &= m - 1;
         if !shadow.contains(set, reduced[w]) {
-            return (w, EvictionCase::NotInShadow);
+            return w;
         }
     }
     *fallbacks += 1;
-    (
-        rng.gen_range(0..real.geometry().associativity()),
-        EvictionCase::AliasFallback,
-    )
+    rng.gen_range(0..real.geometry().associativity())
 }
 
 /// Installs `stored` at `(set, way)` of the real directory, dirty when

@@ -263,7 +263,6 @@ impl CacheModel for MultiAdaptiveCache {
                     &mut self.aliasing_fallbacks,
                     |_| None,
                 )
-                .0
             }
         };
         AccessOutcome::miss(install(

@@ -124,18 +124,16 @@ impl Votes {
         }
     }
 
-    /// Casts one vote (see [`SharedPsel::bump`]) and returns the counter
-    /// value after it with the component that value favours.
+    /// Casts one vote (see [`SharedPsel::bump`]), counting a switch when
+    /// the component the counter favours changes.
     #[inline]
-    pub(crate) fn cast(&mut self, psel: &SharedPsel, toward_b: bool) -> (u32, Component) {
-        let value = psel.bump(toward_b);
-        let now = psel.favours(value);
+    pub(crate) fn cast(&mut self, psel: &SharedPsel, toward_b: bool) {
+        let now = psel.favours(psel.bump(toward_b));
         self.count += 1;
         if now != self.last {
             self.switches += 1;
             self.last = now;
         }
-        (value, now)
     }
 }
 

@@ -20,7 +20,6 @@ use crate::adaptive::Component;
 use crate::engine::{AdaptiveEngine, Selector};
 use crate::history::{HistoryKind, MissHistory};
 use crate::psel::{SharedPsel, Votes};
-use ac_telemetry::DecisionEvent;
 use cache_sim::{Geometry, PolicyKind, TagMode};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -227,21 +226,14 @@ impl Selector for SetSampling {
     }
 
     #[inline]
-    fn train(&mut self, set: usize, slot: usize, a_hit: bool, b_hit: bool) {
+    fn train(&mut self, slot: usize, a_hit: bool, b_hit: bool) {
         // Leaders run the regular adaptive algorithm locally ...
         self.history[slot].record(!a_hit, !b_hit);
         // ... and their exclusive misses vote; ties in either direction
         // do not train the selector.
-        if a_hit == b_hit {
-            return;
+        if a_hit != b_hit {
+            self.votes.cast(&self.psel, !a_hit);
         }
-        let (value, now) = self.votes.cast(&self.psel, !a_hit);
-        ac_telemetry::decision(|| DecisionEvent::LeaderVote {
-            set: set as u32,
-            slot: slot as u32,
-            psel: value,
-            global: now.telemetry(),
-        });
     }
 
     /// Leaders follow their own history (Algorithm 1 against the local

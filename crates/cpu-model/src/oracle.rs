@@ -97,7 +97,9 @@ impl WindowAcc {
         }
     }
 
-    fn record(&mut self, inst: u64, hit: bool) {
+    /// Counts one observation at instruction `inst` and returns the
+    /// index of the window it fell in.
+    fn record(&mut self, inst: u64, hit: bool) -> usize {
         self.last_inst = self.last_inst.max(inst);
         let idx = inst
             .saturating_sub(1)
@@ -118,6 +120,7 @@ impl WindowAcc {
         let w = &mut self.windows[idx];
         w.accesses += 1;
         w.hits += u64::from(hit);
+        idx
     }
 
     fn finish(mut self) -> Vec<OracleWindow> {
@@ -252,12 +255,13 @@ pub fn replay_standalone(
 /// writeback is a write access, a demand fill a read access, in trace
 /// order — so the model finishes in the same state a replayed run would
 /// leave it in. `observe` sees the model after every access, with the
-/// set that access touched.
+/// set that access touched and the index of its window in
+/// [`PolicyReplay::windows`].
 pub fn replay_model_windows(
     trace: &L2Trace,
     l2: &mut dyn CacheModel,
     window_insts: u64,
-    mut observe: impl FnMut(usize, &dyn CacheModel),
+    mut observe: impl FnMut(usize, usize, &dyn CacheModel),
 ) -> PolicyReplay {
     let _span = ac_telemetry::span("oracle", || format!("replay_model {}", l2.label()));
     let geom = *l2.geometry();
@@ -274,8 +278,8 @@ pub fn replay_model_windows(
         } else {
             misses += 1;
         }
-        acc.record(ev.inst, hit);
-        observe(set, l2);
+        let window = acc.record(ev.inst, hit);
+        observe(set, window, l2);
     }
     PolicyReplay {
         label: l2.label(),
@@ -386,7 +390,7 @@ mod tests {
         let trace = fill_trace(&blocks);
         let mut replayed = Cache::new(geom, PolicyKind::Lru, 5);
         let mut observed = 0;
-        let r = replay_model_windows(&trace, &mut replayed, 0, |_, _| observed += 1);
+        let r = replay_model_windows(&trace, &mut replayed, 0, |_, _, _| observed += 1);
         assert_eq!(observed, blocks.len(), "the observer sees every access");
         let mut direct = Cache::new(geom, PolicyKind::Lru, 5);
         for ev in trace.events() {

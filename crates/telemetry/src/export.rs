@@ -25,8 +25,8 @@ fn prom_name(name: &str) -> String {
 
 /// Schema version stamped on `telemetry-summary.json`. Version 1 had
 /// no `schema_version` field; version 2 added it; version 3 drops the
-/// `histograms` section.
-pub const SUMMARY_SCHEMA_VERSION: u32 = 3;
+/// `histograms` section; version 4 drops the `events` section.
+pub const SUMMARY_SCHEMA_VERSION: u32 = 4;
 
 /// Escapes a Prometheus label value per the text exposition format:
 /// backslash, double quote and line feed become `\\`, `\"` and `\n`.
@@ -121,8 +121,7 @@ impl Telemetry {
     }
 
     /// The per-run summary document (`telemetry-summary.json`):
-    /// counters, gauges, span totals, log-line counts and event-stream
-    /// statistics.
+    /// counters, gauges, span totals and log-line counts.
     pub fn summary_json(&self) -> String {
         let mut out = String::from("{");
         let _ = write!(out, "\"schema_version\":{SUMMARY_SCHEMA_VERSION},");
@@ -180,15 +179,7 @@ impl Telemetry {
         let [e, w, inf, d] = self.log_counts();
         let _ = write!(
             out,
-            "\"log\":{{\"error\":{e},\"warn\":{w},\"info\":{inf},\"debug\":{d}}},"
-        );
-
-        let _ = write!(
-            out,
-            "\"events\":{{\"seen\":{},\"recorded\":{},\"sample_rate\":{}}}",
-            self.events_seen(),
-            self.events_recorded(),
-            self.config().sample_rate
+            "\"log\":{{\"error\":{e},\"warn\":{w},\"info\":{inf},\"debug\":{d}}}"
         );
         out.push('}');
         out
@@ -198,7 +189,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Comp, DecisionEvent, EvictionCase, Recorder, SpanRecord, TelemetryConfig};
+    use crate::{Recorder, SpanRecord, TelemetryConfig};
 
     fn hub_with_data() -> Telemetry {
         let t = Telemetry::new(TelemetryConfig::default());
@@ -212,11 +203,6 @@ mod tests {
             dur_us: 100,
             tid: 7,
             args: vec![("frontend_skipped", "true".to_string())],
-        });
-        t.decision(DecisionEvent::Imitation {
-            set: 1,
-            component: Comp::B,
-            case: EvictionCase::NotInShadow,
         });
         t
     }
@@ -282,15 +268,10 @@ mod tests {
     #[test]
     fn summary_mentions_every_section() {
         let text = hub_with_data().summary_json();
-        for key in [
-            "\"counters\"",
-            "\"gauges\"",
-            "\"spans\"",
-            "\"log\"",
-            "\"events\"",
-        ] {
+        for key in ["\"counters\"", "\"gauges\"", "\"spans\"", "\"log\""] {
             assert!(text.contains(key), "missing {key} in {text}");
         }
-        assert!(text.contains("\"recorded\":1"));
+        assert!(text.starts_with("{\"schema_version\":4,"), "{text}");
+        assert!(text.ends_with("}}"), "{text}");
     }
 }

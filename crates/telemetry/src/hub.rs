@@ -1,38 +1,23 @@
-//! The batteries-included [`Recorder`]: in-memory metric registry,
-//! decision-event ring buffer, streaming JSONL sink, artifact writer.
+//! The batteries-included [`Recorder`]: in-memory metric registry and
+//! artifact writer.
 
-use crate::event::{DecisionEvent, EventRecord};
 use crate::span::SpanRecord;
 use crate::timeline::TimelineData;
 use crate::{Level, Recorder};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufWriter, Write};
+use std::collections::{BTreeMap, HashMap};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Default capacity of the in-memory decision-event ring buffer.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
-/// Default decision-event sampling rate when enabling from the
-/// environment (record one event in 64).
-const DEFAULT_ENV_SAMPLE_RATE: u32 = 64;
-
 /// Configuration of a [`Telemetry`] hub.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Artifact directory (`metrics.prom`, `trace.json`,
-    /// `telemetry-summary.json`, `events.jsonl`). `None` keeps
+    /// `telemetry-summary.json`, `timeline.jsonl`). `None` keeps
     /// everything in memory.
     pub dir: Option<PathBuf>,
-    /// Decision-event sampling: record one event in `sample_rate`.
-    /// `0` disables the event stream entirely; `1` records everything.
-    pub sample_rate: u32,
-    /// Capacity of the in-memory event ring buffer (oldest events are
-    /// overwritten once full; the JSONL sink, when configured, streams
-    /// every sampled event regardless).
-    pub ring_capacity: usize,
     /// Timeline window length in ticks (instructions / cycles) for
     /// [`crate::timeline::Timeline::from_hub`]. `0` disables timelines.
     pub timeline_window: u64,
@@ -42,8 +27,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             dir: None,
-            sample_rate: 1,
-            ring_capacity: DEFAULT_RING_CAPACITY,
             timeline_window: crate::timeline::DEFAULT_TIMELINE_WINDOW,
         }
     }
@@ -66,8 +49,6 @@ impl TelemetryConfig {
         };
         Some(TelemetryConfig {
             dir: Some(dir),
-            sample_rate: env_or("AC_TELEMETRY_SAMPLE", DEFAULT_ENV_SAMPLE_RATE),
-            ring_capacity: DEFAULT_RING_CAPACITY,
             timeline_window: env_or(
                 "AC_TIMELINE_WINDOW",
                 crate::timeline::DEFAULT_TIMELINE_WINDOW,
@@ -78,12 +59,6 @@ impl TelemetryConfig {
     /// This configuration with a different artifact directory.
     pub fn with_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.dir = Some(dir.into());
-        self
-    }
-
-    /// This configuration with a different sampling rate.
-    pub fn with_sample_rate(mut self, rate: u32) -> Self {
-        self.sample_rate = rate;
         self
     }
 
@@ -104,13 +79,7 @@ fn env_or<T: FromStr>(name: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-struct EventBuf {
-    ring: VecDeque<EventRecord>,
-    sink: Option<BufWriter<std::fs::File>>,
-    sink_error: bool,
-}
-
-/// The standard recorder: thread-safe metric registry + event stream.
+/// The standard recorder: thread-safe metric registry.
 ///
 /// Use a local instance in tests, or [`Telemetry::install`] to make one
 /// the process-global recorder feeding the instrumentation in the
@@ -120,12 +89,7 @@ pub struct Telemetry {
     counters: Mutex<HashMap<&'static str, BTreeMap<String, u64>>>,
     gauges: Mutex<HashMap<&'static str, BTreeMap<String, f64>>>,
     spans: Mutex<Vec<SpanRecord>>,
-    events: Mutex<EventBuf>,
     timelines: Mutex<Vec<TimelineData>>,
-    /// Position in the unsampled event stream (drives sampling).
-    event_seq: AtomicU64,
-    /// Events actually recorded (ring and/or sink).
-    events_recorded: AtomicU64,
     log_counts: [AtomicU64; 4],
     /// Serialises [`Telemetry::write_artifacts`]: the periodic flusher,
     /// the supervisor's failure-path flush and the exit flush all share
@@ -140,23 +104,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Telemetry {
-    /// Creates a hub. When `cfg.dir` is set, sampled decision events
-    /// stream to `<dir>/events.jsonl` as they are recorded (the file is
-    /// opened lazily on the first event).
+    /// Creates a hub; nothing reaches `cfg.dir` until
+    /// [`Telemetry::write_artifacts`].
     pub fn new(cfg: TelemetryConfig) -> Telemetry {
         Telemetry {
             cfg,
             counters: Mutex::new(HashMap::new()),
             gauges: Mutex::new(HashMap::new()),
             spans: Mutex::new(Vec::new()),
-            events: Mutex::new(EventBuf {
-                ring: VecDeque::new(),
-                sink: None,
-                sink_error: false,
-            }),
             timelines: Mutex::new(Vec::new()),
-            event_seq: AtomicU64::new(0),
-            events_recorded: AtomicU64::new(0),
             log_counts: Default::default(),
             flush_gate: Mutex::new(()),
             flusher_started: std::sync::atomic::AtomicBool::new(false),
@@ -270,23 +226,6 @@ impl Telemetry {
         order
     }
 
-    /// Snapshot of the in-memory event ring (oldest first). The ring
-    /// holds the most recent `ring_capacity` sampled events; the JSONL
-    /// sink, when configured, has the full sampled stream.
-    pub fn events(&self) -> Vec<EventRecord> {
-        lock(&self.events).ring.iter().copied().collect()
-    }
-
-    /// Total events offered to the stream (before sampling).
-    pub fn events_seen(&self) -> u64 {
-        self.event_seq.load(Ordering::Relaxed)
-    }
-
-    /// Total events recorded (after sampling).
-    pub fn events_recorded(&self) -> u64 {
-        self.events_recorded.load(Ordering::Relaxed)
-    }
-
     /// Attaches a finished timeline for `timeline.jsonl` export.
     /// Usually called through [`crate::timeline::Timeline::finish`].
     pub fn attach_timeline(&self, data: TimelineData) {
@@ -308,9 +247,9 @@ impl Telemetry {
         ]
     }
 
-    /// Flushes the JSONL sink and writes every artifact
-    /// (`metrics.prom`, `trace.json`, `telemetry-summary.json`) to the
-    /// configured directory. No-op (Ok) when no directory is configured.
+    /// Writes every artifact (`metrics.prom`, `trace.json`,
+    /// `telemetry-summary.json`, and `timeline.jsonl` once a timeline is
+    /// attached) to the configured directory. No-op (Ok) when no directory is configured.
     ///
     /// Safe to call *mid-run* (each artifact is a point-in-time snapshot
     /// taken under the hub's locks, written atomically) and from several
@@ -322,12 +261,6 @@ impl Telemetry {
         };
         let _gate = lock(&self.flush_gate);
         std::fs::create_dir_all(&dir)?;
-        {
-            let mut ev = lock(&self.events);
-            if let Some(sink) = ev.sink.as_mut() {
-                sink.flush()?;
-            }
-        }
         let mut written = Vec::new();
         for (name, text) in [
             ("metrics.prom", self.prometheus()),
@@ -348,35 +281,7 @@ impl Telemetry {
             write_atomic(&path, text.as_bytes())?;
             written.push(path);
         }
-        drop(timelines);
-        let events = dir.join("events.jsonl");
-        if events.exists() {
-            written.push(events);
-        }
         Ok(written)
-    }
-
-    fn sink_write(&self, buf: &mut EventBuf, line: &str) {
-        if buf.sink_error {
-            return;
-        }
-        if buf.sink.is_none() {
-            let Some(dir) = &self.cfg.dir else { return };
-            match std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::File::create(dir.join("events.jsonl")))
-            {
-                Ok(f) => buf.sink = Some(BufWriter::new(f)),
-                Err(_) => {
-                    buf.sink_error = true;
-                    return;
-                }
-            }
-        }
-        if let Some(sink) = buf.sink.as_mut() {
-            if writeln!(sink, "{line}").is_err() {
-                buf.sink_error = true;
-            }
-        }
     }
 }
 
@@ -403,36 +308,6 @@ impl Recorder for Telemetry {
         lock(&self.spans).push(span);
     }
 
-    fn decision(&self, event: DecisionEvent) {
-        let rate = self.cfg.sample_rate;
-        if rate == 0 {
-            return;
-        }
-        let seq = self.event_seq.fetch_add(1, Ordering::Relaxed);
-        if !seq.is_multiple_of(u64::from(rate)) {
-            return;
-        }
-        let record = EventRecord {
-            seq,
-            t_us: crate::now_us(),
-            event,
-        };
-        self.events_recorded.fetch_add(1, Ordering::Relaxed);
-        let mut buf = lock(&self.events);
-        if self.cfg.dir.is_some() {
-            let line = record.to_json_line();
-            self.sink_write(&mut buf, &line);
-        }
-        if buf.ring.len() == self.cfg.ring_capacity.max(1) {
-            buf.ring.pop_front();
-        }
-        buf.ring.push_back(record);
-    }
-
-    fn events_enabled(&self) -> bool {
-        self.cfg.sample_rate > 0
-    }
-
     fn log_emitted(&self, level: Level) {
         self.log_counts[level as usize].fetch_add(1, Ordering::Relaxed);
     }
@@ -452,12 +327,6 @@ impl Recorder for HubHandle {
     fn span_record(&self, span: SpanRecord) {
         self.0.span_record(span);
     }
-    fn decision(&self, event: DecisionEvent) {
-        self.0.decision(event);
-    }
-    fn events_enabled(&self) -> bool {
-        self.0.events_enabled()
-    }
     fn log_emitted(&self, level: Level) {
         self.0.log_emitted(level);
     }
@@ -474,15 +343,6 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Comp, DecisionEvent, EvictionCase};
-
-    fn imitation(set: u32) -> DecisionEvent {
-        DecisionEvent::Imitation {
-            set,
-            component: Comp::A,
-            case: EvictionCase::SameVictim,
-        }
-    }
 
     #[test]
     fn counters_accumulate_per_label() {
@@ -496,85 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_rate_zero_emits_nothing() {
-        let t = Telemetry::new(TelemetryConfig::default().with_sample_rate(0));
-        for i in 0..100 {
-            t.decision(imitation(i));
-        }
-        assert!(!t.events_enabled());
-        assert_eq!(t.events().len(), 0);
-        assert_eq!(t.events_recorded(), 0);
-        assert_eq!(t.events_seen(), 0, "rate 0 does not even count");
-    }
-
-    #[test]
-    fn sample_rate_one_records_everything() {
-        let t = Telemetry::new(TelemetryConfig::default());
-        for i in 0..100 {
-            t.decision(imitation(i));
-        }
-        assert_eq!(t.events().len(), 100);
-        assert_eq!(t.events_seen(), 100);
-        assert_eq!(t.events_recorded(), 100);
-    }
-
-    #[test]
-    fn sample_rate_n_records_one_in_n() {
-        let t = Telemetry::new(TelemetryConfig::default().with_sample_rate(10));
-        for i in 0..100 {
-            t.decision(imitation(i));
-        }
-        assert_eq!(t.events().len(), 10);
-        assert_eq!(t.events_seen(), 100);
-        // Sampled events keep their true stream position.
-        assert_eq!(t.events()[1].seq, 10);
-    }
-
-    #[test]
-    fn ring_overwrites_oldest() {
-        let cfg = TelemetryConfig {
-            ring_capacity: 4,
-            ..TelemetryConfig::default()
-        };
-        let t = Telemetry::new(cfg);
-        for i in 0..10 {
-            t.decision(imitation(i));
-        }
-        let ev = t.events();
-        assert_eq!(ev.len(), 4);
-        assert_eq!(ev[0].seq, 6, "oldest events overwritten");
-        assert_eq!(t.events_recorded(), 10, "recorded count is lifetime");
-    }
-
-    #[test]
-    fn jsonl_sink_streams_every_sampled_event() {
-        let dir = std::env::temp_dir().join(format!("ac_tlm_sink_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let t = Telemetry::new(TelemetryConfig::default().with_dir(&dir));
-        for i in 0..20 {
-            t.decision(imitation(i));
-        }
-        t.write_artifacts().unwrap();
-        let text = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
-        assert_eq!(text.lines().count(), 20);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn write_artifacts_without_dir_is_noop() {
         let t = Telemetry::new(TelemetryConfig::default());
         assert!(t.write_artifacts().unwrap().is_empty());
-    }
-
-    #[test]
-    fn default_config_records_every_event_in_memory() {
-        // `from_env` reads the real environment, which tests in this
-        // process must not mutate; `tests/telemetry_env.rs` at the
-        // workspace root covers it, holding a lock around each change.
-        let cfg = TelemetryConfig::default();
-        assert_eq!(cfg.sample_rate, 1);
-        assert!(cfg.dir.is_none());
     }
 
     #[test]

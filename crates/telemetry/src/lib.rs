@@ -7,11 +7,8 @@
 //!   [`Recorder`] trait (no-op by default),
 //! * **spans** — RAII wall-clock timers ([`span`]) that become Chrome
 //!   `trace_event` timeline entries,
-//! * **decision events** — a sampled structured stream
-//!   ([`DecisionEvent`]) of adaptive-cache choices (per-set imitation,
-//!   exclusive-miss history updates, SBAR leader votes, DIP duel votes),
-//!   kept in an in-memory ring buffer and optionally streamed to a JSONL
-//!   sink,
+//! * **timelines** — windowed time series of a cache's cumulative
+//!   [`TimelineProbe`] ([`timeline`]),
 //! * **exporters** — Prometheus text exposition (`metrics.prom`), Chrome
 //!   `trace_event` JSON (`trace.json`) and a per-run
 //!   `telemetry-summary.json`,
@@ -24,16 +21,13 @@
 //! or [`init_from_env`]). Every instrumentation entry point first checks
 //! a relaxed [`AtomicBool`]; with no recorder installed the entire call
 //! is a load + branch and **never allocates** (guarded by the
-//! `noop_alloc` test). Decision-event closures are not even invoked.
+//! `noop_alloc` test). Span-name closures are not even invoked.
 //!
 //! ## Environment control
 //!
 //! * `AC_TELEMETRY` — `0`/unset: disabled; `1`/`true`/`yes`: enabled
 //!   with artifacts under `results/`; any other value: enabled with
 //!   artifacts under that directory.
-//! * `AC_TELEMETRY_SAMPLE` — decision-event sampling rate (record one
-//!   event in `N`; `0` disables the event stream; default 64 from the
-//!   environment, [`TelemetryConfig::default`] uses 1).
 //! * `AC_TIMELINE_WINDOW` — the timeline window in ticks
 //!   ([`TelemetryConfig`]; `0` disables timelines).
 //! * `AC_TELEMETRY_FLUSH_MS` — rewrite every artifact atomically each
@@ -44,23 +38,17 @@
 //! ## Example
 //!
 //! ```
-//! use ac_telemetry::{Telemetry, TelemetryConfig, Recorder, DecisionEvent, Comp, EvictionCase};
+//! use ac_telemetry::{Telemetry, TelemetryConfig, Recorder};
 //!
 //! let hub = Telemetry::new(TelemetryConfig::default());
 //! hub.counter_add("cache_misses_total", "LRU", 3);
-//! hub.decision(DecisionEvent::Imitation {
-//!     set: 7,
-//!     component: Comp::A,
-//!     case: EvictionCase::SameVictim,
-//! });
-//! assert_eq!(hub.events().len(), 1);
+//! assert_eq!(hub.counter_value("cache_misses_total", "LRU"), 3);
 //! assert!(hub.prometheus().contains("ac_cache_misses_total"));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod event;
 mod export;
 mod hub;
 mod json;
@@ -68,9 +56,8 @@ mod logging;
 mod span;
 pub mod timeline;
 
-pub use event::{Comp, DecisionEvent, EventRecord, EvictionCase, EVENTS_SCHEMA_VERSION};
 pub use export::SUMMARY_SCHEMA_VERSION;
-pub use hub::{Telemetry, TelemetryConfig, DEFAULT_RING_CAPACITY};
+pub use hub::{Telemetry, TelemetryConfig};
 pub use logging::{log_stderr, max_level, Level};
 pub use span::{now_us, Span, SpanRecord};
 pub use timeline::{Timeline, TimelineData, TimelineGauges, TimelineProbe};
@@ -95,21 +82,11 @@ pub trait Recorder: Send + Sync {
     /// Records a completed span.
     fn span_record(&self, span: SpanRecord);
 
-    /// Offers one decision event to the (sampled) event stream.
-    fn decision(&self, event: DecisionEvent);
-
-    /// Whether the decision-event stream is live (sampling rate > 0).
-    /// Instrumentation skips event construction entirely when false.
-    fn events_enabled(&self) -> bool {
-        false
-    }
-
     /// Notifies the recorder that a log line of `level` was emitted.
     fn log_emitted(&self, _level: Level) {}
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static EVENTS: AtomicBool = AtomicBool::new(false);
 static RECORDER: OnceLock<&'static dyn Recorder> = OnceLock::new();
 static HUB: OnceLock<&'static Telemetry> = OnceLock::new();
 
@@ -123,7 +100,6 @@ pub fn set_recorder(recorder: Box<dyn Recorder>) -> Result<(), Box<dyn Recorder>
     let leaked: &'static dyn Recorder = Box::leak(recorder);
     match RECORDER.set(leaked) {
         Ok(()) => {
-            EVENTS.store(leaked.events_enabled(), Ordering::Release);
             ENABLED.store(true, Ordering::Release);
             Ok(())
         }
@@ -138,13 +114,6 @@ pub fn set_recorder(recorder: Box<dyn Recorder>) -> Result<(), Box<dyn Recorder>
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Whether the decision-event stream is live. One relaxed load; when
-/// false, [`decision`] does not even construct the event.
-#[inline]
-pub fn events_enabled() -> bool {
-    EVENTS.load(Ordering::Relaxed)
 }
 
 /// The installed recorder, if any.
@@ -226,17 +195,6 @@ pub fn gauge_set_labeled(name: &'static str, label: &str, value: f64) {
     }
 }
 
-/// Offers a decision event to the global stream. The closure runs only
-/// when the stream is live, so disabled-mode cost is one load + branch.
-#[inline]
-pub fn decision(f: impl FnOnce() -> DecisionEvent) {
-    if events_enabled() {
-        if let Some(r) = recorder() {
-            r.decision(f());
-        }
-    }
-}
-
 /// Opens a wall-clock span of category `cat`; the name closure runs only
 /// when a recorder is installed. The span records itself on drop.
 #[inline]
@@ -256,7 +214,6 @@ impl Recorder for NoopRecorder {
     fn counter_add(&self, _: &'static str, _: &str, _: u64) {}
     fn gauge_set(&self, _: &'static str, _: &str, _: f64) {}
     fn span_record(&self, _: SpanRecord) {}
-    fn decision(&self, _: DecisionEvent) {}
 }
 
 #[cfg(test)]
@@ -274,7 +231,6 @@ mod tests {
         counter_add("x_total", 1);
         counter_add_labeled("y_total", "lbl", 2);
         gauge_set("g", 1.5);
-        decision(|| panic!("decision closure must not run while disabled"));
         let s = span("test", || {
             panic!("span name must not be built while disabled")
         });
@@ -285,11 +241,6 @@ mod tests {
     fn noop_recorder_discards() {
         let r = NoopRecorder;
         r.counter_add("a", "", 1);
-        r.decision(DecisionEvent::HistoryUpdate {
-            set: 0,
-            a_missed: true,
-            b_missed: false,
-        });
-        assert!(!r.events_enabled());
+        r.gauge_set("g", "", 1.0);
     }
 }

@@ -64,7 +64,9 @@ pub struct TimelineProbe {
     pub imitations_a: u64,
     /// Evictions that imitated component policy B.
     pub imitations_b: u64,
-    /// Partial-tag aliasing fallbacks to plain LRU.
+    /// Partial-tag aliasing fallbacks: misses where aliasing hid every
+    /// block outside the imitated component, so a uniformly random way
+    /// was evicted (the paper's "arbitrary block").
     pub aliasing_fallbacks: u64,
     /// SBAR leader votes / DIP duel votes cast.
     pub leader_votes: u64,

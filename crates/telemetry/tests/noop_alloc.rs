@@ -53,11 +53,6 @@ fn disabled_instrumentation_is_allocation_free() {
             ac_telemetry::counter_add_labeled("noop_labeled_total", "label", 2);
             ac_telemetry::gauge_set("noop_gauge", 1.0);
             ac_telemetry::gauge_set_labeled("noop_labeled_gauge", "shard0", 1.0);
-            ac_telemetry::decision(|| ac_telemetry::DecisionEvent::Imitation {
-                set: i,
-                component: ac_telemetry::Comp::A,
-                case: ac_telemetry::EvictionCase::SameVictim,
-            });
             let mut span = ac_telemetry::span("noop", || format!("span {i}"));
             span.set_attr("frontend_skipped", || format!("{i}"));
             drop(span);

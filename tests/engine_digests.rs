@@ -1,20 +1,19 @@
 //! Pins the exact behaviour of every adaptive organisation.
 //!
 //! Each organisation runs a phase-changing stream on two geometries and
-//! is reduced to three FNV-1a digests:
+//! is reduced to two FNV-1a digests:
 //!
 //! - `access`: every access's hit flag, evicted block and dirty bit;
 //! - `state`: the end state — statistics, shadow statistics, imitation,
 //!   exclusive-miss and aliasing totals, Figure-7 samples,
-//!   `timeline_probe()`, the label and the selector accessors;
-//! - `events`: the decision-event sequence, every event recorded.
+//!   `timeline_probe()`, the label and the selector accessors.
 //!
 //! A refactor of the engines that is meant to keep their behaviour must
 //! leave every digest unchanged. Run
 //! `cargo test --test engine_digests -- --nocapture` to print the
 //! current digests when a mismatch needs diagnosing.
 
-use ac_telemetry::{DecisionEvent, Recorder, SpanRecord, TimelineProbe};
+use ac_telemetry::TimelineProbe;
 use adaptive_cache::{
     AdaptiveCache, AdaptiveConfig, Component, DipCache, DipConfig, HistoryKind, MultiAdaptiveCache,
     MultiConfig, SbarCache, SbarConfig, SharedPsel,
@@ -23,8 +22,7 @@ use cache_sim::{
     AccessOutcome, BlockAddr, CacheModel, Geometry, Lfu, Lru, PolicyKind, ReplacementPolicy,
     TagMode,
 };
-use std::cell::Cell;
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -113,82 +111,6 @@ fn comp(c: Component) -> u64 {
     }
 }
 
-/// Folds one decision event, field by field, into the digest `h`.
-fn event_digest(h: u64, e: DecisionEvent) -> u64 {
-    let mut d = Digest(h);
-    d.text(e.kind());
-    match e {
-        DecisionEvent::Imitation {
-            set,
-            component,
-            case,
-        } => {
-            d.word(set.into());
-            d.text(component.as_str());
-            d.text(case.as_str());
-        }
-        DecisionEvent::HistoryUpdate {
-            set,
-            a_missed,
-            b_missed,
-        } => d.words([set.into(), a_missed.into(), b_missed.into()]),
-        DecisionEvent::LeaderVote {
-            set,
-            slot,
-            psel,
-            global,
-        } => {
-            d.words([set.into(), slot.into(), psel.into()]);
-            d.text(global.as_str());
-        }
-        DecisionEvent::DuelVote {
-            set,
-            bip_leader,
-            psel,
-        } => d.words([set.into(), bip_leader.into(), psel.into()]),
-    }
-    d.0
-}
-
-thread_local! {
-    /// Digest of the decision events emitted on this thread.
-    static EVENTS: Cell<u64> = const { Cell::new(FNV_OFFSET) };
-}
-
-/// Records every decision event (sample rate 1) into a per-thread
-/// digest. Per thread, because the tests of this binary run in parallel
-/// and each must see only the events its own caches emit.
-struct EventDigest;
-
-impl Recorder for EventDigest {
-    fn counter_add(&self, _: &'static str, _: &str, _: u64) {}
-    fn gauge_set(&self, _: &'static str, _: &str, _: f64) {}
-    fn span_record(&self, _: SpanRecord) {}
-    fn decision(&self, event: DecisionEvent) {
-        EVENTS.with(|h| h.set(event_digest(h.get(), event)));
-    }
-    fn events_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Installs [`EventDigest`] once per process and resets this thread's
-/// event digest.
-fn start_events() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        assert!(
-            ac_telemetry::set_recorder(Box::new(EventDigest)).is_ok(),
-            "this binary installs the only recorder"
-        );
-    });
-    EVENTS.with(|h| h.set(FNV_OFFSET));
-}
-
-fn take_events() -> u64 {
-    EVENTS.with(|h| h.replace(FNV_OFFSET))
-}
-
 /// Accesses per run.
 const ACCESSES: u64 = 300_000;
 
@@ -233,21 +155,19 @@ fn capacity(g: &Geometry) -> u64 {
     (g.num_sets() * g.associativity()) as u64
 }
 
-/// `(access, state, events)` digests of one run.
-type Digests = (u64, u64, u64);
+/// `(access, state)` digests of one run.
+type Digests = (u64, u64);
 
 /// Drives `m` over [`stream`], then hashes its end state with `state`.
 fn run<M: CacheModel>(mut m: M, state: impl FnOnce(&mut M, &mut Digest)) -> Digests {
-    start_events();
     let mut access = Digest::new();
     for (block, write) in stream(capacity(m.geometry())) {
         access.outcome(m.access(block, write));
     }
-    let events = take_events();
     let mut end = Digest::new();
     end.model(&m);
     state(&mut m, &mut end);
-    (access.0, end.0, events)
+    (access.0, end.0)
 }
 
 fn adaptive_state<A: ReplacementPolicy, B: ReplacementPolicy>(
@@ -316,7 +236,6 @@ impl Shards {
     }
 
     fn run(mut self) -> Digests {
-        start_events();
         let mut access = Digest::new();
         for (block, write) in stream(capacity(&self.geom)) {
             let set = self.geom.set_index(block);
@@ -327,13 +246,12 @@ impl Shards {
             access.word(shard as u64);
             access.outcome(self.shards[shard].access(local, write));
         }
-        let events = take_events();
         let mut end = Digest::new();
         for shard in &mut self.shards {
             end.model(&*shard);
             sbar_state(shard, &mut end);
         }
-        (access.0, end.0, events)
+        (access.0, end.0)
     }
 }
 
@@ -357,15 +275,12 @@ fn dip_state(c: &mut DipCache, h: &mut Digest) {
 fn check(got: &[(String, Digests)], want: &[(&str, Digests)]) {
     let mut wrong = Vec::new();
     for (name, d) in got {
-        println!(
-            "(\"{name}\", (0x{:016x}, 0x{:016x}, 0x{:016x})),",
-            d.0, d.1, d.2
-        );
+        println!("(\"{name}\", (0x{:016x}, 0x{:016x})),", d.0, d.1);
         match want.iter().find(|(n, _)| n == name) {
             Some((_, w)) if w == d => {}
             Some((_, w)) => {
-                let parts = ["access", "state", "events"];
-                let diff: Vec<_> = [(w.0, d.0), (w.1, d.1), (w.2, d.2)]
+                let parts = ["access", "state"];
+                let diff: Vec<_> = [(w.0, d.0), (w.1, d.1)]
                     .iter()
                     .zip(parts)
                     .filter(|((w, d), _)| w != d)
@@ -470,40 +385,40 @@ fn multi_and_dip_are_pinned() {
 
 #[rustfmt::skip]
 const ADAPTIVE: &[(&str, Digests)] = &[
-    ("adaptive/full/l2", (0xb2a20873b08a9ebd, 0x7c801966d489a675, 0xc87ed93ee496a4b8)),
-    ("adaptive/8bit/l2", (0xb2a20873b08a9ebd, 0x461ec95352754ded, 0xc87ed93ee496a4b8)),
-    ("adaptive/xor8/l2", (0xb2a20873b08a9ebd, 0x461ec95352754ded, 0xc87ed93ee496a4b8)),
-    ("adaptive/1bit/l2", (0x3d2da77c736c6548, 0xb60799bfeb541081, 0x42e10f0b67c960c7)),
-    ("adaptive/lru_shortcut/l2", (0x87ca13affd0a4f17, 0x36c31cb3d89b1af0, 0x5981934570e364fb)),
-    ("adaptive/counters/l2", (0xb3acf43a24535482, 0x582b415a106ef018, 0x39f105e6e0c7dd6f)),
-    ("adaptive/saturating4/l2", (0x7eb08b81c6e7e488, 0xf61abf1920a893c9, 0xe0763e10d4f4abe7)),
-    ("adaptive/custom/l2", (0xb2a20873b08a9ebd, 0x7c801966d489a675, 0xc87ed93ee496a4b8)),
-    ("adaptive/full/small", (0x25c5f4bbb70debce, 0x01bf2f3fb1335fed, 0x88c91c35351003a2)),
-    ("adaptive/8bit/small", (0x25c5f4bbb70debce, 0x0ab6d36d19f529e5, 0x88c91c35351003a2)),
-    ("adaptive/xor8/small", (0x25c5f4bbb70debce, 0x0ab6d36d19f529e5, 0x88c91c35351003a2)),
-    ("adaptive/1bit/small", (0xe39f99606a3c041d, 0xe1853685c4a02a81, 0x61a553123440e326)),
-    ("adaptive/lru_shortcut/small", (0xf718a3db8f10fc0e, 0x01bf2f3fb1335fed, 0xbc9a36094faeeec2)),
-    ("adaptive/counters/small", (0x2053f0b4bddc0917, 0x385429a6840d81d8, 0xa353b9a3c4ec0129)),
-    ("adaptive/saturating4/small", (0x898163e8296d4693, 0xc17d8ac3e7a9e3b8, 0x0c3f9cf6fe96ed41)),
-    ("adaptive/custom/small", (0x25c5f4bbb70debce, 0x01bf2f3fb1335fed, 0x88c91c35351003a2)),
+    ("adaptive/full/l2", (0xb2a20873b08a9ebd, 0x7c801966d489a675)),
+    ("adaptive/8bit/l2", (0xb2a20873b08a9ebd, 0x461ec95352754ded)),
+    ("adaptive/xor8/l2", (0xb2a20873b08a9ebd, 0x461ec95352754ded)),
+    ("adaptive/1bit/l2", (0x3d2da77c736c6548, 0xb60799bfeb541081)),
+    ("adaptive/lru_shortcut/l2", (0x87ca13affd0a4f17, 0x36c31cb3d89b1af0)),
+    ("adaptive/counters/l2", (0xb3acf43a24535482, 0x582b415a106ef018)),
+    ("adaptive/saturating4/l2", (0x7eb08b81c6e7e488, 0xf61abf1920a893c9)),
+    ("adaptive/custom/l2", (0xb2a20873b08a9ebd, 0x7c801966d489a675)),
+    ("adaptive/full/small", (0x25c5f4bbb70debce, 0x01bf2f3fb1335fed)),
+    ("adaptive/8bit/small", (0x25c5f4bbb70debce, 0x0ab6d36d19f529e5)),
+    ("adaptive/xor8/small", (0x25c5f4bbb70debce, 0x0ab6d36d19f529e5)),
+    ("adaptive/1bit/small", (0xe39f99606a3c041d, 0xe1853685c4a02a81)),
+    ("adaptive/lru_shortcut/small", (0xf718a3db8f10fc0e, 0x01bf2f3fb1335fed)),
+    ("adaptive/counters/small", (0x2053f0b4bddc0917, 0x385429a6840d81d8)),
+    ("adaptive/saturating4/small", (0x898163e8296d4693, 0xc17d8ac3e7a9e3b8)),
+    ("adaptive/custom/small", (0x25c5f4bbb70debce, 0x01bf2f3fb1335fed)),
 ];
 
 #[rustfmt::skip]
 const SBAR: &[(&str, Digests)] = &[
-    ("sbar/paper/l2", (0xe8b98a388de8af1b, 0x0a9a7aad4c0d0f6e, 0xd0bd534335159497)),
-    ("sbar/partial/l2", (0xe8b98a388de8af1b, 0x0a9a7aad4c0d0f6e, 0xd0bd534335159497)),
-    ("sbar/shards/l2", (0xe469faa8887b9ebc, 0xd019c416e1d98a60, 0x2c0d471915ea03d7)),
-    ("sbar/paper/small", (0x25c5f4bbb70debce, 0x198ca431444b89cf, 0x8458239c434d11e4)),
-    ("sbar/partial/small", (0x25c5f4bbb70debce, 0x198ca431444b89cf, 0x8458239c434d11e4)),
-    ("sbar/shards/small", (0xbecd56544111da6f, 0x88dcd24c5c9fc5aa, 0xab26e0a5e1487a0d)),
+    ("sbar/paper/l2", (0xe8b98a388de8af1b, 0x0a9a7aad4c0d0f6e)),
+    ("sbar/partial/l2", (0xe8b98a388de8af1b, 0x0a9a7aad4c0d0f6e)),
+    ("sbar/shards/l2", (0xe469faa8887b9ebc, 0xd019c416e1d98a60)),
+    ("sbar/paper/small", (0x25c5f4bbb70debce, 0x198ca431444b89cf)),
+    ("sbar/partial/small", (0x25c5f4bbb70debce, 0x198ca431444b89cf)),
+    ("sbar/shards/small", (0xbecd56544111da6f, 0x88dcd24c5c9fc5aa)),
 ];
 
 #[rustfmt::skip]
 const MULTI_DIP: &[(&str, Digests)] = &[
-    ("multi/five/l2", (0x80cba085f2c27b3e, 0xe2aca14ca871c53b, 0xcbf29ce484222325)),
-    ("multi/lru_lfu/l2", (0xb3acf43a24535482, 0xe4874eab0c32409a, 0xcbf29ce484222325)),
-    ("dip/l2", (0x762a9a789735729b, 0x6a8823e9dd9d248c, 0x93ff2ed02403034b)),
-    ("multi/five/small", (0x6a8c093402e8aff6, 0x4b01fefb3eedb7b2, 0xcbf29ce484222325)),
-    ("multi/lru_lfu/small", (0x5ff15945252f3251, 0x4eff8ebf49c4fc47, 0xcbf29ce484222325)),
-    ("dip/small", (0x8f99975fc61f9258, 0x925d31e829ae3af1, 0xc34abd6e950b80eb)),
+    ("multi/five/l2", (0x80cba085f2c27b3e, 0xe2aca14ca871c53b)),
+    ("multi/lru_lfu/l2", (0xb3acf43a24535482, 0xe4874eab0c32409a)),
+    ("dip/l2", (0x762a9a789735729b, 0x6a8823e9dd9d248c)),
+    ("multi/five/small", (0x6a8c093402e8aff6, 0x4b01fefb3eedb7b2)),
+    ("multi/lru_lfu/small", (0x5ff15945252f3251, 0x4eff8ebf49c4fc47)),
+    ("dip/small", (0x8f99975fc61f9258, 0x925d31e829ae3af1)),
 ];

@@ -10,9 +10,9 @@ use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
 use ac_telemetry::timeline::DEFAULT_TIMELINE_WINDOW;
-use ac_telemetry::{TelemetryConfig, DEFAULT_RING_CAPACITY};
+use ac_telemetry::TelemetryConfig;
 
-const VARS: [&str; 3] = ["AC_TELEMETRY", "AC_TELEMETRY_SAMPLE", "AC_TIMELINE_WINDOW"];
+const VARS: [&str; 2] = ["AC_TELEMETRY", "AC_TIMELINE_WINDOW"];
 
 /// Sole use of the telemetry variables, all unset, until dropped (which
 /// unsets them again).
@@ -46,17 +46,6 @@ impl Drop for Env {
         self.clear();
     }
 }
-
-/// Every setting but the directory: sample rate, ring capacity, timeline
-/// window.
-type Shape = (u32, usize, u64);
-
-fn shape(cfg: &TelemetryConfig) -> Shape {
-    (cfg.sample_rate, cfg.ring_capacity, cfg.timeline_window)
-}
-
-/// The environment's defaults; its sample rate records one event in 64.
-const DEFAULT_SHAPE: Shape = (64, DEFAULT_RING_CAPACITY, DEFAULT_TIMELINE_WINDOW);
 
 /// The configurations of the two ways in: `AC_TELEMETRY=envdir` and a
 /// `flagdir` flag.
@@ -127,36 +116,32 @@ fn the_flag_directory_wins_over_ac_telemetry() {
 fn unset_settings_take_the_environment_defaults() {
     let env = Env::lock();
     for cfg in both_ways(&env) {
-        assert_eq!(shape(&cfg), DEFAULT_SHAPE, "{cfg:?}");
+        assert_eq!(cfg.timeline_window, DEFAULT_TIMELINE_WINDOW, "{cfg:?}");
     }
 }
 
 #[test]
 fn the_flag_and_ac_telemetry_read_the_same_settings() {
     let env = Env::lock();
-    env.set("AC_TELEMETRY_SAMPLE", "8");
     env.set("AC_TIMELINE_WINDOW", "0");
     for cfg in both_ways(&env) {
-        assert_eq!(shape(&cfg), (8, DEFAULT_RING_CAPACITY, 0), "{cfg:?}");
+        assert_eq!(cfg.timeline_window, 0, "{cfg:?}");
     }
 }
 
 #[test]
 fn values_that_do_not_parse_fall_back_to_the_defaults() {
     let env = Env::lock();
-    // One past u32::MAX: out of the sample rate's range, not wrapped to 0.
-    for (sample, window) in [("-1", "lots"), ("4294967296", "1.5")] {
-        env.set("AC_TELEMETRY_SAMPLE", sample);
+    // One past u64::MAX: out of the window's range, not wrapped to 0.
+    for window in ["-1", "lots", "1.5", "18446744073709551616"] {
         env.set("AC_TIMELINE_WINDOW", window);
         for cfg in both_ways(&env) {
-            assert_eq!(shape(&cfg), DEFAULT_SHAPE, "{cfg:?}");
+            assert_eq!(cfg.timeline_window, DEFAULT_TIMELINE_WINDOW, "{cfg:?}");
         }
     }
 
-    for name in &VARS[1..] {
-        env.set(name, " 16 ");
-    }
+    env.set("AC_TIMELINE_WINDOW", " 16 ");
     for cfg in both_ways(&env) {
-        assert_eq!(shape(&cfg), (16, DEFAULT_RING_CAPACITY, 16), "{cfg:?}");
+        assert_eq!(cfg.timeline_window, 16, "{cfg:?}");
     }
 }
