@@ -248,6 +248,7 @@ fn bad_sweep_cell_is_rejected_before_anything_runs() {
         ),
         (cpu_cell(|c| c.l1d.size_bytes = 1000), "`cpu.l1d`"),
         (cpu_cell(|c| c.l2.associativity = 7), "`cpu.l2`"),
+        (cpu_cell(|c| c.l2.line_bytes = 32), "`cpu.l2.line_bytes`"),
         (cpu_cell(|c| c.bus_bytes = 0), "`cpu.bus_bytes`"),
     ];
     for (bad, field) in bad_cells {
@@ -664,10 +665,16 @@ fn unknown_mode_and_unknown_benchmark_exit_invalid() {
     assert_eq!(out.status.code(), Some(3));
     assert!(String::from_utf8_lossy(&out.stderr).contains("no-such-bench"));
 
-    std::fs::write(&cfg, cpu_cell(|c| c.l1d.size_bytes = 1000)).unwrap();
-    let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
-    assert_eq!(out.status.code(), Some(3));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("`cpu.l1d`"));
+    for (bad, field) in [
+        (cpu_cell(|c| c.l1d.size_bytes = 1000), "`cpu.l1d`"),
+        (cpu_cell(|c| c.l2.line_bytes = 32), "`cpu.l2.line_bytes`"),
+    ] {
+        std::fs::write(&cfg, bad).unwrap();
+        let out = run_in(&dir, &[cfg.to_str().unwrap()], &[]);
+        assert_eq!(out.status.code(), Some(3));
+        assert!(String::from_utf8_lossy(&out.stderr).contains(field));
+        assert!(out.stdout.is_empty(), "{field}: nothing may run");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -59,4 +59,7 @@ pub use hierarchy::{
 };
 pub use oracle::{belady, replay_model_windows, replay_standalone, OracleWindow, PolicyReplay};
 pub use pipeline::{Pipeline, RunStats};
-pub use replay::{capture_functional, replay_into, replay_l2, L2Event, L2Trace, L2TraceBuilder};
+pub use replay::{
+    capture_functional, capture_line_bytes, replay_into, replay_l2, L2Event, L2Trace,
+    L2TraceBuilder,
+};

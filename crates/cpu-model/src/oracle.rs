@@ -140,6 +140,7 @@ impl WindowAcc {
 /// caches treat them.
 pub fn belady(trace: &L2Trace, geom: Geometry, window_insts: u64) -> PolicyReplay {
     let _span = ac_telemetry::span("oracle", || "belady".to_string());
+    trace.assert_replayable_on(&geom);
     // Decode once: (block, set, inst) per event.
     let events: Vec<(u64, u32, u64)> = trace
         .events()
@@ -224,6 +225,7 @@ pub fn replay_standalone(
     window_insts: u64,
 ) -> PolicyReplay {
     let _span = ac_telemetry::span("oracle", || format!("replay_standalone {}", policy.name()));
+    trace.assert_replayable_on(&geom);
     let mut arr = TagArray::new(geom, mode, policy, seed);
     let mut per_set_hits = vec![0u64; geom.num_sets()];
     let mut acc = WindowAcc::new(window_insts);
@@ -265,6 +267,7 @@ pub fn replay_model_windows(
 ) -> PolicyReplay {
     let _span = ac_telemetry::span("oracle", || format!("replay_model {}", l2.label()));
     let geom = *l2.geometry();
+    trace.assert_replayable_on(&geom);
     let mut per_set_hits = vec![0u64; geom.num_sets()];
     let mut acc = WindowAcc::new(window_insts);
     let (mut hits, mut misses) = (0u64, 0u64);

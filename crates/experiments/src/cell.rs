@@ -114,8 +114,10 @@ impl RunReply {
 /// Checks a request before anything runs — exactly one workload source,
 /// a known mode, a benchmark name the suite has, an inline spec the
 /// generator accepts (`WorkloadSpec::check`), cache geometries the model
-/// can build and a nonzero bus width — and resolves its workload to the
-/// benchmark [`run`] streams. The error names the offending field.
+/// can build, an L2 line no shorter than the smaller L1 line (the
+/// granularity a functional capture records addresses at) and a nonzero
+/// bus width — and resolves its workload to the benchmark [`run`]
+/// streams. The error names the offending field.
 pub fn validate(req: &RunRequest) -> Result<Benchmark, ExperimentError> {
     let invalid = ExperimentError::InvalidInput;
     let bench = match (&req.benchmark, &req.spec) {
@@ -153,6 +155,13 @@ pub fn validate(req: &RunRequest) -> Result<Benchmark, ExperimentError> {
     for (field, p) in [("l1i", cpu.l1i), ("l1d", cpu.l1d), ("l2", cpu.l2)] {
         Geometry::new(p.size_bytes, p.line_bytes, p.associativity)
             .map_err(|e| invalid(format!("field `cpu.{field}`: bad geometry: {e}")))?;
+    }
+    let line = cpu_model::capture_line_bytes(cpu);
+    if cpu.l2.line_bytes < line {
+        return Err(invalid(format!(
+            "field `cpu.l2.line_bytes`: {} B is shorter than the {line} B L1 line",
+            cpu.l2.line_bytes
+        )));
     }
     if cpu.bus_bytes == 0 {
         return Err(invalid("field `cpu.bus_bytes`: must be at least 1".into()));

@@ -190,7 +190,9 @@ pub struct MpkiResult {
 /// `(size, line, assoc)` and the given organisation.
 ///
 /// Fails with [`ExperimentError::Geometry`] when the requested geometry is
-/// impossible (non-power-of-two sets, zero ways, ...).
+/// impossible (non-power-of-two sets, zero ways, ...) or its line is
+/// shorter than the smaller L1 line (see
+/// [`cpu_model::capture_line_bytes`]).
 pub fn run_functional_l2(
     bench: &Benchmark,
     kind: &L2Kind,
@@ -219,6 +221,13 @@ pub fn run_functional_l2_cfg(
         format!("functional {} x {}", bench.name, kind.label())
     });
     let geom = Geometry::new(l2_geom.0, l2_geom.1, l2_geom.2)?;
+    let line = cpu_model::capture_line_bytes(config);
+    if geom.line_bytes() < line {
+        return Err(ExperimentError::Geometry(format!(
+            "L2 line {} B is shorter than the {line} B L1 line a functional capture records",
+            geom.line_bytes()
+        )));
+    }
     let (trace, captured_here) = crate::replay_cache::get_or_capture(bench, config, insts);
     span.set_attr("frontend_skipped", || (!captured_here).to_string());
     let stats = kind.build_with(geom, Replay(&trace));
@@ -274,6 +283,17 @@ mod tests {
             r.stats.l2_mpki() > 1.0,
             "applu must exceed 1 MPKI, got {}",
             r.stats.l2_mpki()
+        );
+    }
+
+    #[test]
+    fn an_l2_line_shorter_than_the_l1_line_is_a_geometry_error() {
+        let b = &primary_suite()[1];
+        let lru = L2Kind::Plain(PolicyKind::Lru);
+        let r = run_functional_l2(b, &lru, (512 * 1024, 32, 8), 1_000);
+        assert!(
+            matches!(&r, Err(ExperimentError::Geometry(m)) if m.contains("32 B")),
+            "{r:?}"
         );
     }
 

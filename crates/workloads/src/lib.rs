@@ -39,7 +39,6 @@
 
 mod inst;
 mod mix;
-pub mod packed;
 mod pattern;
 mod stack;
 mod suite;
